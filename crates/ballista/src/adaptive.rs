@@ -13,15 +13,15 @@
 //! The mode runs in two phases:
 //!
 //! 1. **Explore** ([`explore`]): budgeted rounds draw cases from a
-//!    weighted sampler. After every round the live [`Coverage`] snapshot
-//!    is diffed ([`Coverage::gain_since`]) and folded back into the
-//!    weights — under-touched pool values get heavier, values that
-//!    participated in rare outcomes (Silent / Restart / Catastrophic)
-//!    earn a standing bonus, and a MuT whose observed CRASH-class
-//!    distribution changed last round gets its per-round quota doubled.
-//!    Exploration runs at residue zero, so it observes each case's
-//!    *clean* outcome (the same record the parallel engine's clean pass
-//!    would produce).
+//!    weighted sampler. Every case folds back into the weights at once —
+//!    under-touched pool values get heavier, values that participated
+//!    in rare outcomes (Silent / Restart / Catastrophic) earn a standing
+//!    bonus — and a MuT whose observed CRASH-class distribution changed
+//!    last round gets its per-round quota doubled. After every round the
+//!    live [`Coverage`] snapshot is diffed ([`Coverage::gain_since`])
+//!    into the round ledger. Exploration runs at residue zero, so it
+//!    observes each case's *clean* outcome (the same record the parallel
+//!    engine's clean pass would produce).
 //! 2. **Pin** ([`PinnedPlan`]): the explored case list is frozen into an
 //!    explicit per-MuT [`CaseSet`]. Pinning is what keeps replay
 //!    deterministic: the adaptive *choice* happens once, and every
@@ -62,7 +62,7 @@ use crate::campaign::{
     PreparedMut,
 };
 use crate::catalog;
-use crate::coverage::{class_label, Coverage};
+use crate::coverage::{class_index, Coverage, CLASS_LABELS};
 use crate::crash::FailureClass;
 use crate::datatype::TypeRegistry;
 use crate::exec::{CaseRunner, Session};
@@ -75,7 +75,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use sim_kernel::variant::OsVariant;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -90,6 +90,17 @@ pub const DEFAULT_ROUNDS: usize = 8;
 /// Default rare-outcome weight bonus when [`AdaptiveConfig::rare_bonus`]
 /// is 0.
 pub const DEFAULT_RARE_BONUS: u64 = 32;
+
+/// Largest effective round count [`AdaptiveConfig::check_bounds`]
+/// accepts. The explorer reserves its ledger and snapshots coverage once
+/// per round, so an unbounded count from a campaign spec is an unbounded
+/// allocation; far fewer rounds already exhaust every MuT's budget.
+pub const MAX_ROUNDS: usize = 1024;
+
+/// Largest effective rare bonus [`AdaptiveConfig::check_bounds`]
+/// accepts: 2^32, so a value's weight (at most `64 + 2^32`) summed over
+/// a pool of fewer than 2^31 values cannot overflow `u64`.
+pub const MAX_RARE_BONUS: u64 = 1 << 32;
 
 /// Weight-collision retries before the explorer falls back to a linear
 /// probe over the combination space.
@@ -138,6 +149,29 @@ impl AdaptiveConfig {
             0 => DEFAULT_RARE_BONUS,
             n => n,
         }
+    }
+
+    /// Checks the knobs against [`MAX_ROUNDS`] and [`MAX_RARE_BONUS`],
+    /// the bounds a config from outside the process (a `POST /campaign`
+    /// spec) must meet before anything explores it.
+    ///
+    /// # Errors
+    ///
+    /// Names the first knob out of bounds.
+    pub fn check_bounds(&self) -> Result<(), String> {
+        if self.rounds > MAX_ROUNDS {
+            return Err(format!(
+                "adaptive rounds {} above the maximum {MAX_ROUNDS}",
+                self.rounds
+            ));
+        }
+        if self.rare_bonus > MAX_RARE_BONUS {
+            return Err(format!(
+                "adaptive rare bonus {} above the maximum {MAX_RARE_BONUS}",
+                self.rare_bonus
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -222,10 +256,73 @@ impl PinnedPlan {
     }
 }
 
+/// The explorer's feedback on one parameter type, dense over the
+/// type's pool. Pools are shared across MuTs by type name, so the
+/// feedback crosses MuTs too; every MuT taking the type indexes the
+/// same table.
+struct TypeFeedback {
+    /// Data-type name (the [`Coverage`] pool key).
+    ty: &'static str,
+    /// Cases each value took part in.
+    touches: Vec<u64>,
+    /// Values that took part in a Silent, Restart or Catastrophic case.
+    rare: Vec<bool>,
+    /// Each value's draw weight, kept equal to [`weight`] of its touch
+    /// count and rare flag on every touch, so a draw reads it as is.
+    weights: Vec<u64>,
+}
+
+impl TypeFeedback {
+    /// The index of `ty`'s table in `tables`, appending a fresh table
+    /// (every value untouched) the first time the type is seen.
+    fn id_of(tables: &mut Vec<TypeFeedback>, ty: &'static str, pool_len: usize) -> usize {
+        if let Some(id) = tables.iter().position(|t| t.ty == ty) {
+            assert_eq!(
+                tables[id].weights.len(),
+                pool_len,
+                "{ty}: one pool per type"
+            );
+            return id;
+        }
+        tables.push(TypeFeedback {
+            ty,
+            touches: vec![0; pool_len],
+            rare: vec![false; pool_len],
+            weights: vec![weight(0, false, 0); pool_len],
+        });
+        tables.len() - 1
+    }
+
+    /// Records that value `idx` took part in one case (a `rare` one if
+    /// its outcome was Silent, Restart or Catastrophic) and refreshes
+    /// its weight. Returns `true` on the value's first touch.
+    fn touch(&mut self, idx: usize, rare: bool, rare_bonus: u64) -> bool {
+        let first = self.touches[idx] == 0;
+        self.touches[idx] += 1;
+        self.rare[idx] |= rare;
+        self.weights[idx] = weight(self.touches[idx], self.rare[idx], rare_bonus);
+        first
+    }
+}
+
+/// The draw weight of a pool value: an untouched value weighs `64`, a
+/// value touched `t` times weighs `max(1, 64 >> min(t, 6))`, and rare
+/// participants add `rare_bonus` on top.
+fn weight(touches: u64, rare: bool, rare_bonus: u64) -> u64 {
+    let w = 1u64.max(64 >> touches.min(6));
+    if rare {
+        w + rare_bonus
+    } else {
+        w
+    }
+}
+
 /// Per-MuT explorer state.
 struct MutState<'a> {
     mut_: &'a Mut,
     pools: Vec<Vec<TestValue>>,
+    /// Index into the explorer's [`TypeFeedback`] tables, per parameter.
+    type_ids: Vec<usize>,
     dims: Vec<usize>,
     /// The fixed plan (budget source; pinned verbatim for `fixed` MuTs).
     fixed_plan: Arc<CaseSet>,
@@ -246,7 +343,9 @@ struct MutState<'a> {
     /// `true` once a `fixed` MuT crashed at residue zero — remaining
     /// cases are skipped (replay will stop at the same point anyway).
     fixed_crashed: bool,
-    classes_seen: HashSet<&'static str>,
+    /// Primary outcome classes observed so far, one bit per
+    /// [`CLASS_LABELS`] index.
+    classes_seen: u8,
     new_class_this_round: bool,
     new_class_last_round: bool,
 }
@@ -288,6 +387,9 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
     let rare_bonus = acfg.effective_rare_bonus();
     let fuel_budget = cfg.effective_fuel_budget();
 
+    // One feedback table per parameter type, numbered in order of first
+    // appearance in the catalog.
+    let mut feedback: Vec<TypeFeedback> = Vec::new();
     let mut states: Vec<MutState<'_>> = muts
         .iter()
         .map(|m| {
@@ -295,9 +397,16 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
             let fixed = prep.plan.exhaustive || prep.pools.is_empty();
             let dims: Vec<usize> = prep.pools.iter().map(Vec::len).collect();
             let total = sampling::combination_count(&dims);
+            let type_ids = m
+                .params
+                .iter()
+                .zip(&dims)
+                .map(|(&ty, &len)| TypeFeedback::id_of(&mut feedback, ty, len))
+                .collect();
             MutState {
                 mut_: m,
                 pools: prep.pools,
+                type_ids,
                 dims,
                 fixed_plan: prep.plan,
                 fixed,
@@ -308,7 +417,7 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
                 discards: 0,
                 cursor: 0,
                 fixed_crashed: false,
-                classes_seen: HashSet::new(),
+                classes_seen: 0,
                 new_class_this_round: false,
                 new_class_last_round: false,
             }
@@ -323,10 +432,9 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
         os.short_name(),
         acfg.seed
     )));
-    // Pools are shared across MuTs by type name, so touch counts and the
-    // rare set key on (type, value index) and feedback crosses MuTs.
-    let mut touches: HashMap<(&'static str, usize), u64> = HashMap::new();
-    let mut rare: HashSet<(&'static str, usize)> = HashSet::new();
+    let rare_class = CLASS_LABELS.map(|l| matches!(l, "Silent" | "Restart" | "Catastrophic"));
+    // Case counts per class this round, folded into `cov` at its end.
+    let mut class_counts = [0u64; CLASS_LABELS.len()];
     let mut cov = Coverage::default();
     let mut session = Session::new();
     let mut runner = CaseRunner::new();
@@ -356,23 +464,25 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
                     st.cursor += 1;
                     c
                 } else {
-                    draw_combo(&mut rng, st, &touches, &rare, rare_bonus)
+                    draw_combo(&mut rng, st, &feedback)
                 };
                 session.residue = 0;
                 let result =
                     runner.execute(os, st.mut_, &st.pools, &combo, &mut session, fuel_budget);
                 explore_cases += 1;
                 explored_this_round += 1;
-                let label = class_label(result.class, result.raw);
-                for ((ty, pool), &idx) in st.mut_.params.iter().zip(&st.pools).zip(&combo) {
-                    cov.touch_value(ty, pool[idx].name, pool.len() as u64);
-                    *touches.entry((*ty, idx)).or_default() += 1;
-                    if matches!(label, "Silent" | "Restart" | "Catastrophic") {
-                        rare.insert((*ty, idx));
+                let class = class_index(result.class, result.raw);
+                for ((&id, pool), &idx) in st.type_ids.iter().zip(&st.pools).zip(&combo) {
+                    let fb = &mut feedback[id];
+                    // Coverage only needs a value's first touch: later
+                    // touches of it change nothing there.
+                    if fb.touch(idx, rare_class[class], rare_bonus) {
+                        cov.touch_value(fb.ty, pool[idx].name, pool.len() as u64);
                     }
                 }
-                cov.observe_class(label);
-                if st.classes_seen.insert(label) {
+                class_counts[class] += 1;
+                if st.classes_seen & (1 << class) == 0 {
+                    st.classes_seen |= 1 << class;
                     st.new_class_this_round = true;
                 }
                 if st.fixed {
@@ -412,6 +522,9 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
         for st in &mut states {
             st.new_class_last_round = st.new_class_this_round;
             st.new_class_this_round = false;
+        }
+        for (label, n) in CLASS_LABELS.iter().zip(&mut class_counts) {
+            cov.observe_class(label, std::mem::take(n));
         }
         let gain = cov.gain_since(&snapshot);
         telemetry::on_adaptive_round(gain.new_values);
@@ -456,40 +569,19 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
 }
 
 /// Draws one not-yet-taken combination for a steerable MuT: per
-/// parameter, a weighted draw where an untouched value weighs `64`, a
-/// value touched `t` times weighs `max(1, 64 >> min(t, 6))`, and rare
-/// participants add `rare_bonus` on top. Collisions with already-pinned
-/// cases retry a few times, then fall back to a linear probe. The probe
-/// always lands: combinations strictly exceed the budget for steerable
-/// MuTs (else the plan would be exhaustive), and the explorer's
-/// crash-discard guard never takes a combination unless enough free
-/// ones remain to fill every outstanding pin.
-fn draw_combo(
-    rng: &mut StdRng,
-    st: &MutState<'_>,
-    touches: &HashMap<(&'static str, usize), u64>,
-    rare: &HashSet<(&'static str, usize)>,
-    rare_bonus: u64,
-) -> Combo {
-    let mut weights = Vec::new();
+/// parameter, a draw by the current [`weight`]s of the parameter type's
+/// pool. Collisions with already-pinned cases retry a few times, then
+/// fall back to a linear probe. The probe always lands: combinations
+/// strictly exceed the budget for steerable MuTs (else the plan would be
+/// exhaustive), and the explorer's crash-discard guard never takes a
+/// combination unless enough free ones remain to fill every outstanding
+/// pin.
+fn draw_combo(rng: &mut StdRng, st: &MutState<'_>, feedback: &[TypeFeedback]) -> Combo {
     for attempt in 0..=DRAW_RETRIES {
         let combo: Combo = st
-            .mut_
-            .params
+            .type_ids
             .iter()
-            .zip(&st.dims)
-            .map(|(ty, &d)| {
-                weights.clear();
-                weights.extend((0..d).map(|idx| {
-                    let t = touches.get(&(*ty, idx)).copied().unwrap_or(0);
-                    let mut w = 1u64.max(64 >> t.min(6));
-                    if rare.contains(&(*ty, idx)) {
-                        w += rare_bonus;
-                    }
-                    w
-                }));
-                sampling::weighted_index(rng, &weights)
-            })
+            .map(|&id| sampling::weighted_index(rng, &feedback[id].weights))
             .collect();
         let linear = sampling::encode(&combo, &st.dims);
         if !st.taken.contains(&linear) {
@@ -725,6 +817,24 @@ mod tests {
             },
         );
         assert_ne!(a.digest(), other.digest());
+    }
+
+    #[test]
+    fn check_bounds_accepts_the_maxima_and_rejects_beyond() {
+        let at = |rounds, rare_bonus| AdaptiveConfig {
+            rounds,
+            seed: u64::MAX,
+            rare_bonus,
+        };
+        assert!(AdaptiveConfig::default().check_bounds().is_ok());
+        assert!(at(MAX_ROUNDS, MAX_RARE_BONUS).check_bounds().is_ok());
+        assert!(at(MAX_ROUNDS + 1, 0).check_bounds().is_err());
+        assert!(at(0, MAX_RARE_BONUS + 1).check_bounds().is_err());
+        // The bound keeps every weight sum in range: a whole pool of
+        // rare, untouched values.
+        assert!(weight(0, true, MAX_RARE_BONUS)
+            .checked_mul(1 << 31)
+            .is_some());
     }
 
     #[test]

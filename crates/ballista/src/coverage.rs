@@ -77,23 +77,23 @@ pub struct Coverage {
     pub executed_cases: u64,
 }
 
-/// The [`CLASS_LABELS`] entry one case result folds into — the exact
+/// The [`CLASS_LABELS`] index one case result folds into — the exact
 /// mapping the engines' tally fold uses: `Hindering` and a `Pass` whose
 /// raw outcome was a reported error both land in the robust-error
 /// column, everything else keeps its class name.
 #[must_use]
-pub fn class_label(class: FailureClass, raw: RawOutcome) -> &'static str {
+pub fn class_index(class: FailureClass, raw: RawOutcome) -> usize {
     match class {
-        FailureClass::Catastrophic => "Catastrophic",
-        FailureClass::Restart => "Restart",
-        FailureClass::Abort => "Abort",
-        FailureClass::Silent => "Silent",
-        FailureClass::Hindering => "ErrorReport",
+        FailureClass::Catastrophic => 0,
+        FailureClass::Restart => 1,
+        FailureClass::Abort => 2,
+        FailureClass::Silent => 3,
+        FailureClass::Hindering => 4,
         FailureClass::Pass => {
             if raw == RawOutcome::ReturnedError {
-                "ErrorReport"
+                4
             } else {
-                "Pass"
+                5
             }
         }
     }
@@ -232,10 +232,13 @@ impl Coverage {
         }
     }
 
-    /// Records one observed outcome class incrementally (a
-    /// [`CLASS_LABELS`] entry, see [`class_label`]).
-    pub fn observe_class(&mut self, label: &str) {
-        *self.classes.entry(label.to_owned()).or_default() += 1;
+    /// Records `n` cases of one observed outcome class (a
+    /// [`CLASS_LABELS`] entry, see [`class_index`]). `n == 0` records
+    /// nothing, so the map never holds a zero count.
+    pub fn observe_class(&mut self, label: &str, n: u64) {
+        if n > 0 {
+            *self.classes.entry(label.to_owned()).or_default() += n;
+        }
     }
 
     /// What this snapshot covers that `prev` did not: the incremental
@@ -462,15 +465,17 @@ mod tests {
         let mut cov = Coverage::default();
         cov.touch_value("HANDLE", "NULL", 9);
         cov.touch_value("HANDLE", "NULL", 9); // idempotent
-        cov.observe_class("Abort");
+        cov.observe_class("Abort", 1);
         let before = cov.clone();
         cov.touch_value("HANDLE", "closed", 9);
         cov.touch_value("DWORD", "MAXDWORD", 5);
-        cov.observe_class("Abort");
-        cov.observe_class("Silent");
+        cov.observe_class("Abort", 1);
+        cov.observe_class("Silent", 1);
+        cov.observe_class("Pass", 0); // a zero count records nothing
         let gain = cov.gain_since(&before);
         assert_eq!(gain.new_values, 2);
         assert_eq!(gain.new_classes, 1, "Silent is new, Abort is not");
+        assert!(!cov.classes.contains_key("Pass"));
         assert_eq!(cov.gain_since(&cov).new_values, 0);
         assert_eq!(cov.values_touched(), 3);
         assert_eq!(cov.values_total(), 14);
@@ -478,26 +483,21 @@ mod tests {
 
     #[test]
     fn class_label_matches_tally_fold() {
-        use crate::crash::{FailureClass, RawOutcome};
-        assert_eq!(
-            class_label(FailureClass::Pass, RawOutcome::ReturnedError),
-            "ErrorReport"
-        );
-        assert_eq!(class_label(FailureClass::Pass, RawOutcome::ReturnedSuccess), "Pass");
-        assert_eq!(
-            class_label(FailureClass::Hindering, RawOutcome::ReturnedError),
-            "ErrorReport"
-        );
-        assert_eq!(
-            class_label(FailureClass::Silent, RawOutcome::ReturnedSuccess),
-            "Silent"
-        );
-        for label in [
-            class_label(FailureClass::Catastrophic, RawOutcome::SystemCrash),
-            class_label(FailureClass::Restart, RawOutcome::TaskHang),
-            class_label(FailureClass::Abort, RawOutcome::TaskAbort),
+        use crate::crash::{FailureClass as F, RawOutcome as R};
+        for (class, raw, label) in [
+            (F::Pass, R::ReturnedError, "ErrorReport"),
+            (F::Pass, R::ReturnedSuccess, "Pass"),
+            (F::Hindering, R::ReturnedError, "ErrorReport"),
+            (F::Silent, R::ReturnedSuccess, "Silent"),
+            (F::Catastrophic, R::SystemCrash, "Catastrophic"),
+            (F::Restart, R::TaskHang, "Restart"),
+            (F::Abort, R::TaskAbort, "Abort"),
         ] {
-            assert!(CLASS_LABELS.contains(&label));
+            assert_eq!(
+                CLASS_LABELS[class_index(class, raw)],
+                label,
+                "{class:?}/{raw:?}"
+            );
         }
     }
 }

@@ -105,14 +105,18 @@ pub struct CampaignSpec {
     /// **classic** fixed-plan campaign; any non-zero value selects the
     /// adaptive engine with that many rounds (and folds the
     /// `adaptive/1` mode tag plus all three adaptive knobs into the
-    /// fingerprint).
+    /// fingerprint). At most
+    /// [`MAX_ROUNDS`](crate::adaptive::MAX_ROUNDS); a larger count is a
+    /// `400`.
     #[serde(default)]
     pub adaptive_rounds: usize,
     /// Adaptive explore seed (meaningful only with `adaptive_rounds`).
     #[serde(default)]
     pub adaptive_seed: u64,
     /// Adaptive rare-outcome bonus; `0` → the mode default (meaningful
-    /// only with `adaptive_rounds`).
+    /// only with `adaptive_rounds`). At most
+    /// [`MAX_RARE_BONUS`](crate::adaptive::MAX_RARE_BONUS); a larger
+    /// bonus is a `400`.
     #[serde(default)]
     pub adaptive_rare_bonus: u64,
 }
@@ -578,10 +582,21 @@ fn get_campaign(stream: &mut TcpStream, state: &State, request: &Request) -> io:
     }
 }
 
+/// Parses a `POST /campaign` body and bounds its adaptive knobs
+/// ([`AdaptiveConfig::check_bounds`]) before anything fingerprints or
+/// runs the spec.
+fn parse_spec(body: &[u8]) -> Result<CampaignSpec, String> {
+    let spec: CampaignSpec = serde_json::from_slice(body).map_err(|e| e.to_string())?;
+    if let Some(acfg) = spec.adaptive() {
+        acfg.check_bounds()?;
+    }
+    Ok(spec)
+}
+
 /// `POST /campaign` — the fingerprint/cache/coalesce/execute path.
 fn post_campaign(stream: &mut TcpStream, state: &State, request: &Request) -> io::Result<()> {
     state.campaign_posts.fetch_add(1, Ordering::Relaxed);
-    let spec: CampaignSpec = match serde_json::from_slice(&request.body) {
+    let spec = match parse_spec(&request.body) {
         Ok(spec) => spec,
         Err(e) => {
             let body = format!(r#"{{"error":"bad campaign spec: {e}"}}"#);

@@ -154,3 +154,38 @@ fn fingerprint_addressing_and_distinct_specs() {
         assert_eq!(body, if cap == 60 { body_a.clone() } else { body_b.clone() });
     }
 }
+
+#[test]
+fn out_of_bounds_adaptive_knobs_are_rejected_and_the_server_keeps_serving() {
+    let addr = start("adaptive-bounds");
+    let adaptive = |rounds: usize, rare_bonus: u64| {
+        serde_json::to_string(&CampaignSpec {
+            cap: 40,
+            adaptive_rounds: rounds,
+            adaptive_rare_bonus: rare_bonus,
+            ..CampaignSpec::new(OsVariant::Win95)
+        })
+        .expect("spec serializes")
+    };
+
+    // A round count that would reserve terabytes up front, and a rare
+    // bonus that would overflow a pool's weight sum: both are refused
+    // before anything fingerprints or explores them.
+    let (status, body) = request(addr, "POST", "/campaign", &adaptive(1_000_000_000_000, 0));
+    assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
+    let (status, body) = request(addr, "POST", "/campaign", &adaptive(2, (1 << 32) + 1));
+    assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
+    let m = metrics(addr);
+    assert_eq!(m.campaigns_executed, 0);
+    assert_eq!(m.cache_misses, 0);
+
+    // The server is still up and serves a valid adaptive spec.
+    let (status, body) = request(addr, "POST", "/campaign", &adaptive(2, 0));
+    assert_eq!(status, 200);
+    let report: ballista::campaign::CampaignReport =
+        serde_json::from_slice(&body).expect("report parses");
+    assert!(report.total_cases > 0);
+    let m = metrics(addr);
+    assert_eq!(m.campaign_posts, 3);
+    assert_eq!(m.campaigns_executed, 1);
+}

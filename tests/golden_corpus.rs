@@ -5,8 +5,11 @@
 //! here means a kernel, catalog, pool or sampling change silently moved
 //! observed robustness behaviour. The crash-consistency corpus
 //! (`crashcon_<os>.json`, blessed by `crashcon --bless`) is pinned the
-//! same way.
+//! same way, and so are the adaptive explore ledgers
+//! (`adaptive_<os>.json`, blessed by `adaptive --bless`) together with
+//! the digest of every variant's pinned plan.
 
+use ballista::adaptive::{explore, AdaptiveConfig, RoundStats};
 use ballista::campaign::{run_campaign, CampaignConfig, MutTally};
 use ballista::crashcon::{run_crashcon, CrashTally};
 use serde::Deserialize;
@@ -28,6 +31,30 @@ struct CrashconGoldenEntry {
     cap: usize,
     muts: Vec<CrashTally>,
 }
+
+/// The explore ledger fields of `results/adaptive_<os>.json`.
+#[derive(Deserialize)]
+struct AdaptiveGoldenEntry {
+    cap: usize,
+    rounds: Vec<RoundStats>,
+    explore_cases: u64,
+    pinned_cases: u64,
+}
+
+/// `PinnedPlan::digest()` of each variant's default-knob pin at
+/// [`GOLDEN_CAP`]. The adaptive goldens record the ledger but not the
+/// plan, so these pin the case list itself: an explorer change that
+/// keeps every count but draws different cases must bump `MODE_TAG`
+/// and re-pin these together with the goldens.
+const PINNED_DIGESTS: [(OsVariant, u64); 7] = [
+    (OsVariant::Linux, 0xcd52_9a7d_c670_336a),
+    (OsVariant::Win95, 0xbd31_417f_03af_efce),
+    (OsVariant::Win98, 0x5a0f_12e0_2f46_a6f1),
+    (OsVariant::Win98Se, 0x6b85_9bb2_0aad_437f),
+    (OsVariant::WinNt4, 0x4706_4c3f_3e01_f6a4),
+    (OsVariant::Win2000, 0xb749_ea6a_bf74_5bcc),
+    (OsVariant::WinCe, 0x09dd_881a_4991_9810),
+];
 
 fn golden_path(os: OsVariant) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -132,5 +159,55 @@ fn crashcon_tallies_match_golden_corpus_on_every_variant() {
                  intentional, re-bless with `crashcon -- --bless`"
             );
         }
+    }
+}
+
+#[test]
+fn adaptive_explore_matches_golden_on_every_variant() {
+    let cfg = CampaignConfig {
+        cap: GOLDEN_CAP,
+        record_raw: false,
+        isolation_probe: true,
+        perfect_cleanup: false,
+        parallelism: 1,
+        fuel_budget: 0,
+    };
+    assert_eq!(PINNED_DIGESTS.len(), OsVariant::ALL.len());
+    for (os, digest) in PINNED_DIGESTS {
+        let name = os.short_name();
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../results")
+            .join(format!("adaptive_{name}.json"));
+        let text = fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!(
+                "{name}: missing adaptive golden {} ({e}); regenerate with \
+                 `cargo run --release -p experiments --bin adaptive -- --bless`",
+                path.display()
+            )
+        });
+        let golden: AdaptiveGoldenEntry =
+            serde_json::from_str(&text).unwrap_or_else(|e| panic!("{name}: corrupt golden: {e}"));
+        assert_eq!(
+            golden.cap, GOLDEN_CAP,
+            "{name}: golden blessed at a different cap"
+        );
+
+        let pin = explore(os, &cfg, &AdaptiveConfig::default());
+        assert_eq!(pin.rounds, golden.rounds, "{name}: explore ledger drifted");
+        assert_eq!(
+            pin.explore_cases, golden.explore_cases,
+            "{name}: explore cases"
+        );
+        assert_eq!(
+            pin.pinned_cases(),
+            golden.pinned_cases,
+            "{name}: pinned cases"
+        );
+        assert_eq!(
+            pin.digest(),
+            digest,
+            "{name}: pinned plan digest {:#018x} drifted",
+            pin.digest()
+        );
     }
 }
