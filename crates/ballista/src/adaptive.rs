@@ -57,14 +57,10 @@
 //! the same plan. Journals, the result cache, and the fleet server all
 //! address adaptive campaigns by that fingerprint.
 
-use crate::campaign::{
-    self, plan_fingerprint_tagged, prepare, CampaignConfig, CampaignFingerprint, CampaignReport,
-    PreparedMut,
-};
+use crate::campaign::{self, prepare, CampaignConfig, CampaignFingerprint, CampaignReport, Mode};
 use crate::catalog;
 use crate::coverage::{class_index, Coverage, CLASS_LABELS};
 use crate::crash::FailureClass;
-use crate::datatype::TypeRegistry;
 use crate::exec::{CaseRunner, Session};
 use crate::journal::PlanHasher;
 use crate::muts::Mut;
@@ -654,36 +650,7 @@ pub fn fingerprint_adaptive(
     cfg: &CampaignConfig,
     acfg: &AdaptiveConfig,
 ) -> CampaignFingerprint {
-    let registry = catalog::registry_for(os);
-    let muts = catalog::catalog_for(os);
-    let preps: Vec<_> = muts.iter().map(|m| prepare(&registry, m, cfg)).collect();
-    let tag = format!(
-        "{MODE_TAG};r{};s{};b{}",
-        acfg.effective_rounds(),
-        acfg.seed,
-        acfg.effective_rare_bonus()
-    );
-    plan_fingerprint_tagged(Some(&tag), os, cfg, &preps)
-}
-
-/// Builds engine preps whose plans come from the pinned plan instead of
-/// the fixed samples. `pin.muts` is in catalog order by construction.
-pub(crate) fn pinned_preps<'a>(
-    registry: &TypeRegistry,
-    muts: &'a [Mut],
-    pin: &PinnedPlan,
-) -> Vec<PreparedMut<'a>> {
-    muts.iter()
-        .zip(&pin.muts)
-        .map(|(m, pm)| {
-            debug_assert_eq!(m.name, pm.name);
-            PreparedMut {
-                mut_: m,
-                pools: campaign::resolve_pools(registry, m),
-                plan: Arc::clone(&pm.plan),
-            }
-        })
-        .collect()
+    Mode::Adaptive(*acfg).fingerprint(os, cfg)
 }
 
 /// Runs an adaptive campaign through the in-process engine (serial or
@@ -706,11 +673,7 @@ pub(crate) fn pinned_preps<'a>(
 /// ```
 #[must_use]
 pub fn run_adaptive(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> CampaignReport {
-    let pin = pinned_plan_shared(os, cfg, acfg);
-    let registry = catalog::registry_for(os);
-    let muts = catalog::catalog_for(os);
-    let preps = pinned_preps(&registry, &muts, &pin);
-    campaign::run_campaign_prepared(os, cfg, &preps)
+    campaign::run_mode(Mode::Adaptive(*acfg), os, cfg)
 }
 
 /// Journaled adaptive campaign: identical write-ahead/resume semantics
@@ -728,12 +691,7 @@ pub fn run_adaptive_journaled(
     journal_path: &Path,
     resume: bool,
 ) -> std::io::Result<CampaignReport> {
-    let pin = pinned_plan_shared(os, cfg, acfg);
-    let registry = catalog::registry_for(os);
-    let muts = catalog::catalog_for(os);
-    let preps = pinned_preps(&registry, &muts, &pin);
-    let hash = fingerprint_adaptive(os, cfg, acfg).as_u64();
-    campaign::run_campaign_journaled_prepared(os, cfg, &preps, hash, journal_path, resume)
+    campaign::run_journaled(Mode::Adaptive(*acfg), os, cfg, journal_path, resume)
 }
 
 /// Adaptive campaign on the supervised fleet: the same shard dispatch,
@@ -749,19 +707,7 @@ pub fn run_adaptive_fleet(
     acfg: &AdaptiveConfig,
     fleet: &crate::fleet::FleetConfig,
 ) -> CampaignReport {
-    run_adaptive_fleet_observed(os, cfg, acfg, fleet, None)
-}
-
-/// [`run_adaptive_fleet`] with live progress, for the serving layer.
-#[must_use]
-pub fn run_adaptive_fleet_observed(
-    os: OsVariant,
-    cfg: &CampaignConfig,
-    acfg: &AdaptiveConfig,
-    fleet: &crate::fleet::FleetConfig,
-    progress: Option<&crate::fleet::FleetProgress>,
-) -> CampaignReport {
-    crate::fleet::run_fleet_engine(os, cfg, fleet, progress, Some(acfg))
+    crate::fleet::run_fleet_engine(Mode::Adaptive(*acfg), os, cfg, fleet, None)
 }
 
 #[cfg(test)]

@@ -25,24 +25,29 @@
 //!    on residue, so a case that did not probe at residue zero takes the
 //!    identical path (and outcome) at any residue.
 
+use crate::adaptive::{self, AdaptiveConfig};
 use crate::catalog;
 use crate::crash::{self, classify, FailureClass, RawOutcome};
+use crate::crashcon;
 use crate::datatype::TypeRegistry;
 use crate::exec::{
     self, reproduce_in_isolation, CaseResult, CaseRunner, Session, DEFAULT_FUEL_BUDGET,
 };
-use crate::journal::{CaseRecord, Journal, PlanHasher, Recovery};
+use crate::fleet::{Heartbeat, ShardResult, WireCleanMut};
+use crate::journal::{PlanHasher, Resume};
 use crate::muts::Mut;
 use crate::sampling::{self, CaseSet, PAPER_CAP};
 use crate::telemetry::{self, CaseTrace, TraceCollector};
 use crate::value::TestValue;
 use serde::{Content, Deserialize, Serialize};
 use sim_kernel::variant::OsVariant;
+use std::convert::Infallible;
 use std::fmt;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -250,10 +255,7 @@ impl Deserialize for CampaignFingerprint {
 /// come from the process-wide plan cache, so repeated calls are cheap).
 #[must_use]
 pub fn fingerprint(os: OsVariant, cfg: &CampaignConfig) -> CampaignFingerprint {
-    let registry = catalog::registry_for(os);
-    let muts = catalog::catalog_for(os);
-    let preps: Vec<_> = muts.iter().map(|m| prepare(&registry, m, cfg)).collect();
-    plan_fingerprint(os, cfg, &preps)
+    Mode::Classic.fingerprint(os, cfg)
 }
 
 /// Timing and machine-provisioning counters for one campaign run.
@@ -446,7 +448,7 @@ pub struct CampaignReport {
     pub fleet_degraded: bool,
 }
 
-fn is_false(b: &bool) -> bool {
+pub(crate) fn is_false(b: &bool) -> bool {
     !*b
 }
 
@@ -475,6 +477,20 @@ pub fn resolve_pools(registry: &TypeRegistry, mut_: &Mut) -> Vec<Vec<TestValue>>
 pub fn run_mut_campaign(os: OsVariant, mut_: &Mut, cfg: &CampaignConfig) -> MutTally {
     let registry = catalog::registry_for(os);
     run_mut_campaign_with(os, mut_, &registry, cfg, &mut Session::new())
+}
+
+/// Campaign for one MuT with caller-provided registry and session (the
+/// full-campaign path shares both across MuTs). This is the sequential
+/// reference path; the parallel engine reproduces it bit for bit.
+#[must_use]
+pub fn run_mut_campaign_with(
+    os: OsVariant,
+    mut_: &Mut,
+    registry: &TypeRegistry,
+    cfg: &CampaignConfig,
+    session: &mut Session,
+) -> MutTally {
+    sequential_mut(os, cfg, &prepare(registry, mut_, cfg), session, &mut None)
 }
 
 /// A MuT with its resolved pools and (shared) sampling plan — computed
@@ -519,148 +535,262 @@ pub(crate) fn empty_tally(mut_: &Mut, planned: usize) -> MutTally {
     }
 }
 
-/// Folds one case result into the tally. Returns `true` on Catastrophic —
-/// the caller must run the isolation probe and stop this MuT. Single
-/// source of tally semantics for both the sequential and parallel paths,
-/// so they cannot drift apart.
-fn apply_case(tally: &mut MutTally, cfg: &CampaignConfig, result: &CaseResult) -> bool {
-    telemetry::on_case_applied(result.class);
-    tally.cases += 1;
-    if cfg.record_raw {
-        tally.raw_outcomes.push(crash::pack_case(
-            result.raw,
-            result.any_exceptional,
-            result.residue_probed,
-        ));
-    }
-    match result.class {
-        FailureClass::Catastrophic => {
-            tally.catastrophic = true;
-            return true;
-        }
-        FailureClass::Restart => tally.restarts += 1,
-        FailureClass::Abort => tally.aborts += 1,
-        FailureClass::Silent => tally.silents += 1,
-        FailureClass::Hindering => tally.error_reports += 1,
-        FailureClass::Pass => {
-            if result.raw == RawOutcome::ReturnedError {
-                tally.error_reports += 1;
-                if !result.any_exceptional {
-                    tally.suspected_hindering += 1;
+/// What a campaign runs each MuT's cases for. Every engine is written
+/// once over the mode, which owns only the three things the modes
+/// differ in: each MuT's plan, the `(u8, u64)` record its residue-zero
+/// pass writes per case, and the fingerprint tag. The tally type and its
+/// fold stay per mode (DESIGN.md §16).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Mode {
+    /// The paper's protocol over the fixed per-MuT samples.
+    Classic,
+    /// Crash-consistency verdicts over the fixed samples
+    /// ([`crate::crashcon`]).
+    Crashcon,
+    /// The paper's protocol over an adaptive pinned plan
+    /// ([`crate::adaptive`]).
+    Adaptive(AdaptiveConfig),
+}
+
+impl Mode {
+    /// Each MuT's plan for catalog positions `range` of `muts`: the fixed
+    /// sample, or the adaptive pin (explored on first use, then memoized
+    /// per process — engines derive preps before opening their stats
+    /// [`Epoch`], so explore cases never reach the campaign's counters).
+    pub(crate) fn preps<'a>(
+        self,
+        os: OsVariant,
+        cfg: &CampaignConfig,
+        muts: &'a [Mut],
+        range: Range<usize>,
+    ) -> Vec<PreparedMut<'a>> {
+        let registry = catalog::registry_for(os);
+        let pin = match self {
+            Mode::Adaptive(acfg) => Some(adaptive::pinned_plan_shared(os, cfg, &acfg)),
+            Mode::Classic | Mode::Crashcon => None,
+        };
+        range
+            .map(|i| {
+                let mut prep = prepare(&registry, &muts[i], cfg);
+                if let Some(pin) = &pin {
+                    prep.plan = Arc::clone(&pin.muts[i].plan);
                 }
-            } else {
-                tally.passes += 1;
-            }
+                prep
+            })
+            .collect()
+    }
+
+    /// The campaign's [`CampaignFingerprint`], with the mode tag folded
+    /// in first (`crashcon/1`, or `adaptive/1` plus the explore knobs) so
+    /// no two modes share a journal or a cache entry. The fixed plans are
+    /// hashed in every mode: a pinned plan is a pure function of the
+    /// knobs the tag folds, so addressing a campaign never explores.
+    pub(crate) fn fingerprint(self, os: OsVariant, cfg: &CampaignConfig) -> CampaignFingerprint {
+        let mut h = PlanHasher::new();
+        match self {
+            Mode::Classic => {}
+            Mode::Crashcon => h.write_str(crashcon::MODE_TAG),
+            Mode::Adaptive(a) => h.write_str(&format!(
+                "{};r{};s{};b{}",
+                adaptive::MODE_TAG,
+                a.effective_rounds(),
+                a.seed,
+                a.effective_rare_bonus()
+            )),
+        }
+        h.write_str(os.short_name());
+        h.write_u64(cfg.cap as u64);
+        h.write_u64(u64::from(cfg.record_raw));
+        h.write_u64(u64::from(cfg.perfect_cleanup));
+        h.write_u64(cfg.effective_fuel_budget());
+        // Result-relevant since the cached report carries the isolation
+        // marks and the engine stats; raw `parallelism` (not `workers()`)
+        // so auto fingerprints identically on every host.
+        h.write_u64(u64::from(cfg.isolation_probe));
+        h.write_u64(cfg.parallelism as u64);
+        let muts = catalog::catalog_for(os);
+        for prep in Mode::Classic.preps(os, cfg, &muts, 0..muts.len()) {
+            h.write_str(prep.mut_.name);
+            h.write_u64(prep.plan.cases.len() as u64);
+        }
+        CampaignFingerprint(h.finish())
+    }
+
+    /// One MuT's residue-zero pass: a `(u8, u64)` record per case — the
+    /// packed outcome and its fuel for the classic pass (fuel only with
+    /// `capture_fuel`), the packed verdict and its aux counts for
+    /// crashcon.
+    pub(crate) fn clean_mut(
+        self,
+        os: OsVariant,
+        prep: &PreparedMut<'_>,
+        fuel_budget: u64,
+        capture_fuel: bool,
+    ) -> WireCleanMut {
+        match self {
+            Mode::Crashcon => crashcon::crash_mut_records(os, prep, fuel_budget),
+            Mode::Classic | Mode::Adaptive(_) => run_clean_mut(os, prep, fuel_budget, capture_fuel),
         }
     }
-    false
-}
 
-/// Campaign for one MuT with caller-provided registry and session (the
-/// full-campaign path shares both across MuTs). This is the sequential
-/// reference path; the parallel engine reproduces it bit for bit.
-#[must_use]
-pub fn run_mut_campaign_with(
-    os: OsVariant,
-    mut_: &Mut,
-    registry: &TypeRegistry,
-    cfg: &CampaignConfig,
-    session: &mut Session,
-) -> MutTally {
-    run_mut_campaign_traced(os, mut_, registry, cfg, session, &mut None)
-}
-
-/// [`run_mut_campaign_with`] plus an optional trace collector: when the
-/// telemetry hub has tracing on, every applied case lands in the
-/// campaign trace with its fuel and post-case residue attached.
-fn run_mut_campaign_traced(
-    os: OsVariant,
-    mut_: &Mut,
-    registry: &TypeRegistry,
-    cfg: &CampaignConfig,
-    session: &mut Session,
-    tc: &mut Option<TraceCollector>,
-) -> MutTally {
-    let prep = prepare(registry, mut_, cfg);
-    run_prepared_mut_traced(os, &prep, cfg, session, tc)
-}
-
-/// The sequential per-MuT engine body over an explicit [`PreparedMut`]:
-/// the prep carries whatever plan the caller chose (the fixed sample, or
-/// an adaptive pinned plan), so every campaign mode funnels through one
-/// execution/tally loop.
-pub(crate) fn run_prepared_mut_traced(
-    os: OsVariant,
-    prep: &PreparedMut<'_>,
-    cfg: &CampaignConfig,
-    session: &mut Session,
-    tc: &mut Option<TraceCollector>,
-) -> MutTally {
-    let mut_ = prep.mut_;
-    let mut tally = empty_tally(mut_, prep.plan.cases.len());
-    if let Some(tc) = tc.as_mut() {
-        tc.begin_mut(mut_.name, mut_.group.label(), prep.plan.cases.len());
-    }
-    let mut runner = CaseRunner::new();
-    for (c_idx, combo) in prep.plan.cases.iter().enumerate() {
-        if cfg.perfect_cleanup {
-            session.residue = 0;
+    /// Whether `packed` is a record byte this mode's pass writes.
+    pub(crate) fn decodes(self, packed: u8) -> bool {
+        match self {
+            Mode::Crashcon => crashcon::decodes(packed),
+            Mode::Classic | Mode::Adaptive(_) => crash::unpack_case(packed).is_some(),
         }
-        let result = runner.execute(
-            os,
-            mut_,
-            &prep.pools,
-            combo,
-            session,
-            cfg.effective_fuel_budget(),
-        );
-        let residue_after = session.residue;
-        let fatal = apply_case(&mut tally, cfg, &result);
-        if let Some(tc) = tc.as_mut() {
-            tc.record_case(CaseTrace {
-                case_idx: c_idx as u32,
-                raw: result.raw,
-                class: result.class,
-                any_exceptional: result.any_exceptional,
-                residue_probed: result.residue_probed,
-                fuel: result.fuel_used,
-                residue_after,
+    }
+}
+
+/// One campaign's stats epoch. Opening it installs a fresh provisioning
+/// sink on this thread (the worker pool installs the same sink on its
+/// threads) and reports the campaign begun; [`Epoch::close`] uninstalls
+/// the sink, reports the campaign finished, and reads the sink into the
+/// campaign's [`CampaignStats`].
+pub(crate) struct Epoch {
+    t0: Instant,
+    sink: Arc<exec::stats::Counters>,
+}
+
+impl Epoch {
+    pub(crate) fn open() -> Epoch {
+        let sink = Arc::new(exec::stats::Counters::default());
+        exec::stats::install_sink(Arc::clone(&sink));
+        telemetry::on_campaign_begin();
+        Epoch {
+            t0: Instant::now(),
+            sink,
+        }
+    }
+
+    /// The campaign's stats, as its report carries them. Every case
+    /// runner must have dropped (which flushes its batched restore
+    /// counts) before the close.
+    pub(crate) fn close(
+        self,
+        parallelism: usize,
+        total_cases: usize,
+        replayed_cases: usize,
+        quarantine_retries: u64,
+        journal_fsyncs: u64,
+    ) -> Option<CampaignStats> {
+        telemetry::on_campaign_end();
+        exec::stats::clear_sink();
+        let wall = self.t0.elapsed().as_secs_f64();
+        let c = &*self.sink;
+        let (boots, restores, boot_ns, restore_ns) = c.snapshot();
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        Some(CampaignStats {
+            parallelism,
+            wall_ms: wall * 1e3,
+            cases_per_sec: total_cases as f64 / wall.max(1e-9),
+            boots,
+            restores,
+            boot_ms: boot_ns as f64 / 1e6,
+            restore_ms: restore_ns as f64 / 1e6,
+            replayed_cases,
+            quarantine_retries,
+            journal_fsyncs,
+            restores_fast: load(&c.restores_fast),
+            restores_full: load(&c.restores_full),
+            probe_provisions: load(&c.probe_provisions),
+            crashcon_snapshots: load(&c.crashcon_snapshots),
+            crashcon_remounts: load(&c.crashcon_remounts),
+        })
+    }
+}
+
+/// The engines' one worker pool: runs `job(i)` for every `i < n` on up
+/// to `workers` threads, each claiming the next unclaimed index, and
+/// returns the outputs in index order. Pool threads report provisioning
+/// into `epoch`'s sink; a single worker runs inline on the caller.
+pub(crate) fn claim_each<T: Send>(
+    n: usize,
+    workers: usize,
+    epoch: &Epoch,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    if workers <= 1 {
+        return (0..n).map(job).collect();
+    }
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    crossbeam::thread::scope(|s| {
+        for _ in 0..workers.min(n) {
+            s.spawn(|_| {
+                exec::stats::install_sink(Arc::clone(&epoch.sink));
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let out = job(i);
+                    *slots[i].lock().expect("pool slot poisoned") = Some(out);
+                }
             });
         }
-        if fatal {
-            if cfg.isolation_probe {
-                tally.crash_reproducible_in_isolation =
-                    Some(reproduce_in_isolation(os, mut_, &prep.pools, combo));
-            }
-            // "the system crash interrupts the testing process, and the
-            // set of test cases run for that function is incomplete."
-            break;
+    })
+    .expect("pool worker panicked");
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("pool slot poisoned")
+                .expect("every index claimed")
+        })
+        .collect()
+}
+
+/// The quarantine fence every engine runs a MuT under: a panic that
+/// escapes the per-case fence (a harness bug, not a test outcome)
+/// invalidates this thread's boot templates and earns the MuT one rerun;
+/// a second fault quarantines the MuT (`None`) — the campaign degrades,
+/// it does not die. Warnings and the retry count land in the caller's
+/// sinks.
+pub(crate) fn fenced<T>(
+    name: &str,
+    warnings: &mut Vec<String>,
+    retries: &mut u64,
+    mut attempt: impl FnMut() -> T,
+) -> Option<T> {
+    let mut faults = 0u32;
+    loop {
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            exec::fault::maybe_panic(name);
+            attempt()
+        }));
+        if let Ok(out) = run {
+            return Some(out);
         }
+        // The panic may have left this thread's templates in an
+        // arbitrary state; the retry starts from rebuilt ones.
+        exec::invalidate_templates();
+        faults += 1;
+        if faults > MAX_MUT_RETRIES {
+            telemetry::on_mut_quarantined();
+            warnings.push(format!(
+                "quarantined {name}: {MAX_MUT_RETRIES} retry exhausted; its tally is empty and this report is partial"
+            ));
+            return None;
+        }
+        *retries += 1;
+        telemetry::on_quarantine_retry();
+        warnings.push(format!(
+            "contained worker panic while testing {name}; retrying on fresh templates (attempt {faults})"
+        ));
     }
-    crate::oracle::selfcheck::observe_tally(os, &tally);
-    tally
 }
 
-/// One MuT's clean-pass output: a packed record byte per case, plus —
-/// only when tracing is on — the per-case fuel side channel the replay
-/// pass needs to rebuild the deterministic trace timeline without
-/// re-executing. The side channel is `None` when telemetry is off, so
-/// the disabled clean pass allocates exactly what it always did.
-pub(crate) struct CleanMut {
-    pub(crate) records: Vec<u8>,
-    pub(crate) fuel: Option<Vec<u64>>,
-}
-
-/// Runs one MuT's full plan at residue zero and packs one record byte per
-/// case. Execution stops early at an unprobed `SystemCrash` — the replay
-/// pass provably never advances past it.
-pub(crate) fn run_clean_mut(
+/// The classic residue-zero pass of one MuT: its full plan at residue
+/// zero, one packed record byte per case. Execution stops early at an
+/// unprobed `SystemCrash` — the replay pass provably never advances past
+/// it.
+fn run_clean_mut(
     os: OsVariant,
     prep: &PreparedMut<'_>,
     fuel_budget: u64,
     capture_fuel: bool,
-) -> CleanMut {
-    exec::fault::maybe_panic(prep.mut_.name);
+) -> WireCleanMut {
     let mut records = Vec::with_capacity(prep.plan.cases.len());
     let mut fuel = capture_fuel.then(|| Vec::with_capacity(prep.plan.cases.len()));
     let mut clean = Session::new();
@@ -676,269 +806,273 @@ pub(crate) fn run_clean_mut(
             break;
         }
     }
-    CleanMut { records, fuel }
+    WireCleanMut { records, fuel }
 }
 
-/// One MuT's clean-pass outcome, or `None` when the MuT was quarantined
-/// after repeated contained harness faults.
-pub(crate) type CleanRecords = Option<CleanMut>;
-
-/// Runs one MuT's clean pass under the engines' quarantine fence: a
-/// contained panic invalidates the worker's boot templates and earns one
-/// rerun; a second fault quarantines the MuT (`None`). Warnings and the
-/// retry count land in the caller's sinks. Shared by the parallel clean
-/// pass and the fleet shard executor, so the two cannot drift.
-pub(crate) fn clean_mut_quarantined(
-    os: OsVariant,
-    prep: &PreparedMut<'_>,
-    fuel_budget: u64,
-    capture_fuel: bool,
-    warnings: &mut Vec<String>,
-    retries: &mut u64,
-) -> CleanRecords {
-    let mut attempts = 0u32;
-    loop {
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            run_clean_mut(os, prep, fuel_budget, capture_fuel)
-        }));
-        match run {
-            Ok(records) => return Some(records),
-            Err(_) => {
-                // The panic may have left this thread's templates in an
-                // arbitrary state; the retry starts from rebuilt ones.
-                exec::invalidate_templates();
-                attempts += 1;
-                if attempts > MAX_MUT_RETRIES {
-                    telemetry::on_mut_quarantined();
-                    warnings.push(format!(
-                        "quarantined {}: {MAX_MUT_RETRIES} retry exhausted; its tally is empty and this report is partial",
-                        prep.mut_.name
-                    ));
-                    return None;
-                }
-                *retries += 1;
-                telemetry::on_quarantine_retry();
-                warnings.push(format!(
-                    "contained worker panic while testing {}; retrying on fresh templates (attempt {attempts})",
-                    prep.mut_.name
-                ));
-            }
-        }
-    }
-}
-
-/// Phase 1: worker threads shard the catalog (atomic work counter, MuT
-/// granularity). Each MuT runs under a `catch_unwind` fence at the worker
-/// loop: a panic that escapes the per-case fence (a harness bug, not a
-/// test outcome) invalidates the worker's boot templates and earns the
-/// MuT one rerun from scratch; a second fault quarantines the MuT instead
-/// of killing the worker — the campaign degrades, it does not die.
-fn clean_pass(
-    os: OsVariant,
-    preps: &[PreparedMut<'_>],
-    workers: usize,
-    fuel_budget: u64,
-    sink: &Arc<exec::stats::Counters>,
-    capture_fuel: bool,
-) -> (Vec<CleanRecords>, Vec<String>, u64) {
-    let slots: Vec<Mutex<CleanRecords>> = preps.iter().map(|_| Mutex::new(None)).collect();
-    let warnings: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let retries = std::sync::atomic::AtomicU64::new(0);
-    let next = AtomicUsize::new(0);
-    crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|_| {
-                    exec::stats::install_sink(Arc::clone(sink));
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(prep) = preps.get(i) else { break };
-                        telemetry::on_mut_begin(prep.plan.cases.len() as u64);
-                        let mut local_warnings = Vec::new();
-                        let mut local_retries = 0u64;
-                        let records = clean_mut_quarantined(
-                            os,
-                            prep,
-                            fuel_budget,
-                            capture_fuel,
-                            &mut local_warnings,
-                            &mut local_retries,
-                        );
-                        retries.fetch_add(local_retries, Ordering::Relaxed);
-                        if !local_warnings.is_empty() {
-                            warnings
-                                .lock()
-                                .expect("warning log poisoned")
-                                .append(&mut local_warnings);
-                        }
-                        *slots[i].lock().expect("record slot poisoned") = records;
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("clean-pass worker panicked");
-        }
-    })
-    .expect("clean-pass scope panicked");
-    let records = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("record slot poisoned"))
-        .collect();
-    (
-        records,
-        warnings.into_inner().expect("warning log poisoned"),
-        retries.into_inner(),
-    )
-}
-
-/// Phase 2: the true session walks the clean-pass records in catalog
-/// order, re-executing exactly the cases whose outcome could depend on
-/// accumulated residue. A quarantined MuT (no records) contributes an
-/// empty tally and leaves the session untouched. Returns the tallies
-/// plus the replay count.
-pub(crate) fn replay_pass(
+/// The residue-zero pass over `preps` (catalog positions from
+/// `mut_start`), each MuT under the quarantine fence: the unit of work of
+/// a fleet shard and of the in-process clean pass. `on_mut` sees the
+/// shard's cumulative progress after every MuT.
+pub(crate) fn clean_range(
+    mode: Mode,
     os: OsVariant,
     cfg: &CampaignConfig,
     preps: &[PreparedMut<'_>],
-    records: &[CleanRecords],
+    mut_start: usize,
+    capture_fuel: bool,
+    on_mut: &mut dyn FnMut(Heartbeat),
+) -> ShardResult {
+    let mut out = ShardResult {
+        mut_start,
+        ..ShardResult::default()
+    };
+    let mut cases_done = 0u64;
+    for prep in preps {
+        telemetry::on_mut_begin(prep.plan.cases.len() as u64);
+        let clean = fenced(
+            prep.mut_.name,
+            &mut out.warnings,
+            &mut out.quarantine_retries,
+            || mode.clean_mut(os, prep, cfg.effective_fuel_budget(), capture_fuel),
+        );
+        cases_done += clean.as_ref().map_or(0, |c| c.records.len() as u64);
+        out.muts.push(clean);
+        on_mut(Heartbeat {
+            muts_done: out.muts.len() as u64,
+            cases_done,
+        });
+    }
+    out
+}
+
+/// The in-process residue-zero pass over the whole catalog: MuTs claimed
+/// one at a time on the worker pool, merged back in catalog order. Phase
+/// 1 of the parallel engine, and the whole of the in-process crashcon
+/// engine.
+pub(crate) fn clean_pass(
+    mode: Mode,
+    os: OsVariant,
+    cfg: &CampaignConfig,
+    preps: &[PreparedMut<'_>],
+    workers: usize,
+    capture_fuel: bool,
+    epoch: &Epoch,
+) -> ShardResult {
+    ShardResult::concat(claim_each(preps.len(), workers, epoch, |i| {
+        clean_range(mode, os, cfg, &preps[i..=i], i, capture_fuel, &mut |_| {})
+    }))
+}
+
+/// A recorded case's result, folded into the session as if it had just
+/// run (the note is the only effect a case has on the session).
+fn recorded(
+    session: &mut Session,
+    (raw, any_exceptional, residue_probed): (RawOutcome, bool, bool),
+    fuel_used: u64,
+) -> CaseResult {
+    session.note(raw, any_exceptional);
+    CaseResult {
+        raw,
+        class: classify(raw, any_exceptional),
+        any_exceptional,
+        residue_probed,
+        fuel_used,
+    }
+}
+
+/// Opens `prep`'s span in the trace, first discarding the current span
+/// when `reopen` (the MuT's own span, left by a failed attempt).
+fn open_span(tc: &mut Option<TraceCollector>, prep: &PreparedMut<'_>, reopen: bool) {
+    if let Some(tc) = tc.as_mut() {
+        if reopen {
+            tc.abort_mut();
+        }
+        tc.begin_mut(
+            prep.mut_.name,
+            prep.mut_.group.label(),
+            prep.plan.cases.len(),
+        );
+    }
+}
+
+/// The classic fold: walks the first `cases` cases of `prep`'s plan
+/// through the one true `session`, taking each result from `source` (a
+/// live execution, a reused clean-pass record, or a journal record), and
+/// folds it into the MuT's tally and the open trace span. Stops at the
+/// first Catastrophic case after its isolation probe: "the system crash
+/// interrupts the testing process, and the set of test cases run for
+/// that function is incomplete." The single source of classic tally
+/// semantics for the sequential, replay and journaled loops.
+fn fold_mut<E>(
+    os: OsVariant,
+    cfg: &CampaignConfig,
+    prep: &PreparedMut<'_>,
+    cases: usize,
     session: &mut Session,
     tc: &mut Option<TraceCollector>,
-) -> (Vec<MutTally>, usize) {
-    let mut replayed = 0usize;
-    let mut tallies = Vec::with_capacity(preps.len());
-    let mut runner = CaseRunner::new();
-    for (prep, recs) in preps.iter().zip(records) {
-        let mut tally = empty_tally(prep.mut_, prep.plan.cases.len());
-        if let Some(tc) = tc.as_mut() {
-            tc.begin_mut(prep.mut_.name, prep.mut_.group.label(), prep.plan.cases.len());
+    mut source: impl FnMut(usize, &[usize], &mut Session) -> Result<CaseResult, E>,
+) -> Result<MutTally, E> {
+    let mut tally = empty_tally(prep.mut_, prep.plan.cases.len());
+    for (c_idx, combo) in prep.plan.cases.iter().enumerate().take(cases) {
+        if cfg.perfect_cleanup {
+            session.residue = 0;
         }
-        let Some(recs) = recs else {
-            tallies.push(tally);
-            continue;
-        };
-        for (c_idx, (combo, &rec)) in prep.plan.cases.iter().zip(&recs.records).enumerate() {
-            if cfg.perfect_cleanup {
-                session.residue = 0;
-            }
-            let (raw, any_exceptional, residue_probed) =
-                crash::unpack_case(rec).expect("clean pass wrote a valid record");
-            let result = if residue_probed && session.residue != 0 {
-                replayed += 1;
-                runner.execute(
-                    os,
-                    prep.mut_,
-                    &prep.pools,
-                    combo,
-                    session,
-                    cfg.effective_fuel_budget(),
-                )
-            } else {
-                session.note(raw, any_exceptional);
-                CaseResult {
-                    raw,
-                    class: classify(raw, any_exceptional),
-                    any_exceptional,
-                    residue_probed,
-                    // A reused case was not re-executed here; its fuel
-                    // comes from the clean-pass side channel. Sound
-                    // because a case reused at this point either never
-                    // probed residue (control flow — and fuel — cannot
-                    // depend on it) or ran at residue 0 both times.
-                    fuel_used: recs
-                        .fuel
-                        .as_ref()
-                        .map_or(0, |f| f.get(c_idx).copied().unwrap_or(0)),
-                }
-            };
-            let residue_after = session.residue;
-            let fatal = apply_case(&mut tally, cfg, &result);
-            if let Some(tc) = tc.as_mut() {
-                tc.record_case(CaseTrace {
-                    case_idx: c_idx as u32,
-                    raw: result.raw,
-                    class: result.class,
-                    any_exceptional: result.any_exceptional,
-                    residue_probed: result.residue_probed,
-                    fuel: result.fuel_used,
-                    residue_after,
-                });
-            }
-            if fatal {
+        let result = source(c_idx, combo, session)?;
+        telemetry::on_case_applied(result.class);
+        tally.cases += 1;
+        if cfg.record_raw {
+            tally.raw_outcomes.push(crash::pack_case(
+                result.raw,
+                result.any_exceptional,
+                result.residue_probed,
+            ));
+        }
+        if let Some(tc) = tc.as_mut() {
+            tc.record_case(CaseTrace {
+                case_idx: c_idx as u32,
+                raw: result.raw,
+                class: result.class,
+                any_exceptional: result.any_exceptional,
+                residue_probed: result.residue_probed,
+                fuel: result.fuel_used,
+                residue_after: session.residue,
+            });
+        }
+        match result.class {
+            FailureClass::Catastrophic => {
+                tally.catastrophic = true;
                 if cfg.isolation_probe {
                     tally.crash_reproducible_in_isolation =
                         Some(reproduce_in_isolation(os, prep.mut_, &prep.pools, combo));
                 }
                 break;
             }
+            FailureClass::Restart => tally.restarts += 1,
+            FailureClass::Abort => tally.aborts += 1,
+            FailureClass::Silent => tally.silents += 1,
+            FailureClass::Hindering => tally.error_reports += 1,
+            FailureClass::Pass if result.raw == RawOutcome::ReturnedError => {
+                tally.error_reports += 1;
+                if !result.any_exceptional {
+                    tally.suspected_hindering += 1;
+                }
+            }
+            FailureClass::Pass => tally.passes += 1,
         }
-        crate::oracle::selfcheck::observe_tally(os, &tally);
+    }
+    crate::oracle::selfcheck::observe_tally(os, &tally);
+    Ok(tally)
+}
+
+/// The sequential reference walk of one MuT: every case executes live
+/// against the true session.
+fn sequential_mut(
+    os: OsVariant,
+    cfg: &CampaignConfig,
+    prep: &PreparedMut<'_>,
+    session: &mut Session,
+    tc: &mut Option<TraceCollector>,
+) -> MutTally {
+    let mut runner = CaseRunner::new();
+    let fuel_budget = cfg.effective_fuel_budget();
+    let cases = prep.plan.cases.len();
+    let Ok(tally) = fold_mut::<Infallible>(os, cfg, prep, cases, session, tc, |_, combo, s| {
+        Ok(runner.execute(os, prep.mut_, &prep.pools, combo, s, fuel_budget))
+    });
+    tally
+}
+
+/// Phase 2: the true session walks the clean-pass records in catalog
+/// order, re-executing exactly the cases whose outcome could depend on
+/// accumulated residue (and any record that fails to decode). A
+/// quarantined MuT (no records) contributes an empty tally and leaves
+/// the session untouched. Returns the tallies plus the replay count.
+fn replay_pass(
+    os: OsVariant,
+    cfg: &CampaignConfig,
+    preps: &[PreparedMut<'_>],
+    records: &[Option<WireCleanMut>],
+    tc: &mut Option<TraceCollector>,
+) -> (Vec<MutTally>, usize) {
+    let mut session = Session::new();
+    let mut replayed = 0usize;
+    let mut runner = CaseRunner::new();
+    let fuel_budget = cfg.effective_fuel_budget();
+    let mut tallies = Vec::with_capacity(preps.len());
+    for (prep, recs) in preps.iter().zip(records) {
+        open_span(tc, prep, false);
+        let Some(recs) = recs else {
+            tallies.push(empty_tally(prep.mut_, prep.plan.cases.len()));
+            continue;
+        };
+        let cases = recs.records.len();
+        let Ok(tally) =
+            fold_mut::<Infallible>(os, cfg, prep, cases, &mut session, tc, |c, combo, s| {
+                Ok(match crash::unpack_case(recs.records[c]) {
+                    // Reused, not re-executed: its fuel comes from the
+                    // clean-pass side channel. Sound because a reused case
+                    // either never probed residue (control flow — and fuel —
+                    // cannot depend on it) or ran at residue 0 both times.
+                    Some(rec @ (_, _, probed)) if !(probed && s.residue != 0) => recorded(
+                        s,
+                        rec,
+                        recs.fuel
+                            .as_ref()
+                            .and_then(|f| f.get(c).copied())
+                            .unwrap_or(0),
+                    ),
+                    _ => {
+                        replayed += 1;
+                        runner.execute(os, prep.mut_, &prep.pools, combo, s, fuel_budget)
+                    }
+                })
+            });
         tallies.push(tally);
     }
     (tallies, replayed)
 }
 
-/// Sequential-path counterpart of the clean-pass quarantine: runs one
-/// MuT's campaign under a `catch_unwind` fence, retrying once on rebuilt
-/// templates from a pristine copy of the session, and quarantining the
-/// MuT (empty tally) when the retry faults too. Returns whether the MuT
-/// was quarantined.
-#[allow(clippy::too_many_arguments)] // engine plumbing: session + telemetry channels
-fn run_mut_quarantined(
+/// Submits the trace and assembles a classic-fold report, its stats
+/// closed over the executed case total.
+fn classic_report(
     os: OsVariant,
-    prep: &PreparedMut<'_>,
-    cfg: &CampaignConfig,
-    session: &mut Session,
-    warnings: &mut Vec<String>,
-    tc: &mut Option<TraceCollector>,
-    retries: &mut u64,
-) -> (MutTally, bool) {
-    let mut_ = prep.mut_;
-    let mut attempts = 0u32;
-    loop {
-        // Each attempt works on a copy so a mid-MuT panic cannot leave a
-        // half-advanced session behind; the copy commits only on success.
-        let mut attempt_session = session.clone();
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            exec::fault::maybe_panic(mut_.name);
-            run_prepared_mut_traced(os, prep, cfg, &mut attempt_session, tc)
-        }));
-        match run {
-            Ok(tally) => {
-                *session = attempt_session;
-                return (tally, false);
-            }
-            Err(_) => {
-                exec::invalidate_templates();
-                // Whatever the panic left staged for this MuT is rolled
-                // back; the retry (or quarantine) starts a clean span.
-                if let Some(tc) = tc.as_mut() {
-                    tc.abort_mut();
-                }
-                attempts += 1;
-                if attempts > MAX_MUT_RETRIES {
-                    telemetry::on_mut_quarantined();
-                    warnings.push(format!(
-                        "quarantined {}: {MAX_MUT_RETRIES} retry exhausted; its tally is empty and this report is partial",
-                        mut_.name
-                    ));
-                    let planned = prep.plan.cases.len();
-                    // The trace shows the quarantined MuT as an empty
-                    // span, same as the parallel engine's replay pass.
-                    if let Some(tc) = tc.as_mut() {
-                        tc.begin_mut(mut_.name, mut_.group.label(), planned);
-                    }
-                    return (empty_tally(mut_, planned), true);
-                }
-                *retries += 1;
-                telemetry::on_quarantine_retry();
-                warnings.push(format!(
-                    "contained worker panic while testing {}; retrying on fresh templates (attempt {attempts})",
-                    mut_.name
-                ));
-            }
-        }
+    muts: Vec<MutTally>,
+    warnings: Vec<String>,
+    degraded: bool,
+    tc: Option<TraceCollector>,
+    stats: impl FnOnce(usize) -> Option<CampaignStats>,
+) -> CampaignReport {
+    if let Some(tc) = tc {
+        tc.finish();
     }
+    let total_cases = muts.iter().map(|t| t.cases).sum();
+    CampaignReport {
+        os,
+        muts,
+        total_cases,
+        stats: stats(total_cases),
+        warnings,
+        degraded,
+        fleet_degraded: false,
+    }
+}
+
+/// Phase 2 over a merged clean pass — in-process or from the fleet —
+/// closed into the campaign's report.
+pub(crate) fn replay_report(
+    os: OsVariant,
+    cfg: &CampaignConfig,
+    preps: &[PreparedMut<'_>],
+    pass: ShardResult,
+    mut tc: Option<TraceCollector>,
+    epoch: Epoch,
+    workers: usize,
+) -> CampaignReport {
+    let degraded = pass.muts.iter().any(Option::is_none);
+    let (tallies, replayed) = replay_pass(os, cfg, preps, &pass.muts, &mut tc);
+    classic_report(os, tallies, pass.warnings, degraded, tc, |total| {
+        epoch.close(workers, total, replayed, pass.quarantine_retries, 0)
+    })
 }
 
 /// Runs the full campaign: every catalog MuT for `os`, in parallel when
@@ -948,145 +1082,59 @@ fn run_mut_quarantined(
 /// campaign.
 #[must_use]
 pub fn run_campaign(os: OsVariant, cfg: &CampaignConfig) -> CampaignReport {
-    let registry = catalog::registry_for(os);
-    let muts = catalog::catalog_for(os);
-    let preps: Vec<_> = muts.iter().map(|m| prepare(&registry, m, cfg)).collect();
-    run_campaign_prepared(os, cfg, &preps)
+    run_mode(Mode::Classic, os, cfg)
 }
 
-/// [`run_campaign`] over caller-supplied preps — the shared engine body
-/// behind the classic campaign (fixed per-MuT samples) and the adaptive
-/// campaign (a pinned plan per MuT). `preps` must be in catalog order.
-pub(crate) fn run_campaign_prepared(
-    os: OsVariant,
-    cfg: &CampaignConfig,
-    preps: &[PreparedMut<'_>],
-) -> CampaignReport {
-    let t0 = Instant::now();
-    // Keep the process-lifetime statics from accumulating across
-    // campaigns; the report itself is built from this campaign's private
-    // sink, which stays exact even when `run_all` fans variants out
-    // concurrently (the old snapshot-delta stats bled across variants).
-    exec::stats::reset();
-    let counters = Arc::new(exec::stats::Counters::default());
-    exec::stats::install_sink(Arc::clone(&counters));
-    telemetry::on_campaign_begin();
+/// The in-process engine behind [`run_campaign`] and
+/// [`crate::adaptive::run_adaptive`]: the sequential walk at one worker,
+/// else the clean pass on the pool and the replay pass.
+pub(crate) fn run_mode(mode: Mode, os: OsVariant, cfg: &CampaignConfig) -> CampaignReport {
+    let muts = catalog::catalog_for(os);
+    let preps = mode.preps(os, cfg, &muts, 0..muts.len());
+    let epoch = Epoch::open();
     let mut tc = TraceCollector::begin(os, cfg.cap as u64);
     let workers = cfg.workers().min(preps.len().max(1));
+    if workers > 1 {
+        let pass = clean_pass(mode, os, cfg, &preps, workers, tc.is_some(), &epoch);
+        return replay_report(os, cfg, &preps, pass, tc, epoch, workers);
+    }
     let mut session = Session::new();
     let mut warnings = Vec::new();
-    let mut degraded = false;
     let mut retries = 0u64;
-    let (tallies, replayed) = if workers <= 1 {
-        let mut tallies = Vec::with_capacity(preps.len());
-        for prep in preps {
-            if telemetry::enabled() {
-                telemetry::on_mut_begin(prep.plan.cases.len() as u64);
+    let mut degraded = false;
+    let mut tallies = Vec::with_capacity(preps.len());
+    for prep in &preps {
+        let planned = prep.plan.cases.len();
+        telemetry::on_mut_begin(planned as u64);
+        // Each attempt walks a copy of the session, committed only on
+        // success, so a mid-MuT panic leaves no half-advanced session.
+        // Once an attempt has opened the MuT's trace span, a retry
+        // reopens it, so the failed attempt leaves no events behind.
+        let mut opened = false;
+        let done = fenced(prep.mut_.name, &mut warnings, &mut retries, || {
+            open_span(&mut tc, prep, opened);
+            opened = true;
+            let mut attempt = session.clone();
+            let tally = sequential_mut(os, cfg, prep, &mut attempt, &mut tc);
+            (tally, attempt)
+        });
+        tallies.push(match done {
+            Some((tally, attempt)) => {
+                session = attempt;
+                tally
             }
-            let (tally, quarantined) = run_mut_quarantined(
-                os,
-                prep,
-                cfg,
-                &mut session,
-                &mut warnings,
-                &mut tc,
-                &mut retries,
-            );
-            degraded |= quarantined;
-            tallies.push(tally);
-        }
-        (tallies, 0)
-    } else {
-        let (records, mut clean_warnings, clean_retries) = clean_pass(
-            os,
-            preps,
-            workers,
-            cfg.effective_fuel_budget(),
-            &counters,
-            tc.is_some(),
-        );
-        retries += clean_retries;
-        warnings.append(&mut clean_warnings);
-        degraded = records.iter().any(Option::is_none);
-        replay_pass(os, cfg, preps, &records, &mut session, &mut tc)
-    };
-    if let Some(tc) = tc {
-        tc.finish();
+            None => {
+                // The trace shows the quarantined MuT as an empty span,
+                // same as the replay pass.
+                open_span(&mut tc, prep, opened);
+                degraded = true;
+                empty_tally(prep.mut_, planned)
+            }
+        });
     }
-    telemetry::on_campaign_end();
-    exec::stats::clear_sink();
-    let total_cases = tallies.iter().map(|t| t.cases).sum::<usize>();
-    let wall = t0.elapsed().as_secs_f64();
-    let (boots, restores, boot_ns, restore_ns) = counters.snapshot();
-    let stats = CampaignStats {
-        parallelism: workers,
-        wall_ms: wall * 1e3,
-        cases_per_sec: total_cases as f64 / wall.max(1e-9),
-        boots,
-        restores,
-        boot_ms: boot_ns as f64 / 1e6,
-        restore_ms: restore_ns as f64 / 1e6,
-        replayed_cases: replayed,
-        quarantine_retries: retries,
-        journal_fsyncs: 0,
-        restores_fast: counters.restores_fast.load(Ordering::Relaxed),
-        restores_full: counters.restores_full.load(Ordering::Relaxed),
-        probe_provisions: counters.probe_provisions.load(Ordering::Relaxed),
-        crashcon_snapshots: counters.crashcon_snapshots.load(Ordering::Relaxed),
-        crashcon_remounts: counters.crashcon_remounts.load(Ordering::Relaxed),
-    };
-    CampaignReport {
-        os,
-        muts: tallies,
-        total_cases,
-        stats: Some(stats),
-        warnings,
-        degraded,
-        fleet_degraded: false,
-    }
-}
-
-/// [`fingerprint`] over already-prepared plans — the engines call this
-/// so the plans they are about to execute and the hash agree by
-/// construction. See [`CampaignFingerprint`] for exactly what is folded
-/// in and why.
-pub(crate) fn plan_fingerprint(
-    os: OsVariant,
-    cfg: &CampaignConfig,
-    preps: &[PreparedMut<'_>],
-) -> CampaignFingerprint {
-    plan_fingerprint_tagged(None, os, cfg, preps)
-}
-
-/// [`plan_fingerprint`] with an optional engine-mode tag folded in first.
-/// Alternate campaign modes over the same plan (e.g. the crashcon
-/// engine) hash a distinct tag so their journals and cache entries can
-/// never collide with a classic campaign's.
-pub(crate) fn plan_fingerprint_tagged(
-    mode_tag: Option<&str>,
-    os: OsVariant,
-    cfg: &CampaignConfig,
-    preps: &[PreparedMut<'_>],
-) -> CampaignFingerprint {
-    let mut h = PlanHasher::new();
-    if let Some(tag) = mode_tag {
-        h.write_str(tag);
-    }
-    h.write_str(os.short_name());
-    h.write_u64(cfg.cap as u64);
-    h.write_u64(u64::from(cfg.record_raw));
-    h.write_u64(u64::from(cfg.perfect_cleanup));
-    h.write_u64(cfg.effective_fuel_budget());
-    // Result-relevant since the cached report carries the isolation
-    // marks and the engine stats; raw `parallelism` (not `workers()`)
-    // so auto fingerprints identically on every host.
-    h.write_u64(u64::from(cfg.isolation_probe));
-    h.write_u64(cfg.parallelism as u64);
-    for prep in preps {
-        h.write_str(prep.mut_.name);
-        h.write_u64(prep.plan.cases.len() as u64);
-    }
-    CampaignFingerprint(h.finish())
+    classic_report(os, tallies, warnings, degraded, tc, |total| {
+        epoch.close(1, total, 0, retries, 0)
+    })
 }
 
 /// Runs (or resumes) a **journaled** campaign: every executed case is
@@ -1134,212 +1182,60 @@ pub fn run_campaign_journaled(
     journal_path: &Path,
     resume: bool,
 ) -> std::io::Result<CampaignReport> {
-    let registry = catalog::registry_for(os);
-    let muts = catalog::catalog_for(os);
-    let preps: Vec<_> = muts.iter().map(|m| prepare(&registry, m, cfg)).collect();
-    let hash = plan_fingerprint(os, cfg, &preps).as_u64();
-    run_campaign_journaled_prepared(os, cfg, &preps, hash, journal_path, resume)
+    run_journaled(Mode::Classic, os, cfg, journal_path, resume)
 }
 
-/// [`run_campaign_journaled`] over caller-supplied preps and plan hash —
-/// the journal machinery itself is plan-agnostic: it stamps whatever
-/// hash the caller derived (the classic fingerprint, or an adaptive
-/// mode-tagged one) and replays records against whatever plan the preps
-/// carry. `preps` must be in catalog order.
-pub(crate) fn run_campaign_journaled_prepared(
+/// The journaled engine behind [`run_campaign_journaled`] and
+/// [`crate::adaptive::run_adaptive_journaled`]: the sequential walk, each
+/// case replayed from the journal's trusted prefix or executed and
+/// appended to it. The header carries the mode's fingerprint, so a
+/// journal is never resumed under another mode.
+pub(crate) fn run_journaled(
+    mode: Mode,
     os: OsVariant,
     cfg: &CampaignConfig,
-    preps: &[PreparedMut<'_>],
-    hash: u64,
     journal_path: &Path,
     resume: bool,
 ) -> std::io::Result<CampaignReport> {
-    let t0 = Instant::now();
-    exec::stats::reset();
-    let counters = Arc::new(exec::stats::Counters::default());
-    exec::stats::install_sink(Arc::clone(&counters));
-    telemetry::on_campaign_begin();
+    let muts = catalog::catalog_for(os);
+    let preps = mode.preps(os, cfg, &muts, 0..muts.len());
+    let hash = mode.fingerprint(os, cfg).as_u64();
+    let epoch = Epoch::open();
     let mut tc = TraceCollector::begin(os, cfg.cap as u64);
-    let mut warnings = Vec::new();
-    let (mut journal, recovered) = if resume {
-        let (journal, recovery) = Journal::open_resume(journal_path, hash)?;
-        let Recovery {
-            records,
-            truncated_bytes,
-            fresh,
-        } = recovery;
-        if fresh {
-            warnings.push(
-                "resume requested but no usable journal was found (missing, foreign plan, or unreadable header); running from scratch".to_owned(),
-            );
-        } else {
-            if truncated_bytes > 0 {
-                warnings.push(format!(
-                    "journal recovery dropped {truncated_bytes} torn trailing byte(s); resuming from the last valid record"
-                ));
-            }
-            warnings.push(format!(
-                "resumed from journal: {} case(s) replayed instead of re-executed",
-                records.len()
-            ));
-        }
-        (journal, records)
-    } else {
-        (Journal::create(journal_path, hash)?, Vec::new())
-    };
-
+    let mut cursor = Resume::open(journal_path, hash, resume)?;
     let fuel_budget = cfg.effective_fuel_budget();
     let mut session = Session::new();
-    let mut tallies = Vec::with_capacity(preps.len());
-    // Index into `recovered`; records before it have been accepted and
-    // folded into the session. The first record that disagrees with the
-    // expected plan position ends replay: the journal is truncated back
-    // to the accepted prefix and execution takes over.
-    let mut ri = 0usize;
-    let mut replay_live = !recovered.is_empty();
     let mut runner = CaseRunner::new();
+    let mut tallies = Vec::with_capacity(preps.len());
     for (m_idx, prep) in preps.iter().enumerate() {
-        if telemetry::enabled() {
-            telemetry::on_mut_begin(prep.plan.cases.len() as u64);
-        }
-        if let Some(tc) = tc.as_mut() {
-            tc.begin_mut(prep.mut_.name, prep.mut_.group.label(), prep.plan.cases.len());
-        }
-        let mut tally = empty_tally(prep.mut_, prep.plan.cases.len());
-        for (c_idx, combo) in prep.plan.cases.iter().enumerate() {
-            if cfg.perfect_cleanup {
-                session.residue = 0;
-            }
-            let mut replayed_result = None;
-            if replay_live {
-                match recovered.get(ri) {
-                    Some(rec)
-                        if rec.mut_idx as usize == m_idx && rec.case_idx as usize == c_idx =>
-                    {
-                        if let Some((raw, any_exceptional, residue_probed)) =
-                            crash::unpack_case(rec.packed)
-                        {
-                            ri += 1;
-                            session.note(raw, any_exceptional);
-                            replayed_result = Some(CaseResult {
-                                raw,
-                                class: classify(raw, any_exceptional),
-                                any_exceptional,
-                                residue_probed,
-                                // Replayed cases were not re-executed; the
-                                // journal record carries the fuel the case
-                                // burned when it originally ran. Fuel is a
-                                // pure function of the case, so the stored
-                                // value equals what a re-execution would
-                                // report.
-                                fuel_used: rec.fuel,
-                            });
-                        }
-                    }
-                    _ => {}
+        let planned = prep.plan.cases.len();
+        telemetry::on_mut_begin(planned as u64);
+        open_span(&mut tc, prep, false);
+        tallies.push(fold_mut::<std::io::Error>(
+            os,
+            cfg,
+            prep,
+            planned,
+            &mut session,
+            &mut tc,
+            |c_idx, combo, s| {
+                // A replayed record carries the fuel the case burned when it
+                // originally ran — a pure function of the case.
+                if let Some((rec, fuel)) = cursor.replay(m_idx, c_idx, crash::unpack_case)? {
+                    return Ok(recorded(s, rec, fuel));
                 }
-                if replayed_result.is_none() {
-                    // Out-of-order or undecodable record: everything from
-                    // here on is untrustworthy. Drop it and re-execute.
-                    replay_live = false;
-                    if ri < recovered.len() {
-                        warnings.push(format!(
-                            "journal diverged from the plan at record {ri}; discarding {} unusable record(s) and re-executing from there",
-                            recovered.len() - ri
-                        ));
-                    }
-                    journal.truncate_to(ri as u64)?;
-                }
-            }
-            let result = match replayed_result {
-                Some(r) => r,
-                None => {
-                    let r = runner.execute(
-                        os,
-                        prep.mut_,
-                        &prep.pools,
-                        combo,
-                        &mut session,
-                        fuel_budget,
-                    );
-                    journal.append(CaseRecord {
-                        mut_idx: m_idx as u32,
-                        case_idx: c_idx as u32,
-                        packed: crash::pack_case(r.raw, r.any_exceptional, r.residue_probed),
-                        fuel: r.fuel_used,
-                    })?;
-                    r
-                }
-            };
-            let residue_after = session.residue;
-            let fatal = apply_case(&mut tally, cfg, &result);
-            if let Some(tc) = tc.as_mut() {
-                tc.record_case(CaseTrace {
-                    case_idx: c_idx as u32,
-                    raw: result.raw,
-                    class: result.class,
-                    any_exceptional: result.any_exceptional,
-                    residue_probed: result.residue_probed,
-                    fuel: result.fuel_used,
-                    residue_after,
-                });
-            }
-            if fatal {
-                if cfg.isolation_probe {
-                    tally.crash_reproducible_in_isolation =
-                        Some(reproduce_in_isolation(os, prep.mut_, &prep.pools, combo));
-                }
-                break;
-            }
-        }
-        crate::oracle::selfcheck::observe_tally(os, &tally);
-        tallies.push(tally);
+                let r = runner.execute(os, prep.mut_, &prep.pools, combo, s, fuel_budget);
+                let packed = crash::pack_case(r.raw, r.any_exceptional, r.residue_probed);
+                cursor.append(m_idx, c_idx, packed, r.fuel_used)?;
+                Ok(r)
+            },
+        )?);
     }
-    // Accepted replay records that point past the end of the plan (the
-    // plan completed but the journal claims more) are impossible under a
-    // matching hash; drop any leftovers defensively.
-    if ri < recovered.len() {
-        warnings.push(format!(
-            "journal held {} record(s) beyond the completed plan; discarded",
-            recovered.len() - ri
-        ));
-        journal.truncate_to(ri as u64)?;
-    }
-    journal.sync()?;
-    if let Some(tc) = tc {
-        tc.finish();
-    }
-    telemetry::on_campaign_end();
-    exec::stats::clear_sink();
-    let total_cases = tallies.iter().map(|t| t.cases).sum::<usize>();
-    let wall = t0.elapsed().as_secs_f64();
-    let (boots, restores, boot_ns, restore_ns) = counters.snapshot();
-    let stats = CampaignStats {
-        parallelism: 1,
-        wall_ms: wall * 1e3,
-        cases_per_sec: total_cases as f64 / wall.max(1e-9),
-        boots,
-        restores,
-        boot_ms: boot_ns as f64 / 1e6,
-        restore_ms: restore_ns as f64 / 1e6,
-        replayed_cases: ri,
-        quarantine_retries: 0,
-        journal_fsyncs: journal.fsyncs(),
-        restores_fast: counters.restores_fast.load(Ordering::Relaxed),
-        restores_full: counters.restores_full.load(Ordering::Relaxed),
-        probe_provisions: counters.probe_provisions.load(Ordering::Relaxed),
-        crashcon_snapshots: counters.crashcon_snapshots.load(Ordering::Relaxed),
-        crashcon_remounts: counters.crashcon_remounts.load(Ordering::Relaxed),
-    };
-    Ok(CampaignReport {
-        os,
-        muts: tallies,
-        total_cases,
-        stats: Some(stats),
-        warnings,
-        degraded: false,
-        fleet_degraded: false,
-    })
+    drop(runner);
+    let (replayed, fsyncs, warnings) = cursor.finish()?;
+    Ok(classic_report(os, tallies, warnings, false, tc, |total| {
+        epoch.close(1, total, replayed, 0, fsyncs)
+    }))
 }
 
 #[cfg(test)]

@@ -45,21 +45,18 @@
 //! (`exec::stats::record_crashcon`), leaving the
 //! `restores == executed cases` invariant of the classic engines intact.
 
-use crate::campaign::{
-    self, CampaignConfig, CampaignFingerprint, CampaignStats, PreparedMut,
-};
+use crate::campaign::{self, CampaignConfig, CampaignStats, Epoch, Mode, PreparedMut};
 use crate::catalog;
 use crate::exec::{self, fault, CaseRunner, Session};
-use crate::journal::{CaseRecord, Journal, Recovery};
+use crate::fleet::{ShardResult, WireCleanMut};
+use crate::journal::Resume;
 use crate::muts::FunctionGroup;
+use crate::telemetry;
 use serde::{Deserialize, Serialize};
 use sim_kernel::crashfs::{self, CrashPoint, SpecNode, SpecTree};
 use sim_kernel::fs::{FileSystem, FsOp};
 use sim_kernel::variant::OsVariant;
 use sim_kernel::{Kernel, MachineFlavor};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Engine-mode tag folded into the crashcon plan fingerprint, so a
 /// crashcon journal or cache entry can never collide with a classic
@@ -85,8 +82,9 @@ pub const PACK_TRUNCATED: u8 = 1 << 5;
 ///
 /// Packs to a `(u8, u64)` pair that rides the same per-case channels the
 /// classic engines use for `(packed outcome, fuel)` — the journal's
-/// [`CaseRecord`] and the fleet's wire records — so the crashcon mode
-/// reuses the journal format and shard protocol unchanged.
+/// [`CaseRecord`](crate::journal::CaseRecord) and the fleet's wire
+/// records — so the crashcon mode reuses the journal format and shard
+/// protocol unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CaseVerdict {
     /// Filesystem ops the case recorded (bounded by
@@ -257,9 +255,14 @@ pub struct CrashconReport {
     /// bit-identity contract).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub stats: Option<CampaignStats>,
-    /// Resume/recovery notes (never part of the bit-identity contract).
+    /// Resume/recovery and quarantine notes (never part of the
+    /// bit-identity contract).
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub warnings: Vec<String>,
+    /// `true` when a MuT was quarantined after repeated harness faults:
+    /// its tally is empty and the report is partial.
+    #[serde(default, skip_serializing_if = "campaign::is_false")]
+    pub degraded: bool,
 }
 
 impl CrashconReport {
@@ -268,17 +271,6 @@ impl CrashconReport {
     pub fn consistent(&self) -> bool {
         self.muts.iter().all(CrashTally::consistent)
     }
-}
-
-/// The crashcon campaign's content address: the classic plan fingerprint
-/// with [`MODE_TAG`] folded in first, so crashcon journals and cache
-/// entries never collide with a classic campaign's over the same plan.
-#[must_use]
-pub fn crashcon_fingerprint(os: OsVariant, cfg: &CampaignConfig) -> CampaignFingerprint {
-    let registry = catalog::registry_for(os);
-    let muts = catalog::catalog_for(os);
-    let preps: Vec<_> = muts.iter().map(|m| campaign::prepare(&registry, m, cfg)).collect();
-    campaign::plan_fingerprint_tagged(Some(MODE_TAG), os, cfg, &preps)
 }
 
 /// A resident crash-image verification harness for one machine flavour:
@@ -443,95 +435,149 @@ fn rename_involved(path: &str, pairs: &[(&str, &str)]) -> bool {
     })
 }
 
-/// Executes one MuT's crashcon cases and returns the raw per-case
-/// `(packed, aux)` records in plan order — the unit of work every
-/// engine shares (the serial and parallel engines fold the records
-/// locally; the journaled engine appends them; fleet shards wire them
-/// home).
+/// One thread's crashcon rig: a case runner, a residue-zero session, and
+/// a resident verifier for the variant's machine flavour.
+struct Judge {
+    runner: CaseRunner,
+    session: Session,
+    verifier: Verifier,
+}
+
+impl Judge {
+    fn new(os: OsVariant) -> Judge {
+        Judge {
+            runner: CaseRunner::new(),
+            session: Session::new(),
+            verifier: Verifier::new(os.machine_flavor()),
+        }
+    }
+
+    /// Executes one case with the op recorder armed and judges every
+    /// bounded crash point of its log: the case's packed `(verdict, aux)`
+    /// record.
+    fn case(
+        &mut self,
+        os: OsVariant,
+        prep: &PreparedMut<'_>,
+        combo: &[usize],
+        fuel_budget: u64,
+    ) -> (u8, u64) {
+        // Crashcon cases are residue-free: verdicts must be pure
+        // functions of the case so tallies fold commutatively.
+        self.session.residue = 0;
+        let (_result, ops, truncated) = self.runner.execute_recorded(
+            os,
+            prep.mut_,
+            &prep.pools,
+            combo,
+            &mut self.session,
+            fuel_budget,
+        );
+        self.verifier.evaluate(&ops, truncated).pack()
+    }
+}
+
+/// Whether `packed` is a verdict byte the engine writes (no bits beyond
+/// the six flags).
+pub(crate) fn decodes(packed: u8) -> bool {
+    packed
+        & !(PACK_ACTIVE
+            | PACK_WELL_FORMED
+            | PACK_OPEN_TABLE
+            | PACK_DURABILITY
+            | PACK_RENAME
+            | PACK_TRUNCATED)
+        == 0
+}
+
+/// Executes one MuT's crashcon cases and returns the per-case
+/// `(packed, aux)` records in plan order — crashcon's residue-zero pass
+/// ([`Mode::clean_mut`]), with the aux counts on the fuel channel.
 pub(crate) fn crash_mut_records(
     os: OsVariant,
     prep: &PreparedMut<'_>,
     fuel_budget: u64,
-) -> (Vec<u8>, Vec<u64>) {
-    let mut runner = CaseRunner::new();
-    let mut session = Session::new();
-    let mut verifier = Verifier::new(os.machine_flavor());
-    let mut packed = Vec::with_capacity(prep.plan.cases.len());
-    let mut aux = Vec::with_capacity(prep.plan.cases.len());
-    for combo in &prep.plan.cases {
-        // Crashcon cases are residue-free: verdicts must be pure
-        // functions of the case so tallies fold commutatively.
-        session.residue = 0;
-        let (_result, ops, truncated) =
-            runner.execute_recorded(os, prep.mut_, &prep.pools, combo, &mut session, fuel_budget);
-        let verdict = verifier.evaluate(&ops, truncated);
-        let (p, a) = verdict.pack();
-        packed.push(p);
-        aux.push(a);
+) -> WireCleanMut {
+    let mut judge = Judge::new(os);
+    let (records, aux) = prep
+        .plan
+        .cases
+        .iter()
+        .map(|combo| judge.case(os, prep, combo, fuel_budget))
+        .unzip();
+    WireCleanMut {
+        records,
+        fuel: Some(aux),
     }
-    (packed, aux)
 }
 
-/// [`crash_mut_records`] folded into a [`CrashTally`].
-fn crash_mut(os: OsVariant, prep: &PreparedMut<'_>, fuel_budget: u64) -> CrashTally {
-    let (packed, aux) = crash_mut_records(os, prep, fuel_budget);
-    let mut tally = CrashTally::new(prep.mut_.name, prep.mut_.group);
-    for (p, a) in packed.iter().zip(&aux) {
-        tally.fold(*p, *a);
-    }
-    tally
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn assemble(
+/// Assembles a crashcon report, its stats closed over the executed case
+/// total.
+fn crash_report(
     os: OsVariant,
-    workers: usize,
-    tallies: Vec<CrashTally>,
+    muts: Vec<CrashTally>,
     warnings: Vec<String>,
-    replayed: usize,
-    journal_fsyncs: u64,
-    counters: &exec::stats::Counters,
-    t0: Instant,
+    degraded: bool,
+    stats: impl FnOnce(usize) -> Option<CampaignStats>,
 ) -> CrashconReport {
-    let total_cases = tallies.iter().map(|t| t.cases).sum();
-    let total_points = tallies.iter().map(|t| t.crash_points).sum();
-    let total_inconsistent = tallies.iter().map(|t| t.inconsistent_points).sum();
-    let wall = t0.elapsed().as_secs_f64();
-    let (boots, restores, boot_ns, restore_ns) = counters.snapshot();
-    let stats = CampaignStats {
-        parallelism: workers,
-        wall_ms: wall * 1e3,
-        cases_per_sec: total_cases as f64 / wall.max(1e-9),
-        boots,
-        restores,
-        boot_ms: boot_ns as f64 / 1e6,
-        restore_ms: restore_ns as f64 / 1e6,
-        replayed_cases: replayed,
-        quarantine_retries: 0,
-        journal_fsyncs,
-        restores_fast: counters.restores_fast.load(Ordering::Relaxed),
-        restores_full: counters.restores_full.load(Ordering::Relaxed),
-        probe_provisions: counters.probe_provisions.load(Ordering::Relaxed),
-        crashcon_snapshots: counters.crashcon_snapshots.load(Ordering::Relaxed),
-        crashcon_remounts: counters.crashcon_remounts.load(Ordering::Relaxed),
-    };
+    let total_cases = muts.iter().map(|t| t.cases).sum();
     CrashconReport {
         os,
-        muts: tallies,
+        total_points: muts.iter().map(|t| t.crash_points).sum(),
+        total_inconsistent: muts.iter().map(|t| t.inconsistent_points).sum(),
+        muts,
         total_cases,
-        total_points,
-        total_inconsistent,
-        stats: Some(stats),
+        stats: stats(total_cases),
         warnings,
+        degraded,
     }
+}
+
+/// Folds a merged residue-zero pass — in-process or from the fleet —
+/// into per-MuT tallies and closes the report. Records are pure per-case
+/// verdicts, so the fold is order-free and the partition into workers or
+/// shards is invisible; a quarantined MuT keeps an empty tally and marks
+/// the report degraded.
+pub(crate) fn pass_report(
+    os: OsVariant,
+    preps: &[PreparedMut<'_>],
+    pass: ShardResult,
+    epoch: Epoch,
+    workers: usize,
+) -> CrashconReport {
+    let degraded = pass.muts.iter().any(Option::is_none);
+    let tallies = preps
+        .iter()
+        .zip(&pass.muts)
+        .map(|(prep, clean)| {
+            let (name, group) = (prep.mut_.name, prep.mut_.group);
+            clean.as_ref().map_or_else(
+                || CrashTally::new(name, group),
+                |c| {
+                    fold_records(
+                        name,
+                        group,
+                        &c.records,
+                        c.fuel.as_deref().unwrap_or_default(),
+                    )
+                },
+            )
+        })
+        .collect();
+    crash_report(os, tallies, pass.warnings, degraded, |total| {
+        epoch.close(workers, total, 0, pass.quarantine_retries, 0)
+    })
 }
 
 /// Runs a crashcon campaign: every catalog MuT's sampled cases with the
 /// op recorder armed, every bounded crash point judged by the four
-/// oracles. `cfg.parallelism` selects the engine exactly as for the
-/// classic campaign — `1` is the sequential reference, anything else
-/// shards at MuT granularity (sound because crashcon cases are
-/// residue-free); tallies are bit-identical at every setting.
+/// oracles. `cfg.parallelism` sizes the worker pool exactly as for the
+/// classic campaign — `1` runs every MuT in order on the calling thread,
+/// anything else shards at MuT granularity (sound because crashcon cases
+/// are residue-free); tallies are bit-identical at every setting. Each
+/// MuT runs under the engines' quarantine fence: a harness fault earns
+/// one rerun, a second one quarantines the MuT and marks the report
+/// `degraded`.
 ///
 /// # Example
 ///
@@ -546,64 +592,12 @@ pub(crate) fn assemble(
 /// ```
 #[must_use]
 pub fn run_crashcon(os: OsVariant, cfg: &CampaignConfig) -> CrashconReport {
-    let t0 = Instant::now();
-    exec::stats::reset();
-    let counters = Arc::new(exec::stats::Counters::default());
-    exec::stats::install_sink(Arc::clone(&counters));
-    let registry = catalog::registry_for(os);
     let muts = catalog::catalog_for(os);
-    let preps: Vec<_> = muts.iter().map(|m| campaign::prepare(&registry, m, cfg)).collect();
+    let preps = Mode::Crashcon.preps(os, cfg, &muts, 0..muts.len());
+    let epoch = Epoch::open();
     let workers = cfg.workers().min(preps.len().max(1));
-    let fuel_budget = cfg.effective_fuel_budget();
-    let tallies = if workers <= 1 {
-        preps.iter().map(|p| crash_mut(os, p, fuel_budget)).collect()
-    } else {
-        crash_pass_parallel(os, &preps, workers, fuel_budget, &counters)
-    };
-    exec::stats::clear_sink();
-    assemble(os, workers, tallies, Vec::new(), 0, 0, &counters, t0)
-}
-
-/// Parallel clean pass at MuT granularity: workers pull the next
-/// unclaimed MuT, compute its tally on a private runner/verifier, and
-/// park it in its catalog slot. No replay pass exists because crashcon
-/// cases never read residue.
-fn crash_pass_parallel(
-    os: OsVariant,
-    preps: &[PreparedMut<'_>],
-    workers: usize,
-    fuel_budget: u64,
-    sink: &Arc<exec::stats::Counters>,
-) -> Vec<CrashTally> {
-    let slots: Vec<Mutex<Option<CrashTally>>> = preps.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|_| {
-                    exec::stats::install_sink(Arc::clone(sink));
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(prep) = preps.get(i) else { break };
-                        let tally = crash_mut(os, prep, fuel_budget);
-                        *slots[i].lock().expect("tally slot poisoned") = Some(tally);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("crashcon worker panicked");
-        }
-    })
-    .expect("crashcon scope panicked");
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("tally slot poisoned")
-                .expect("every MuT slot filled")
-        })
-        .collect()
+    let pass = campaign::clean_pass(Mode::Crashcon, os, cfg, &preps, workers, true, &epoch);
+    pass_report(os, &preps, pass, epoch, workers)
 }
 
 /// Runs (or resumes) a **journaled** crashcon campaign: every judged
@@ -623,93 +617,23 @@ pub fn run_crashcon_journaled(
     journal_path: &std::path::Path,
     resume: bool,
 ) -> std::io::Result<CrashconReport> {
-    let t0 = Instant::now();
-    exec::stats::reset();
-    let counters = Arc::new(exec::stats::Counters::default());
-    exec::stats::install_sink(Arc::clone(&counters));
-    let registry = catalog::registry_for(os);
     let muts = catalog::catalog_for(os);
-    let preps: Vec<_> = muts.iter().map(|m| campaign::prepare(&registry, m, cfg)).collect();
-    let hash = campaign::plan_fingerprint_tagged(Some(MODE_TAG), os, cfg, &preps).as_u64();
-    let mut warnings = Vec::new();
-    let (mut journal, recovered) = if resume {
-        let (journal, recovery) = Journal::open_resume(journal_path, hash)?;
-        let Recovery {
-            records,
-            truncated_bytes,
-            fresh,
-        } = recovery;
-        if fresh {
-            warnings.push(
-                "resume requested but no usable crashcon journal was found; running from scratch"
-                    .to_owned(),
-            );
-        } else {
-            if truncated_bytes > 0 {
-                warnings.push(format!(
-                    "journal recovery dropped {truncated_bytes} torn trailing byte(s)"
-                ));
-            }
-            warnings.push(format!(
-                "resumed from journal: {} case(s) replayed instead of re-executed",
-                records.len()
-            ));
-        }
-        (journal, records)
-    } else {
-        (Journal::create(journal_path, hash)?, Vec::new())
-    };
-
+    let preps = Mode::Crashcon.preps(os, cfg, &muts, 0..muts.len());
+    let hash = Mode::Crashcon.fingerprint(os, cfg).as_u64();
+    let epoch = Epoch::open();
+    let mut cursor = Resume::open(journal_path, hash, resume)?;
     let fuel_budget = cfg.effective_fuel_budget();
-    let mut runner = CaseRunner::new();
-    let mut session = Session::new();
-    let mut verifier = Verifier::new(os.machine_flavor());
+    let mut judge = Judge::new(os);
     let mut tallies = Vec::with_capacity(preps.len());
-    let mut ri = 0usize;
-    let mut replay_live = !recovered.is_empty();
     for (m_idx, prep) in preps.iter().enumerate() {
+        telemetry::on_mut_begin(prep.plan.cases.len() as u64);
         let mut tally = CrashTally::new(prep.mut_.name, prep.mut_.group);
         for (c_idx, combo) in prep.plan.cases.iter().enumerate() {
-            let mut replayed = None;
-            if replay_live {
-                match recovered.get(ri) {
-                    Some(rec)
-                        if rec.mut_idx as usize == m_idx && rec.case_idx as usize == c_idx =>
-                    {
-                        ri += 1;
-                        replayed = Some((rec.packed, rec.fuel));
-                    }
-                    _ => {
-                        replay_live = false;
-                        if ri < recovered.len() {
-                            warnings.push(format!(
-                                "journal diverged from the plan at record {ri}; discarding {} unusable record(s)",
-                                recovered.len() - ri
-                            ));
-                        }
-                        journal.truncate_to(ri as u64)?;
-                    }
-                }
-            }
-            let (packed, aux) = match replayed {
-                Some(pa) => pa,
+            let (packed, aux) = match cursor.replay(m_idx, c_idx, |p| decodes(p).then_some(p))? {
+                Some(rec) => rec,
                 None => {
-                    session.residue = 0;
-                    let (_result, ops, truncated) = runner.execute_recorded(
-                        os,
-                        prep.mut_,
-                        &prep.pools,
-                        combo,
-                        &mut session,
-                        fuel_budget,
-                    );
-                    let (p, a) = verifier.evaluate(&ops, truncated).pack();
-                    journal.append(CaseRecord {
-                        mut_idx: m_idx as u32,
-                        case_idx: c_idx as u32,
-                        packed: p,
-                        fuel: a,
-                    })?;
+                    let (p, a) = judge.case(os, prep, combo, fuel_budget);
+                    cursor.append(m_idx, c_idx, p, a)?;
                     (p, a)
                 }
             };
@@ -717,14 +641,15 @@ pub fn run_crashcon_journaled(
         }
         tallies.push(tally);
     }
-    journal.sync()?;
-    let fsyncs = journal.fsyncs();
-    exec::stats::clear_sink();
-    Ok(assemble(os, 1, tallies, warnings, ri, fsyncs, &counters, t0))
+    drop(judge);
+    let (replayed, fsyncs, warnings) = cursor.finish()?;
+    Ok(crash_report(os, tallies, warnings, false, |total| {
+        epoch.close(1, total, replayed, 0, fsyncs)
+    }))
 }
 
 /// Fold a wire/journal record stream for one MuT into a tally —
-/// shared by the fleet merge and tests that want to re-fold raw
+/// shared by the engines' merge and tests that want to re-fold raw
 /// records in arbitrary partitions.
 #[must_use]
 pub fn fold_records(
@@ -738,17 +663,6 @@ pub fn fold_records(
         tally.fold(*p, *a);
     }
     tally
-}
-
-/// Process-lifetime crashcon snapshot/remount totals — kept for test
-/// visibility of the accounting split (crash-point snapshots must not
-/// leak into the restore counters).
-#[must_use]
-pub fn snapshot_counters() -> (u64, u64) {
-    (
-        exec::stats::CRASHCON_SNAPSHOTS.load(Ordering::Relaxed),
-        exec::stats::CRASHCON_REMOUNTS.load(Ordering::Relaxed),
-    )
 }
 
 #[cfg(test)]

@@ -33,53 +33,24 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Machine-provisioning counters, aggregated across all worker threads.
+/// Machine-provisioning counters, routed into per-campaign sinks.
 ///
-/// The campaign engine reads these to report how much wall-clock the
-/// snapshot-cloning fast path saved versus full boots.
+/// A campaign installs one [`stats::Counters`] sink on every thread it
+/// runs on (the engines' stats epoch and worker pool do this) and reads
+/// it back into `CampaignStats` when it closes. Provisioning outside any
+/// sink reaches only the telemetry hub.
 pub mod stats {
     use std::cell::RefCell;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    /// Machines created by running the full boot sequence.
-    pub static BOOTS: AtomicU64 = AtomicU64::new(0);
-    /// Machines created by cloning a pre-booted template.
-    pub static RESTORES: AtomicU64 = AtomicU64::new(0);
-    /// Restores served by resetting a resident machine in place
-    /// (dirty-region rollback + generation-stamped subsystems) — a
-    /// subset of [`static@RESTORES`].
-    pub static RESTORES_FAST: AtomicU64 = AtomicU64::new(0);
-    /// Restores that deep-cloned the template (first case on a runner,
-    /// or a corrupted resident) — the other subset of [`static@RESTORES`].
-    pub static RESTORES_FULL: AtomicU64 = AtomicU64::new(0);
-    /// Machines provisioned for isolation probes ([`super::reproduce_in_isolation`]).
-    /// Counted apart from [`static@RESTORES`] so `restores` equals cases
-    /// executed instead of drifting by one per catastrophic probe.
-    pub static PROBE_PROVISIONS: AtomicU64 = AtomicU64::new(0);
-    /// Nanoseconds spent in full boots.
-    pub static BOOT_NANOS: AtomicU64 = AtomicU64::new(0);
-    /// Nanoseconds spent restoring templates.
-    pub static RESTORE_NANOS: AtomicU64 = AtomicU64::new(0);
     /// Cached boot templates dropped because a restore produced a
     /// corrupted (already-dead) machine.
     pub static TEMPLATE_INVALIDATIONS: AtomicU64 = AtomicU64::new(0);
-    /// Filesystem crash images materialized by the crashcon engine (one
-    /// clone of the pristine tree per crash point). Counted apart from
-    /// [`static@RESTORES`]: a crash-point snapshot is not a machine
-    /// restore, and billing it as one would wreck the `restores == cases`
-    /// invariant the campaign stats keep.
-    pub static CRASHCON_SNAPSHOTS: AtomicU64 = AtomicU64::new(0);
-    /// Crash images "remounted" into the crashcon engine's resident
-    /// verification kernel (one per evaluated crash point).
-    pub static CRASHCON_REMOUNTS: AtomicU64 = AtomicU64::new(0);
 
-    /// A private provisioning-counter set one campaign can install on its
-    /// worker threads (via [`install_sink`]) to get **exact** per-campaign
-    /// numbers. The process-wide statics above keep accumulating across
-    /// campaigns; the sink does not — which is what fixed the
-    /// results-JSON stats that used to inflate variant by variant when
-    /// `run_all` fanned campaigns out concurrently.
+    /// A private provisioning-counter set one campaign installs on its
+    /// threads (via [`install_sink`]) to get **exact** per-campaign
+    /// numbers, even when several campaigns run in one process at once.
     #[derive(Debug, Default)]
     pub struct Counters {
         /// Machines created by a full boot while this sink was installed.
@@ -90,16 +61,20 @@ pub mod stats {
         pub restores_fast: AtomicU64,
         /// Restores that deep-cloned the template (subset of `restores`).
         pub restores_full: AtomicU64,
-        /// Machines provisioned for isolation probes (not restores).
+        /// Machines provisioned for isolation probes
+        /// ([`super::reproduce_in_isolation`]). Counted apart from
+        /// `restores` so `restores` equals cases executed.
         pub probe_provisions: AtomicU64,
         /// Nanoseconds spent booting while installed.
         pub boot_nanos: AtomicU64,
         /// Nanoseconds spent restoring while installed.
         pub restore_nanos: AtomicU64,
-        /// Crashcon crash-point snapshots while installed (never part of
-        /// `restores`).
+        /// Filesystem crash images materialized by the crashcon engine
+        /// (one clone of the pristine tree per crash point). Never part of
+        /// `restores`: a crash-point snapshot is not a machine restore.
         pub crashcon_snapshots: AtomicU64,
-        /// Crashcon crash-image remounts while installed.
+        /// Crash images "remounted" into the crashcon engine's resident
+        /// verification kernel (one per evaluated crash point).
         pub crashcon_remounts: AtomicU64,
     }
 
@@ -120,8 +95,8 @@ pub mod stats {
         static SINK: RefCell<Option<Arc<Counters>>> = const { RefCell::new(None) };
     }
 
-    /// Routes this thread's provisioning events into `counters` (in
-    /// addition to the process-wide statics) until [`clear_sink`].
+    /// Routes this thread's provisioning events into `counters` until
+    /// [`clear_sink`].
     pub fn install_sink(counters: Arc<Counters>) {
         SINK.with(|s| *s.borrow_mut() = Some(counters));
     }
@@ -131,36 +106,31 @@ pub mod stats {
         SINK.with(|s| *s.borrow_mut() = None);
     }
 
-    pub(super) fn record_boot(nanos: u64) {
-        BOOTS.fetch_add(1, Ordering::Relaxed);
-        BOOT_NANOS.fetch_add(nanos, Ordering::Relaxed);
-        crate::telemetry::on_boot(nanos);
+    fn with_sink(f: impl FnOnce(&Counters)) {
         SINK.with(|s| {
             if let Some(c) = s.borrow().as_deref() {
-                c.boots.fetch_add(1, Ordering::Relaxed);
-                c.boot_nanos.fetch_add(nanos, Ordering::Relaxed);
+                f(c);
             }
         });
     }
 
+    pub(super) fn record_boot(nanos: u64) {
+        crate::telemetry::on_boot(nanos);
+        with_sink(|c| {
+            c.boots.fetch_add(1, Ordering::Relaxed);
+            c.boot_nanos.fetch_add(nanos, Ordering::Relaxed);
+        });
+    }
+
     pub(super) fn record_restore(nanos: u64, fast: bool) {
-        RESTORES.fetch_add(1, Ordering::Relaxed);
-        RESTORE_NANOS.fetch_add(nanos, Ordering::Relaxed);
-        if fast {
-            RESTORES_FAST.fetch_add(1, Ordering::Relaxed);
-        } else {
-            RESTORES_FULL.fetch_add(1, Ordering::Relaxed);
-        }
         crate::telemetry::on_restore(nanos, fast);
-        SINK.with(|s| {
-            if let Some(c) = s.borrow().as_deref() {
-                c.restores.fetch_add(1, Ordering::Relaxed);
-                c.restore_nanos.fetch_add(nanos, Ordering::Relaxed);
-                if fast {
-                    c.restores_fast.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    c.restores_full.fetch_add(1, Ordering::Relaxed);
-                }
+        with_sink(|c| {
+            c.restores.fetch_add(1, Ordering::Relaxed);
+            c.restore_nanos.fetch_add(nanos, Ordering::Relaxed);
+            if fast {
+                c.restores_fast.fetch_add(1, Ordering::Relaxed);
+            } else {
+                c.restores_full.fetch_add(1, Ordering::Relaxed);
             }
         });
     }
@@ -171,67 +141,28 @@ pub mod stats {
     /// no hub hook fires here — the hub's histograms never see estimated
     /// samples.
     pub(super) fn record_fast_restores(count: u64, nanos: u64) {
-        RESTORES.fetch_add(count, Ordering::Relaxed);
-        RESTORES_FAST.fetch_add(count, Ordering::Relaxed);
-        RESTORE_NANOS.fetch_add(nanos, Ordering::Relaxed);
-        SINK.with(|s| {
-            if let Some(c) = s.borrow().as_deref() {
-                c.restores.fetch_add(count, Ordering::Relaxed);
-                c.restores_fast.fetch_add(count, Ordering::Relaxed);
-                c.restore_nanos.fetch_add(nanos, Ordering::Relaxed);
-            }
+        with_sink(|c| {
+            c.restores.fetch_add(count, Ordering::Relaxed);
+            c.restores_fast.fetch_add(count, Ordering::Relaxed);
+            c.restore_nanos.fetch_add(nanos, Ordering::Relaxed);
         });
     }
 
     /// Records a batch of crashcon crash-point snapshots and remounts
     /// (one pair per evaluated crash point, flushed per case). Kept out of
-    /// `restores` entirely — see [`static@CRASHCON_SNAPSHOTS`].
+    /// `restores` entirely — see [`Counters::crashcon_snapshots`].
     pub(crate) fn record_crashcon(snapshots: u64, remounts: u64) {
-        CRASHCON_SNAPSHOTS.fetch_add(snapshots, Ordering::Relaxed);
-        CRASHCON_REMOUNTS.fetch_add(remounts, Ordering::Relaxed);
         crate::telemetry::on_crashcon(snapshots, remounts);
-        SINK.with(|s| {
-            if let Some(c) = s.borrow().as_deref() {
-                c.crashcon_snapshots.fetch_add(snapshots, Ordering::Relaxed);
-                c.crashcon_remounts.fetch_add(remounts, Ordering::Relaxed);
-            }
+        with_sink(|c| {
+            c.crashcon_snapshots.fetch_add(snapshots, Ordering::Relaxed);
+            c.crashcon_remounts.fetch_add(remounts, Ordering::Relaxed);
         });
     }
 
     pub(super) fn record_probe() {
-        PROBE_PROVISIONS.fetch_add(1, Ordering::Relaxed);
-        SINK.with(|s| {
-            if let Some(c) = s.borrow().as_deref() {
-                c.probe_provisions.fetch_add(1, Ordering::Relaxed);
-            }
+        with_sink(|c| {
+            c.probe_provisions.fetch_add(1, Ordering::Relaxed);
         });
-    }
-
-    /// (boots, restores, boot_nanos, restore_nanos) since the last reset.
-    #[must_use]
-    pub fn snapshot() -> (u64, u64, u64, u64) {
-        (
-            BOOTS.load(Ordering::Relaxed),
-            RESTORES.load(Ordering::Relaxed),
-            BOOT_NANOS.load(Ordering::Relaxed),
-            RESTORE_NANOS.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Zeroes the process-wide counters. Campaigns report from their own
-    /// [`Counters`] sink (exact even under concurrent campaigns); the
-    /// reset just keeps the process-lifetime statics from growing into
-    /// meaningless cross-campaign aggregates.
-    pub fn reset() {
-        BOOTS.store(0, Ordering::Relaxed);
-        RESTORES.store(0, Ordering::Relaxed);
-        RESTORES_FAST.store(0, Ordering::Relaxed);
-        RESTORES_FULL.store(0, Ordering::Relaxed);
-        PROBE_PROVISIONS.store(0, Ordering::Relaxed);
-        BOOT_NANOS.store(0, Ordering::Relaxed);
-        RESTORE_NANOS.store(0, Ordering::Relaxed);
-        CRASHCON_SNAPSHOTS.store(0, Ordering::Relaxed);
-        CRASHCON_REMOUNTS.store(0, Ordering::Relaxed);
     }
 }
 

@@ -58,20 +58,21 @@
 
 use std::io::{BufReader, Read, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use sim_kernel::variant::OsVariant;
 
 use crate::adaptive::AdaptiveConfig;
 use crate::campaign::{
-    clean_mut_quarantined, prepare, replay_pass, CampaignConfig, CampaignReport, CampaignStats,
-    CleanMut, CleanRecords,
+    claim_each, clean_range, replay_report, CampaignConfig, CampaignReport, Epoch, Mode,
+    PreparedMut,
 };
 use crate::catalog;
-use crate::exec::{self, Session};
+use crate::crash::{self, RawOutcome};
+use crate::crashcon::{self, CrashconReport};
 use crate::telemetry::{self, TraceCollector};
 use serde::{Deserialize, Serialize};
 
@@ -184,6 +185,32 @@ pub struct ShardSpec {
 }
 
 impl ShardSpec {
+    /// A whole-catalog spec in `mode`, with an empty range: the template
+    /// a coordinator cuts into shards.
+    fn template(mode: Mode, os: OsVariant, cfg: CampaignConfig, capture_fuel: bool) -> ShardSpec {
+        ShardSpec {
+            os,
+            cfg,
+            mut_start: 0,
+            mut_end: 0,
+            capture_fuel,
+            crashcon: mode == Mode::Crashcon,
+            adaptive: match mode {
+                Mode::Adaptive(acfg) => Some(acfg),
+                Mode::Classic | Mode::Crashcon => None,
+            },
+        }
+    }
+
+    /// The campaign mode the spec's two flags denote (`crashcon` wins).
+    pub(crate) fn mode(&self) -> Mode {
+        match (self.crashcon, self.adaptive) {
+            (true, _) => Mode::Crashcon,
+            (false, Some(acfg)) => Mode::Adaptive(acfg),
+            (false, None) => Mode::Classic,
+        }
+    }
+
     /// Serializes the spec for the wire.
     #[must_use]
     pub fn to_wire(&self) -> Vec<u8> {
@@ -215,8 +242,9 @@ pub struct WireCleanMut {
 }
 
 /// A completed shard: per-MuT clean-pass outputs for the spec's range,
-/// in range order, plus the shard's quarantine bookkeeping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// in range order, plus the shard's quarantine bookkeeping. The engines
+/// also merge shards (or single MuTs) into one whole-catalog result.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ShardResult {
     /// Echo of the spec's `mut_start`, so results self-describe their
     /// placement even when they arrive out of order.
@@ -257,6 +285,56 @@ impl ShardResult {
             .flatten()
             .map(|m| m.records.len() as u64)
             .sum()
+    }
+
+    /// Concatenates the results of consecutive ranges, in catalog order,
+    /// into one result starting at MuT 0.
+    pub(crate) fn concat(parts: impl IntoIterator<Item = ShardResult>) -> ShardResult {
+        let mut whole = ShardResult::default();
+        for part in parts {
+            debug_assert_eq!(part.mut_start, whole.muts.len(), "ranges merge in catalog order");
+            whole.muts.extend(part.muts);
+            whole.warnings.extend(part.warnings);
+            whole.quarantine_retries += part.quarantine_retries;
+        }
+        whole
+    }
+
+    /// Checks a worker's reply against the shard it answers and the
+    /// coordinator's plan (`planned` cases per catalog MuT): the range
+    /// must match, and each executed MuT must carry only record bytes
+    /// its mode decodes, aux counts paired one-to-one with its records
+    /// (always present in crashcon), and exactly its planned case count
+    /// — except that a classic pass stops early at an unprobed system
+    /// crash.
+    fn check(&self, spec: &ShardSpec, planned: &[usize]) -> Result<(), String> {
+        if self.mut_start != spec.mut_start || self.muts.len() != spec.mut_end - spec.mut_start {
+            return Err("result does not match its spec".to_owned());
+        }
+        let mode = spec.mode();
+        for (m_idx, clean) in (spec.mut_start..).zip(&self.muts) {
+            let Some(clean) = clean else { continue };
+            let (n, plan) = (clean.records.len(), planned[m_idx]);
+            if !clean.records.iter().all(|&b| mode.decodes(b)) {
+                return Err(format!("MuT {m_idx} has an undecodable record byte"));
+            }
+            let aux_ok = match &clean.fuel {
+                Some(aux) => aux.len() == n,
+                None => mode != Mode::Crashcon,
+            };
+            if !aux_ok {
+                return Err(format!("MuT {m_idx} has aux counts that do not pair with its records"));
+            }
+            let early_stop = mode != Mode::Crashcon
+                && n < plan
+                && clean.records.last().and_then(|&b| crash::unpack_case(b)).is_some_and(
+                    |(raw, _, probed)| raw == RawOutcome::SystemCrash && !probed,
+                );
+            if n != plan && !early_stop {
+                return Err(format!("MuT {m_idx} has {n} record(s) for a {plan}-case plan"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -381,65 +459,25 @@ pub fn execute_shard_observed(
     if let Some(delay) = env_ms("BALLISTA_FLEET_SHARD_DELAY_MS") {
         std::thread::sleep(delay);
     }
-    let registry = catalog::registry_for(spec.os);
     let muts = catalog::catalog_for(spec.os);
     let end = spec.mut_end.min(muts.len());
+    let start = spec.mut_start.min(end);
     // Adaptive shards execute the pinned plan: the worker re-derives it
     // from the spec's knobs (one explore per process, memoized), so the
     // wire stays small and every worker pins the identical plan.
-    let pin = spec
-        .adaptive
-        .as_ref()
-        .map(|a| crate::adaptive::pinned_plan_shared(spec.os, &spec.cfg, a));
-    let mut out = ShardResult {
-        mut_start: spec.mut_start,
-        muts: Vec::with_capacity(end.saturating_sub(spec.mut_start)),
-        warnings: Vec::new(),
-        quarantine_retries: 0,
-    };
-    let mut cases_done = 0u64;
-    for (m_idx, m) in muts.iter().enumerate().take(end).skip(spec.mut_start) {
-        let mut prep = prepare(&registry, m, &spec.cfg);
-        if let Some(pin) = &pin {
-            prep.plan = Arc::clone(&pin.muts[m_idx].plan);
-        }
-        telemetry::on_mut_begin(prep.plan.cases.len() as u64);
-        if spec.crashcon {
-            let (packed, aux) =
-                crate::crashcon::crash_mut_records(spec.os, &prep, spec.cfg.effective_fuel_budget());
-            cases_done += packed.len() as u64;
-            out.muts.push(Some(WireCleanMut {
-                records: packed,
-                fuel: Some(aux),
-            }));
-            on_progress(Heartbeat {
-                muts_done: out.muts.len() as u64,
-                cases_done,
-            });
-            continue;
-        }
-        let mut retries = 0u64;
-        let clean = clean_mut_quarantined(
-            spec.os,
-            &prep,
-            spec.cfg.effective_fuel_budget(),
-            spec.capture_fuel,
-            &mut out.warnings,
-            &mut retries,
-        );
-        out.quarantine_retries += retries;
-        cases_done += clean.as_ref().map_or(0, |c| c.records.len() as u64);
-        out.muts.push(clean.map(|c| WireCleanMut {
-            records: c.records,
-            fuel: c.fuel,
-        }));
-        on_progress(Heartbeat {
-            muts_done: out.muts.len() as u64,
-            cases_done,
-        });
-    }
+    let mode = spec.mode();
+    let preps = mode.preps(spec.os, &spec.cfg, &muts, start..end);
+    let result = clean_range(
+        mode,
+        spec.os,
+        &spec.cfg,
+        &preps,
+        spec.mut_start,
+        spec.capture_fuel,
+        on_progress,
+    );
     telemetry::on_shard_executed();
-    out
+    result
 }
 
 /// The worker-process main loop: reads [`FRAME_SPEC`] frames off
@@ -803,6 +841,8 @@ enum WorkerFailure {
 struct Supervisor<'a> {
     specs: &'a [ShardSpec],
     wire: &'a [Vec<u8>],
+    /// Planned cases per catalog MuT, from the coordinator's preps.
+    planned: &'a [usize],
     slots: &'a [Mutex<Option<ShardResult>>],
     queue: ShardQueue,
     progress: &'a FleetProgress,
@@ -910,20 +950,15 @@ impl Supervisor<'_> {
                 Err(WorkerFailure::Died("worker stdin closed".to_owned()))
             };
             let failure = match outcome {
-                Ok(payload) => match ShardResult::from_wire(&payload) {
+                Ok(payload) => match ShardResult::from_wire(&payload).and_then(|result| {
+                    result.check(&self.specs[job.idx], self.planned)?;
                     Ok(result)
-                        if result.mut_start == self.specs[job.idx].mut_start
-                            && result.muts.len()
-                                == self.specs[job.idx].mut_end - self.specs[job.idx].mut_start =>
-                    {
+                }) {
+                    Ok(result) => {
                         telemetry::on_shard_executed();
                         self.store(job.idx, result, hb_cases);
                         consecutive = 0;
                         continue;
-                    }
-                    Ok(_) => {
-                        telemetry::on_wire_protocol_fault();
-                        WorkerFailure::Malformed("result does not match its spec".to_owned())
                     }
                     Err(e) => {
                         telemetry::on_wire_protocol_fault();
@@ -1001,77 +1036,15 @@ impl Supervisor<'_> {
 // Engines
 // ---------------------------------------------------------------------
 
-/// Executes `todo` (indices into `specs`) on an in-process thread pool
-/// that still round-trips the wire protocol — with hardened parsing: a
-/// malformed buffer counts a protocol fault and falls back to the typed
-/// value instead of panicking.
-fn run_shards_threaded(
-    specs: &[ShardSpec],
-    todo: &[usize],
-    workers: usize,
-    slots: &[Mutex<Option<ShardResult>>],
-    counters: &Arc<exec::stats::Counters>,
-    progress: &FleetProgress,
-    warnings: &Mutex<Vec<String>>,
-) {
-    let next = AtomicUsize::new(0);
-    let workers = workers.min(todo.len()).max(1);
-    crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|_| {
-                    exec::stats::install_sink(Arc::clone(counters));
-                    loop {
-                        let t = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&i) = todo.get(t) else { break };
-                        let spec = match ShardSpec::from_wire(&specs[i].to_wire()) {
-                            Ok(spec) => spec,
-                            Err(e) => {
-                                telemetry::on_wire_protocol_fault();
-                                warnings.lock().expect("fleet warnings poisoned").push(
-                                    format!("shard {i} spec failed the wire round-trip ({e}); \
-                                             executing from the typed spec"),
-                                );
-                                specs[i].clone()
-                            }
-                        };
-                        let result = execute_shard(&spec);
-                        let result = match ShardResult::from_wire(&result.to_wire()) {
-                            Ok(result) => result,
-                            Err(e) => {
-                                telemetry::on_wire_protocol_fault();
-                                warnings.lock().expect("fleet warnings poisoned").push(
-                                    format!("shard {i} result failed the wire round-trip ({e}); \
-                                             keeping the typed result"),
-                                );
-                                result
-                            }
-                        };
-                        progress
-                            .cases_done
-                            .fetch_add(result.case_count(), Ordering::Relaxed);
-                        progress.shards_done.fetch_add(1, Ordering::Relaxed);
-                        *slots[i].lock().expect("shard slot poisoned") = Some(result);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("fleet worker panicked");
-        }
-    })
-    .expect("fleet scope panicked");
-}
-
 /// Runs the full campaign sharded across a worker pool, producing a
 /// report **bit-identical** to [`run_campaign`](crate::campaign::run_campaign)
 /// on the same `(os, cfg)`.
 ///
-/// The coordinator cuts the catalog into contiguous MuT ranges, ships
-/// each range through the wire protocol to the pool, reassembles the
-/// clean-pass records at their catalog indices, and runs the shared
-/// sequential replay pass — see the module docs for why this cannot
-/// change a single tally bit.
+/// The coordinator cuts the catalog into contiguous MuT ranges, runs
+/// each range's clean pass on the pool, reassembles the clean-pass
+/// records at their catalog indices, and runs the shared sequential
+/// replay pass — see the module docs for why this cannot change a
+/// single tally bit.
 ///
 /// # Example
 ///
@@ -1087,7 +1060,7 @@ fn run_shards_threaded(
 /// ```
 #[must_use]
 pub fn run_campaign_fleet(os: OsVariant, cfg: &CampaignConfig, fleet: &FleetConfig) -> CampaignReport {
-    run_campaign_fleet_observed(os, cfg, fleet, None)
+    run_fleet_engine(Mode::Classic, os, cfg, fleet, None)
 }
 
 /// Runs a **crashcon** campaign on the fleet: the same shard dispatch,
@@ -1103,159 +1076,14 @@ pub fn run_crashcon_fleet(
     os: OsVariant,
     cfg: &CampaignConfig,
     fleet: &FleetConfig,
-) -> crate::crashcon::CrashconReport {
-    let t0 = Instant::now();
-    exec::stats::reset();
-    let counters = Arc::new(exec::stats::Counters::default());
-    exec::stats::install_sink(Arc::clone(&counters));
+) -> CrashconReport {
     let muts = catalog::catalog_for(os);
-    let shard_count = fleet.effective_shards(muts.len());
-    let workers = fleet.effective_workers().min(shard_count);
+    let preps = Mode::Crashcon.preps(os, cfg, &muts, 0..muts.len());
+    let epoch = Epoch::open();
+    let template = ShardSpec::template(Mode::Crashcon, os, *cfg, true);
     let progress = FleetProgress::default();
-    progress
-        .shards_total
-        .store(shard_count as u64, Ordering::Relaxed);
-    let specs: Vec<ShardSpec> = (0..shard_count)
-        .map(|s| ShardSpec {
-            os,
-            cfg: *cfg,
-            mut_start: s * muts.len() / shard_count,
-            mut_end: (s + 1) * muts.len() / shard_count,
-            capture_fuel: true,
-            crashcon: true,
-            adaptive: None,
-        })
-        .collect();
-    let result_slots: Vec<Mutex<Option<ShardResult>>> =
-        specs.iter().map(|_| Mutex::new(None)).collect();
-    let fleet_warnings = Mutex::new(Vec::new());
-    dispatch_shards(
-        &specs,
-        fleet,
-        workers,
-        cfg,
-        &result_slots,
-        &counters,
-        &progress,
-        &fleet_warnings,
-    );
-    // Merge: fold each MuT's wire records into its tally at its catalog
-    // index. Records are pure per-case verdicts, so the fold is
-    // order-free and the shard partition is invisible in the result.
-    let mut tallies = Vec::with_capacity(muts.len());
-    for slot in result_slots {
-        let shard = slot
-            .into_inner()
-            .expect("shard slot poisoned")
-            .expect("every shard executed or degraded to the pool");
-        debug_assert_eq!(shard.mut_start, tallies.len(), "shards merge in catalog order");
-        for wire in shard.muts {
-            let m = &muts[tallies.len()];
-            let wire = wire.expect("crashcon shards do not quarantine MuTs");
-            let aux = wire.fuel.expect("crashcon records always carry aux counts");
-            tallies.push(crate::crashcon::fold_records(
-                m.name, m.group, &wire.records, &aux,
-            ));
-        }
-    }
-    let warnings = fleet_warnings.into_inner().expect("fleet warnings poisoned");
-    exec::stats::clear_sink();
-    crate::crashcon::assemble(os, workers, tallies, warnings, 0, 0, &counters, t0)
-}
-
-
-/// Runs every shard spec to completion, filling `result_slots`: worker
-/// processes under the [`Supervisor`] when `fleet.process` is set (with
-/// graceful degradation to the in-process pool), plain worker threads
-/// otherwise. Shared verbatim by the classic fleet campaign and the
-/// crashcon fleet engine — the shard protocol is mode-agnostic.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_shards(
-    specs: &[ShardSpec],
-    fleet: &FleetConfig,
-    workers: usize,
-    cfg: &CampaignConfig,
-    result_slots: &[Mutex<Option<ShardResult>>],
-    counters: &Arc<exec::stats::Counters>,
-    progress: &FleetProgress,
-    fleet_warnings: &Mutex<Vec<String>>,
-) {
-    if fleet.process {
-        match worker_command() {
-            Some(cmd) => {
-                let wire: Vec<Vec<u8>> = specs.iter().map(ShardSpec::to_wire).collect();
-                let sup = Supervisor {
-                    specs,
-                    wire: &wire,
-                    slots: result_slots,
-                    queue: ShardQueue::new(specs.len()),
-                    progress,
-                    warnings: fleet_warnings,
-                    cmd,
-                    deadline: heartbeat_deadline(cfg),
-                    max_retries: fleet.effective_max_shard_retries(),
-                    quarantine_after: fleet.effective_quarantine_after(),
-                };
-                std::thread::scope(|s| {
-                    for _ in 0..workers {
-                        s.spawn(|| sup.slot_loop());
-                    }
-                });
-                // Every slot retired (quarantine or spawn failure) with
-                // shards still pending: finish on the thread pool
-                // rather than abort.
-                let leftover: Vec<usize> =
-                    sup.queue.drain_pending().iter().map(|j| j.idx).collect();
-                if !leftover.is_empty() {
-                    fleet_warnings.lock().expect("fleet warnings poisoned").push(format!(
-                        "fleet degraded: no worker process survived; executing {} remaining \
-                         shard(s) on the in-process pool",
-                        leftover.len()
-                    ));
-                    progress.degrade();
-                    run_shards_threaded(
-                        specs,
-                        &leftover,
-                        workers,
-                        result_slots,
-                        counters,
-                        progress,
-                        fleet_warnings,
-                    );
-                }
-            }
-            None => {
-                fleet_warnings.lock().expect("fleet warnings poisoned").push(
-                    "fleet degraded: no worker binary found (set BALLISTA_WORKER_CMD or \
-                     install fleet_worker next to this executable); executing on the \
-                     in-process pool"
-                        .to_owned(),
-                );
-                progress.degrade();
-                let todo: Vec<usize> = (0..specs.len()).collect();
-                run_shards_threaded(
-                    specs,
-                    &todo,
-                    workers,
-                    result_slots,
-                    counters,
-                    progress,
-                    fleet_warnings,
-                );
-            }
-        }
-    } else {
-        let todo: Vec<usize> = (0..specs.len()).collect();
-        run_shards_threaded(
-            specs,
-            &todo,
-            workers,
-            result_slots,
-            counters,
-            progress,
-            fleet_warnings,
-        );
-    }
+    let (pass, workers) = fleet_pass(&template, fleet, &preps, &progress, &epoch);
+    crashcon::pass_report(os, &preps, pass, epoch, workers)
 }
 
 /// [`run_campaign_fleet`] with live progress: the supervisor (or the
@@ -1269,133 +1097,262 @@ pub fn run_campaign_fleet_observed(
     fleet: &FleetConfig,
     progress: Option<&FleetProgress>,
 ) -> CampaignReport {
-    run_fleet_engine(os, cfg, fleet, progress, None)
+    run_fleet_engine(Mode::Classic, os, cfg, fleet, progress)
 }
 
-/// The shared fleet-engine body behind the classic and adaptive
-/// campaigns: with `adaptive` set, the coordinator derives the pinned
-/// plan (before the stats epoch, so exploration never pollutes the
-/// campaign counters), replays against pinned preps, and stamps every
-/// shard spec with the adaptive knobs so workers re-derive the same
-/// plan. Tallies stay bit-identical to the matching in-process engine
-/// either way.
+/// The fleet engine behind the classic and adaptive campaigns: the
+/// coordinator derives the preps (an adaptive pin before the stats
+/// epoch, so exploration never pollutes the campaign counters), runs the
+/// fleet pass with every shard spec stamped with the mode's flags (so
+/// workers re-derive the same plan), and replays the merged records.
+/// Tallies stay bit-identical to the matching in-process engine.
 pub(crate) fn run_fleet_engine(
+    mode: Mode,
     os: OsVariant,
     cfg: &CampaignConfig,
     fleet: &FleetConfig,
     progress: Option<&FleetProgress>,
-    adaptive: Option<&AdaptiveConfig>,
 ) -> CampaignReport {
-    let own_progress;
-    let progress = match progress {
-        Some(p) => p,
-        None => {
-            own_progress = FleetProgress::default();
-            &own_progress
-        }
-    };
-    let pin = adaptive.map(|a| crate::adaptive::pinned_plan_shared(os, cfg, a));
-    let t0 = Instant::now();
-    exec::stats::reset();
-    let counters = Arc::new(exec::stats::Counters::default());
-    exec::stats::install_sink(Arc::clone(&counters));
-    telemetry::on_campaign_begin();
-    let mut tc = TraceCollector::begin(os, cfg.cap as u64);
-    let registry = catalog::registry_for(os);
+    let own_progress = FleetProgress::default();
+    let progress = progress.unwrap_or(&own_progress);
     let muts = catalog::catalog_for(os);
-    let preps: Vec<_> = match &pin {
-        Some(pin) => crate::adaptive::pinned_preps(&registry, &muts, pin),
-        None => muts.iter().map(|m| prepare(&registry, m, cfg)).collect(),
-    };
+    let preps = mode.preps(os, cfg, &muts, 0..muts.len());
+    let epoch = Epoch::open();
+    let tc = TraceCollector::begin(os, cfg.cap as u64);
+    let template = ShardSpec::template(mode, os, *cfg, tc.is_some());
+    let (pass, workers) = fleet_pass(&template, fleet, &preps, progress, &epoch);
+    let mut report = replay_report(os, cfg, &preps, pass, tc, epoch, workers);
+    report.fleet_degraded = progress.degraded.load(Ordering::Relaxed);
+    report
+}
 
-    let shard_count = fleet.effective_shards(muts.len());
+/// The fleet pass every mode shares: cuts the catalog into the fleet's
+/// shards of `template`, runs them — on supervised worker processes
+/// when `fleet.process` is set, degrading to the in-process pool for
+/// whatever they leave, else on the pool directly — and merges the
+/// shard results at their catalog indices. Returns the merged pass and
+/// the worker count.
+fn fleet_pass(
+    template: &ShardSpec,
+    fleet: &FleetConfig,
+    preps: &[PreparedMut<'_>],
+    progress: &FleetProgress,
+    epoch: &Epoch,
+) -> (ShardResult, usize) {
+    let n = preps.len();
+    let shard_count = fleet.effective_shards(n);
     let workers = fleet.effective_workers().min(shard_count);
     progress
         .shards_total
         .store(shard_count as u64, Ordering::Relaxed);
     let specs: Vec<ShardSpec> = (0..shard_count)
         .map(|s| ShardSpec {
-            os,
-            cfg: *cfg,
-            mut_start: s * muts.len() / shard_count,
-            mut_end: (s + 1) * muts.len() / shard_count,
-            capture_fuel: tc.is_some(),
-            crashcon: false,
-            adaptive: adaptive.copied(),
+            mut_start: s * n / shard_count,
+            mut_end: (s + 1) * n / shard_count,
+            ..template.clone()
         })
         .collect();
-
-    let result_slots: Vec<Mutex<Option<ShardResult>>> =
-        specs.iter().map(|_| Mutex::new(None)).collect();
-    let fleet_warnings = Mutex::new(Vec::new());
-    dispatch_shards(
-        &specs,
-        fleet,
-        workers,
-        cfg,
-        &result_slots,
-        &counters,
-        progress,
-        &fleet_warnings,
+    let slots: Vec<Mutex<Option<ShardResult>>> = specs.iter().map(|_| Mutex::new(None)).collect();
+    let warnings = Mutex::new(Vec::new());
+    let mut todo: Vec<usize> = (0..shard_count).collect();
+    if fleet.process {
+        let degraded = match worker_command() {
+            Some(cmd) => {
+                let wire: Vec<Vec<u8>> = specs.iter().map(ShardSpec::to_wire).collect();
+                let planned: Vec<usize> = preps.iter().map(|p| p.plan.cases.len()).collect();
+                let sup = Supervisor {
+                    specs: &specs,
+                    wire: &wire,
+                    planned: &planned,
+                    slots: &slots,
+                    queue: ShardQueue::new(shard_count),
+                    progress,
+                    warnings: &warnings,
+                    cmd,
+                    deadline: heartbeat_deadline(&template.cfg),
+                    max_retries: fleet.effective_max_shard_retries(),
+                    quarantine_after: fleet.effective_quarantine_after(),
+                };
+                std::thread::scope(|s| {
+                    for _ in 0..workers {
+                        s.spawn(|| sup.slot_loop());
+                    }
+                });
+                // Every slot retired (quarantine or spawn failure) with
+                // shards still pending: finish on the pool rather than
+                // abort.
+                todo = sup.queue.drain_pending().iter().map(|j| j.idx).collect();
+                (!todo.is_empty()).then(|| {
+                    format!(
+                        "fleet degraded: no worker process survived; executing {} remaining \
+                         shard(s) on the in-process pool",
+                        todo.len()
+                    )
+                })
+            }
+            None => Some(
+                "fleet degraded: no worker binary found (set BALLISTA_WORKER_CMD or \
+                 install fleet_worker next to this executable); executing on the \
+                 in-process pool"
+                    .to_owned(),
+            ),
+        };
+        if let Some(warning) = degraded {
+            warnings
+                .lock()
+                .expect("fleet warnings poisoned")
+                .push(warning);
+            progress.degrade();
+        }
+    }
+    let ran = claim_each(todo.len(), workers, epoch, |t| {
+        let result = execute_shard(&specs[todo[t]]);
+        progress
+            .cases_done
+            .fetch_add(result.case_count(), Ordering::Relaxed);
+        progress.shards_done.fetch_add(1, Ordering::Relaxed);
+        result
+    });
+    let mut results: Vec<Option<ShardResult>> = slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("shard slot poisoned"))
+        .collect();
+    for (&i, result) in todo.iter().zip(ran) {
+        results[i] = Some(result);
+    }
+    let mut pass = ShardResult::concat(
+        results
+            .into_iter()
+            .map(|r| r.expect("every shard executed or degraded to the pool")),
     );
+    pass.warnings
+        .extend(warnings.into_inner().expect("fleet warnings poisoned"));
+    (pass, workers)
+}
 
-    // Merge: place every MuT's records back at its catalog index. Shard
-    // ranges partition the catalog, so this is a permutation-free
-    // reassembly — then the shared replay pass does the rest.
-    let mut records: Vec<CleanRecords> = Vec::with_capacity(muts.len());
-    let mut warnings = Vec::new();
-    let mut retries = 0u64;
-    for slot in result_slots {
-        let shard = slot
-            .into_inner()
-            .expect("shard slot poisoned")
-            .expect("every shard executed or degraded to the pool");
-        debug_assert_eq!(shard.mut_start, records.len(), "shards merge in catalog order");
-        retries += shard.quarantine_retries;
-        warnings.extend(shard.warnings);
-        records.extend(shard.muts.into_iter().map(|m| {
-            m.map(|w| CleanMut {
-                records: w.records,
-                fuel: w.fuel,
-            })
-        }));
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::crash::pack_case;
+
+    fn spec(mode: Mode) -> ShardSpec {
+        ShardSpec {
+            mut_start: 2,
+            mut_end: 4,
+            ..ShardSpec::template(mode, OsVariant::Win95, CampaignConfig::default(), true)
+        }
     }
-    warnings.extend(fleet_warnings.into_inner().expect("fleet warnings poisoned"));
-    let degraded = records.iter().any(Option::is_none);
-    let mut session = Session::new();
-    let (tallies, replayed) = replay_pass(os, cfg, &preps, &records, &mut session, &mut tc);
-    if let Some(tc) = tc {
-        tc.finish();
+
+    fn ran(records: Vec<u8>, aux: Option<Vec<u64>>) -> Option<WireCleanMut> {
+        Some(WireCleanMut { records, fuel: aux })
     }
-    telemetry::on_campaign_end();
-    exec::stats::clear_sink();
-    let total_cases = tallies.iter().map(|t| t.cases).sum::<usize>();
-    let wall = t0.elapsed().as_secs_f64();
-    let (boots, restores, boot_ns, restore_ns) = counters.snapshot();
-    let stats = CampaignStats {
-        parallelism: workers,
-        wall_ms: wall * 1e3,
-        cases_per_sec: total_cases as f64 / wall.max(1e-9),
-        boots,
-        restores,
-        boot_ms: boot_ns as f64 / 1e6,
-        restore_ms: restore_ns as f64 / 1e6,
-        replayed_cases: replayed,
-        quarantine_retries: retries,
-        journal_fsyncs: 0,
-        restores_fast: counters.restores_fast.load(Ordering::Relaxed),
-        restores_full: counters.restores_full.load(Ordering::Relaxed),
-        probe_provisions: counters.probe_provisions.load(Ordering::Relaxed),
-        crashcon_snapshots: counters.crashcon_snapshots.load(Ordering::Relaxed),
-        crashcon_remounts: counters.crashcon_remounts.load(Ordering::Relaxed),
-    };
-    CampaignReport {
-        os,
-        muts: tallies,
-        total_cases,
-        stats: Some(stats),
-        warnings,
-        degraded,
-        fleet_degraded: progress.degraded.load(Ordering::Relaxed),
+
+    fn reply(muts: Vec<Option<WireCleanMut>>) -> ShardResult {
+        ShardResult {
+            mut_start: 2,
+            muts,
+            ..ShardResult::default()
+        }
+    }
+
+    /// Worker replies are checked against the coordinator's plan
+    /// (MuTs 2 and 3 plan 3 and 2 cases): every rejection is an `Err`
+    /// the supervisor counts as a protocol fault, and a classic pass
+    /// that stopped at an unprobed system crash is accepted.
+    #[test]
+    fn replies_are_checked_against_the_plan() {
+        let planned = [9, 9, 3, 2];
+        let ok = pack_case(RawOutcome::ReturnedSuccess, false, false);
+        let crash = |probed| pack_case(RawOutcome::SystemCrash, true, probed);
+        let check = |result: ShardResult, mode| result.check(&spec(mode), &planned);
+
+        // Whole plans, with or without fuel, and a quarantined MuT.
+        assert_eq!(
+            check(
+                reply(vec![
+                    ran(vec![ok; 3], None),
+                    ran(vec![ok; 2], Some(vec![5, 6]))
+                ]),
+                Mode::Classic
+            ),
+            Ok(())
+        );
+        assert_eq!(
+            check(reply(vec![None, ran(vec![ok; 2], None)]), Mode::Classic),
+            Ok(())
+        );
+        // A valid early stop: the pass ends at an unprobed system crash.
+        assert_eq!(
+            check(
+                reply(vec![
+                    ran(vec![ok, crash(false)], None),
+                    ran(vec![crash(false)], None)
+                ]),
+                Mode::Classic
+            ),
+            Ok(())
+        );
+
+        let rejected = |result: ShardResult, mode| check(result, mode).is_err();
+        // The wrong range.
+        assert!(rejected(
+            ShardResult {
+                mut_start: 1,
+                ..reply(vec![None, None])
+            },
+            Mode::Classic
+        ));
+        assert!(rejected(reply(vec![None]), Mode::Classic));
+        // An undecodable record byte (raw outcome 7 does not exist).
+        assert!(rejected(
+            reply(vec![ran(vec![ok, 0x07, ok], None), None]),
+            Mode::Classic
+        ));
+        // Fuel that does not pair with the records.
+        assert!(rejected(
+            reply(vec![ran(vec![ok; 3], Some(vec![1, 2])), None]),
+            Mode::Classic
+        ));
+        // Cut short without an unprobed crash at the end, or overlong.
+        assert!(rejected(
+            reply(vec![ran(vec![ok; 2], None), None]),
+            Mode::Classic
+        ));
+        assert!(rejected(
+            reply(vec![ran(vec![ok, crash(true)], None), None]),
+            Mode::Classic
+        ));
+        assert!(rejected(
+            reply(vec![ran(Vec::new(), None), None]),
+            Mode::Classic
+        ));
+        assert!(rejected(
+            reply(vec![ran(vec![ok; 4], None), None]),
+            Mode::Classic
+        ));
+
+        // Crashcon: aux counts are required, a pass never stops early
+        // (0x0c is a valid verdict byte that reads as an unprobed crash
+        // in classic mode), and no bit beyond the six flags is set.
+        let verdicts = |n| Some(vec![0; n]);
+        assert_eq!(
+            check(
+                reply(vec![ran(vec![0, 1, 0x3f], verdicts(3)), None]),
+                Mode::Crashcon
+            ),
+            Ok(())
+        );
+        assert!(rejected(
+            reply(vec![ran(vec![0; 3], None), None]),
+            Mode::Crashcon
+        ));
+        assert!(rejected(
+            reply(vec![ran(vec![0, crash(false)], verdicts(2)), None]),
+            Mode::Crashcon
+        ));
+        assert!(rejected(
+            reply(vec![ran(vec![0, 0x40, 0], verdicts(3)), None]),
+            Mode::Crashcon
+        ));
     }
 }

@@ -359,6 +359,127 @@ impl Journal {
     }
 }
 
+/// The resume cursor every journaled engine walks its plan with: it
+/// hands back the recovered record for each `(mut, case)` position while
+/// the trusted prefix lasts, appends freshly executed cases after it,
+/// and collects the recovery warnings.
+pub(crate) struct Resume {
+    journal: Journal,
+    recovered: Vec<CaseRecord>,
+    /// Recovered records accepted so far, all folded by the caller.
+    accepted: usize,
+    /// Whether replay is still live (no record has diverged yet).
+    live: bool,
+    warnings: Vec<String>,
+}
+
+impl Resume {
+    /// Creates the journal at `path` for `plan_hash`, or with `resume`
+    /// recovers its valid prefix (a missing or foreign journal starts
+    /// fresh, with a warning).
+    pub(crate) fn open(path: &Path, plan_hash: u64, resume: bool) -> io::Result<Resume> {
+        let mut warnings = Vec::new();
+        let (journal, recovered) = if resume {
+            let (journal, recovery) = Journal::open_resume(path, plan_hash)?;
+            if recovery.fresh {
+                warnings.push(
+                    "resume requested but no usable journal was found (missing, foreign plan, or unreadable header); running from scratch".to_owned(),
+                );
+            } else {
+                if recovery.truncated_bytes > 0 {
+                    warnings.push(format!(
+                        "journal recovery dropped {} torn trailing byte(s); resuming from the last valid record",
+                        recovery.truncated_bytes
+                    ));
+                }
+                warnings.push(format!(
+                    "resumed from journal: {} case(s) replayed instead of re-executed",
+                    recovery.records.len()
+                ));
+            }
+            (journal, recovery.records)
+        } else {
+            (Journal::create(path, plan_hash)?, Vec::new())
+        };
+        Ok(Resume {
+            live: !recovered.is_empty(),
+            journal,
+            recovered,
+            accepted: 0,
+            warnings,
+        })
+    }
+
+    /// The recorded outcome and fuel of case `case` of MuT `mut_idx`, if
+    /// the next recovered record sits at exactly that position and
+    /// `decode` accepts its packed byte. The first record that fails
+    /// either check ends replay for good: the journal is truncated back
+    /// to the accepted prefix and every later case executes.
+    pub(crate) fn replay<T>(
+        &mut self,
+        mut_idx: usize,
+        case: usize,
+        decode: impl FnOnce(u8) -> Option<T>,
+    ) -> io::Result<Option<(T, u64)>> {
+        if !self.live {
+            return Ok(None);
+        }
+        if let Some(rec) = self.recovered.get(self.accepted) {
+            if rec.mut_idx as usize == mut_idx && rec.case_idx as usize == case {
+                if let Some(v) = decode(rec.packed) {
+                    self.accepted += 1;
+                    return Ok(Some((v, rec.fuel)));
+                }
+            }
+        }
+        self.live = false;
+        self.discard_rest(|n, at| {
+            format!(
+                "journal diverged from the plan at record {at}; discarding {n} unusable record(s) and re-executing from there"
+            )
+        })?;
+        Ok(None)
+    }
+
+    /// Appends one freshly executed case.
+    pub(crate) fn append(
+        &mut self,
+        mut_idx: usize,
+        case: usize,
+        packed: u8,
+        fuel: u64,
+    ) -> io::Result<()> {
+        self.journal.append(CaseRecord {
+            mut_idx: mut_idx as u32,
+            case_idx: case as u32,
+            packed,
+            fuel,
+        })
+    }
+
+    /// Ends the walk: drops recovered records the completed plan never
+    /// reached and syncs. Returns the replayed case count, the fsyncs
+    /// issued and the warnings.
+    pub(crate) fn finish(mut self) -> io::Result<(usize, u64, Vec<String>)> {
+        self.discard_rest(|n, _| {
+            format!("journal held {n} record(s) beyond the completed plan; discarded")
+        })?;
+        self.journal.sync()?;
+        Ok((self.accepted, self.journal.fsyncs(), self.warnings))
+    }
+
+    /// Truncates unaccepted recovered records, if any, with a warning.
+    fn discard_rest(&mut self, warning: impl FnOnce(usize, usize) -> String) -> io::Result<()> {
+        let rest = self.recovered.len() - self.accepted;
+        if rest > 0 {
+            self.warnings.push(warning(rest, self.accepted));
+            self.recovered.truncate(self.accepted);
+            self.journal.truncate_to(self.accepted as u64)?;
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

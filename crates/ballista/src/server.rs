@@ -47,10 +47,10 @@ use std::time::Instant;
 
 use sim_kernel::variant::OsVariant;
 
-use crate::adaptive::{fingerprint_adaptive, run_adaptive_fleet_observed, AdaptiveConfig};
+use crate::adaptive::AdaptiveConfig;
 use crate::cache::ResultCache;
-use crate::campaign::{fingerprint, CampaignConfig, CampaignFingerprint};
-use crate::fleet::{run_campaign_fleet_observed, FleetConfig, FleetProgress};
+use crate::campaign::{CampaignConfig, CampaignFingerprint, Mode};
+use crate::fleet::{run_fleet_engine, FleetConfig, FleetProgress};
 use crate::telemetry;
 use serde::{Deserialize, Serialize};
 
@@ -177,6 +177,11 @@ impl CampaignSpec {
             rare_bonus: self.adaptive_rare_bonus,
         })
     }
+
+    /// The campaign mode this spec denotes.
+    pub(crate) fn mode(&self) -> Mode {
+        self.adaptive().map_or(Mode::Classic, Mode::Adaptive)
+    }
 }
 
 /// Server construction knobs.
@@ -296,10 +301,7 @@ impl State {
         {
             return *fp;
         }
-        let fp = match spec.adaptive() {
-            Some(acfg) => fingerprint_adaptive(spec.os, &spec.config(), &acfg),
-            None => fingerprint(spec.os, &spec.config()),
-        };
+        let fp = spec.mode().fingerprint(spec.os, &spec.config());
         self.fingerprints
             .lock()
             .expect("fingerprint memo poisoned")
@@ -664,20 +666,14 @@ fn post_campaign(stream: &mut TcpStream, state: &State, request: &Request) -> io
         // observer (the CI chaos job, an operator) can poll
         // `GET /campaign/<fp>` while the campaign is in flight.
         eprintln!("campaign {fp} executing");
-        let ran = catch_unwind(AssertUnwindSafe(|| match spec.adaptive() {
-            Some(acfg) => run_adaptive_fleet_observed(
-                spec.os,
-                &spec.config(),
-                &acfg,
-                &spec.fleet(),
-                Some(&flight.progress),
-            ),
-            None => run_campaign_fleet_observed(
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            run_fleet_engine(
+                spec.mode(),
                 spec.os,
                 &spec.config(),
                 &spec.fleet(),
                 Some(&flight.progress),
-            ),
+            )
         }));
         let result = match ran {
             Ok(report) => {

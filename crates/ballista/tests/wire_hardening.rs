@@ -5,6 +5,7 @@
 //! exactly where garbage shows up, and the supervisor's retry machinery
 //! depends on these paths returning instead of unwinding.
 
+use ballista::adaptive::AdaptiveConfig;
 use ballista::campaign::CampaignConfig;
 use ballista::fleet::{
     read_frame, write_frame, ShardResult, ShardSpec, WireCleanMut, FRAME_SPEC,
@@ -100,6 +101,70 @@ proptest! {
             Ok(Some(_)) => prop_assert_eq!(cut, encoded.len()),
             Err(_) => prop_assert!(cut > 0 && cut < encoded.len()),
         }
+    }
+}
+
+proptest! {
+    /// Every shard spec survives the wire exactly, in each of the three
+    /// modes its flags denote (classic, crashcon, adaptive), with
+    /// arbitrary ranges, caps, fuel budgets and adaptive knobs.
+    #[test]
+    fn specs_round_trip_in_every_mode(
+        mode in 0u8..3,
+        range in (any::<usize>(), any::<usize>(), any::<u8>()),
+        knobs in (any::<usize>(), any::<u64>(), any::<usize>(), any::<u8>()),
+        adaptive in (any::<usize>(), any::<u64>(), any::<u64>()),
+    ) {
+        let (mut_start, mut_end, os) = range;
+        let (cap, fuel_budget, parallelism, flags) = knobs;
+        let (rounds, seed, rare_bonus) = adaptive;
+        let spec = ShardSpec {
+            os: OsVariant::ALL[usize::from(os) % OsVariant::ALL.len()],
+            cfg: CampaignConfig {
+                cap,
+                record_raw: flags & 1 != 0,
+                isolation_probe: flags & 2 != 0,
+                perfect_cleanup: flags & 4 != 0,
+                parallelism,
+                fuel_budget,
+            },
+            mut_start,
+            mut_end,
+            capture_fuel: flags & 8 != 0,
+            crashcon: mode == 1,
+            adaptive: (mode == 2).then_some(AdaptiveConfig { rounds, seed, rare_bonus }),
+        };
+        prop_assert_eq!(ShardSpec::from_wire(&spec.to_wire()), Ok(spec));
+    }
+
+    /// Every shard result survives the wire exactly: quarantined MuTs,
+    /// MuTs with and without the fuel channel, warnings and retries.
+    #[test]
+    fn results_round_trip_with_quarantines_and_fuel(
+        mut_start in any::<usize>(),
+        shape in proptest::collection::vec((0u8..3, 0usize..6, any::<u64>()), 0..8),
+        retries in any::<u64>(),
+        warn in any::<bool>(),
+    ) {
+        let muts = shape
+            .iter()
+            .map(|&(kind, n, seed)| {
+                let records = (0..n).map(|i| (seed >> (8 * i)) as u8).collect();
+                let fuel = (0..n as u64).map(|i| seed.wrapping_mul(i + 1)).collect();
+                match kind {
+                    0 => None,
+                    1 => Some(WireCleanMut { records, fuel: None }),
+                    _ => Some(WireCleanMut { records, fuel: Some(fuel) }),
+                }
+            })
+            .collect();
+        let result = ShardResult {
+            mut_start,
+            muts,
+            warnings: if warn { vec!["quarantined GetThreadContext".to_owned()] } else { Vec::new() },
+            quarantine_retries: retries,
+        };
+        prop_assert_eq!(ShardResult::from_wire(&result.to_wire()), Ok(result));
     }
 }
 

@@ -78,6 +78,15 @@ pub fn crashcon_table(report: &CrashconReport) -> String {
             stats.crashcon_snapshots, stats.crashcon_remounts, stats.restores
         );
     }
+    // Same banner as the classic tables: a quarantined MuT's tally is
+    // empty, so the PASS/FAIL line above covers only part of the catalog.
+    if report.degraded {
+        let _ = writeln!(
+            out,
+            "!! PARTIAL DATA: degraded variant(s) {} — see report warnings",
+            report.os.short_name()
+        );
+    }
     out
 }
 
@@ -88,4 +97,36 @@ pub fn summary_line(t: &CrashTally) -> String {
         "{}: {} cases, {} points, {} inconsistent",
         t.name, t.cases, t.crash_points, t.inconsistent_points
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ballista::muts::FunctionGroup;
+    use sim_kernel::variant::OsVariant;
+
+    #[test]
+    fn degraded_reports_carry_the_partial_data_banner() {
+        let mut report = CrashconReport {
+            os: OsVariant::Win95,
+            muts: vec![CrashTally::new("CreateFileA", FunctionGroup::FileDirAccess)],
+            total_cases: 0,
+            total_points: 0,
+            total_inconsistent: 0,
+            stats: None,
+            warnings: Vec::new(),
+            degraded: false,
+        };
+        assert!(
+            !crashcon_table(&report).contains("PARTIAL DATA"),
+            "intact runs are unflagged"
+        );
+        report.degraded = true;
+        let table = crashcon_table(&report);
+        assert!(
+            table.contains("!! PARTIAL DATA"),
+            "degraded runs carry the banner"
+        );
+        assert!(table.contains("win95"), "names the degraded variant");
+    }
 }

@@ -9,9 +9,11 @@
 //! environment variables, inherited by every worker the supervisor
 //! spawns.
 
+use ballista::adaptive::{run_adaptive, run_adaptive_fleet, AdaptiveConfig};
 use ballista::campaign::{fingerprint, run_campaign, CampaignConfig};
+use ballista::crashcon::run_crashcon;
 use ballista::fleet::{
-    live_worker_pids, run_campaign_fleet_observed, FleetConfig, FleetProgress,
+    live_worker_pids, run_campaign_fleet_observed, run_crashcon_fleet, FleetConfig, FleetProgress,
 };
 use ballista::server::{CampaignSpec, Server, ServerConfig};
 use ballista::telemetry::{Hub, TelemetryConfig};
@@ -137,6 +139,47 @@ fn seeded_worker_deaths_keep_tallies_bit_identical() {
     assert!(
         total_deaths >= 3,
         "the schedule must kill at least 3 workers across the variants, got {total_deaths}"
+    );
+}
+
+/// Crashcon and adaptive campaigns on real worker processes: each mode
+/// crosses the wire (its flags in the spec, its records in the reply)
+/// and must merge to the serial engine's tallies without degrading.
+#[test]
+fn crashcon_and_adaptive_run_on_worker_processes() {
+    let _guard = ENV_GUARD.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let latch = EnvLatch::set(&[("BALLISTA_WORKER_CMD", WORKER)]);
+    let os = OsVariant::Win95;
+    let serial = CampaignConfig {
+        parallelism: 1,
+        ..cfg(120)
+    };
+    let acfg = AdaptiveConfig::default();
+    let crash_serial = run_crashcon(os, &serial);
+    let crash_fleet = run_crashcon_fleet(os, &cfg(120), &fleet(6, 2));
+    let adaptive_serial = run_adaptive(os, &serial, &acfg);
+    let adaptive_fleet = run_adaptive_fleet(os, &cfg(120), &acfg, &fleet(6, 2));
+    drop(latch);
+
+    assert_eq!(
+        crash_serial.muts, crash_fleet.muts,
+        "crashcon fleet tallies must equal the serial engine's"
+    );
+    assert!(
+        !crash_fleet.degraded && !crash_fleet.warnings.iter().any(|w| w.contains("degraded")),
+        "the crashcon fleet must not degrade: {:?}",
+        crash_fleet.warnings
+    );
+    assert_eq!(
+        tally_json(&adaptive_serial),
+        tally_json(&adaptive_fleet),
+        "adaptive fleet tallies must equal the serial engine's"
+    );
+    assert!(
+        !adaptive_fleet.fleet_degraded
+            && !adaptive_fleet.warnings.iter().any(|w| w.contains("degraded")),
+        "the adaptive fleet must not degrade: {:?}",
+        adaptive_fleet.warnings
     );
 }
 
