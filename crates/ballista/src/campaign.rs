@@ -28,7 +28,7 @@
 use crate::adaptive::{self, AdaptiveConfig};
 use crate::catalog;
 use crate::crash::{self, classify, FailureClass, RawOutcome};
-use crate::crashcon;
+use crate::crashcon::{self, CaseVerdict};
 use crate::datatype::TypeRegistry;
 use crate::exec::{
     self, reproduce_in_isolation, CaseResult, CaseRunner, Session, DEFAULT_FUEL_BUDGET,
@@ -303,7 +303,8 @@ pub struct CampaignStats {
     #[serde(default)]
     pub probe_provisions: u64,
     /// Filesystem crash images the crashcon engine materialized (one
-    /// pristine-tree clone per crash point). Counted apart from
+    /// pristine-tree clone per judged crash point; a log its verifier
+    /// has already judged materializes none). Counted apart from
     /// `restores_fast`/`restores_full`: a crash-point snapshot is not a
     /// machine restore, and `restores` must keep equaling executed
     /// cases. 0 for the classic campaign engines.
@@ -633,10 +634,11 @@ impl Mode {
         }
     }
 
-    /// Whether `packed` is a record byte this mode's pass writes.
-    pub(crate) fn decodes(self, packed: u8) -> bool {
+    /// Whether `(packed, aux)` is a record this mode's pass writes; the
+    /// classic pass's aux is the case's fuel, which may take any value.
+    pub(crate) fn decodes(self, packed: u8, aux: u64) -> bool {
         match self {
-            Mode::Crashcon => crashcon::decodes(packed),
+            Mode::Crashcon => CaseVerdict::decode(packed, aux).is_some(),
             Mode::Classic | Mode::Adaptive(_) => crash::unpack_case(packed).is_some(),
         }
     }
@@ -1221,7 +1223,9 @@ pub(crate) fn run_journaled(
             |c_idx, combo, s| {
                 // A replayed record carries the fuel the case burned when it
                 // originally ran — a pure function of the case.
-                if let Some((rec, fuel)) = cursor.replay(m_idx, c_idx, crash::unpack_case)? {
+                if let Some((rec, fuel)) =
+                    cursor.replay(m_idx, c_idx, |p, _| crash::unpack_case(p))?
+                {
                     return Ok(recorded(s, rec, fuel));
                 }
                 let r = runner.execute(os, prep.mut_, &prep.pools, combo, s, fuel_budget);

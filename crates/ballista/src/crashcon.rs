@@ -39,11 +39,21 @@
 //! the order crash points are evaluated in
 //! ([`Verifier::evaluate_ordered`]).
 //!
+//! A verdict is a pure function of the pristine image, the op log and
+//! the broken-rename latch, and most cases repeat a log their MuT has
+//! already recorded (above all the empty log of a call that failed
+//! argument validation), so [`Verifier::evaluate`] judges each distinct
+//! log once and answers every repeat from a memo. The engines keep one
+//! verifier, and so one memo, per MuT.
+//!
 //! Machine accounting: a crash-point image clone is **not** a machine
 //! restore. Snapshots and remounts count under the dedicated
 //! `crashcon_snapshots` / `crashcon_remounts` metrics
 //! (`exec::stats::record_crashcon`), leaving the
 //! `restores == executed cases` invariant of the classic engines intact.
+//! They count the images actually materialized — one per *judged* crash
+//! point — so a run's snapshots fall short of its enumerated
+//! `crash_points` by the points its memo answered.
 
 use crate::campaign::{self, CampaignConfig, CampaignStats, Epoch, Mode, PreparedMut};
 use crate::catalog;
@@ -54,9 +64,10 @@ use crate::muts::FunctionGroup;
 use crate::telemetry;
 use serde::{Deserialize, Serialize};
 use sim_kernel::crashfs::{self, CrashPoint, SpecNode, SpecTree};
-use sim_kernel::fs::{FileSystem, FsOp};
+use sim_kernel::fs::{FileSystem, FsOp, MAX_OPLOG};
 use sim_kernel::variant::OsVariant;
 use sim_kernel::{Kernel, MachineFlavor};
+use std::collections::HashMap;
 
 /// Engine-mode tag folded into the crashcon plan fingerprint, so a
 /// crashcon journal or cache entry can never collide with a classic
@@ -76,6 +87,13 @@ pub const PACK_RENAME: u8 = 1 << 4;
 /// Packed-byte bit: the op log hit [`sim_kernel::fs::MAX_OPLOG`] and was
 /// truncated (crash points cover only the recorded prefix).
 pub const PACK_TRUNCATED: u8 = 1 << 5;
+/// Every flag a verdict byte can carry.
+const PACK_FLAGS: u8 = PACK_ACTIVE
+    | PACK_WELL_FORMED
+    | PACK_OPEN_TABLE
+    | PACK_DURABILITY
+    | PACK_RENAME
+    | PACK_TRUNCATED;
 
 /// One case's crash-consistency verdict: what the recorder captured and
 /// what the oracles found across every bounded crash point.
@@ -153,6 +171,30 @@ impl CaseVerdict {
             viol_durability: packed & PACK_DURABILITY != 0,
             viol_rename: packed & PACK_RENAME != 0,
         }
+    }
+
+    /// [`unpack`](Self::unpack) for a record from outside the process (a
+    /// worker reply, a journal): `None` unless `(packed, aux)` is a
+    /// verdict the verifier can produce — no bit beyond the six flags,
+    /// at most [`MAX_OPLOG`] ops, at least one crash point more than ops
+    /// (every prefix is one), no more inconsistent points than points,
+    /// [`PACK_ACTIVE`] exactly when ops were recorded, a violation flag
+    /// exactly when some point was inconsistent, and [`PACK_TRUNCATED`]
+    /// only on a full log.
+    #[must_use]
+    pub fn decode(packed: u8, aux: u64) -> Option<CaseVerdict> {
+        let v = CaseVerdict::unpack(packed, aux);
+        let violated =
+            v.viol_well_formed || v.viol_open_table || v.viol_durability || v.viol_rename;
+        let full = v.ops as usize == MAX_OPLOG;
+        let possible = packed & !PACK_FLAGS == 0
+            && v.ops as usize <= MAX_OPLOG
+            && v.ops < v.points
+            && v.inconsistent <= v.points
+            && (packed & PACK_ACTIVE != 0) == (v.ops > 0)
+            && violated == (v.inconsistent > 0)
+            && (full || !v.truncated);
+        possible.then_some(v)
     }
 }
 
@@ -273,6 +315,13 @@ impl CrashconReport {
     }
 }
 
+/// Verdicts one [`Verifier`] keeps before it forgets them all. The
+/// engines keep a verifier for one MuT, whose cases repeat a few logs
+/// (every MuT of all seven variants together writes 1 088 distinct logs
+/// at cap 1000), so this only bounds a verifier fed an endless stream of
+/// new ones.
+const MEMO_CAP: usize = 4096;
+
 /// A resident crash-image verification harness for one machine flavour:
 /// a pristine boot filesystem to clone images from and a kernel to
 /// remount them into. Reused across all crash points of all cases of a
@@ -285,6 +334,10 @@ pub struct Verifier {
     /// renaming a boot file, say) are inside the oracle's domain.
     base_spec: SpecTree,
     baseline_dirty: usize,
+    /// Verdicts of the logs [`evaluate`](Self::evaluate) has judged,
+    /// one map per state of the broken-rename latch (indexed by
+    /// `usize::from(armed)`), keyed by the whole log.
+    memo: [HashMap<Vec<FsOp>, CaseVerdict>; 2],
 }
 
 impl Verifier {
@@ -301,31 +354,70 @@ impl Verifier {
             pristine,
             base_spec,
             baseline_dirty,
+            memo: Default::default(),
         }
     }
 
-    /// Judges every bounded crash point of one case's op log, in
-    /// enumeration order.
-    pub fn evaluate(&mut self, ops: &[FsOp], truncated: bool) -> CaseVerdict {
-        self.evaluate_ordered(ops, truncated, None)
-    }
-
-    /// [`evaluate`](Self::evaluate) with an explicit evaluation order
-    /// over the enumerated crash points (`order` must be a permutation
-    /// of `0..points`). The verdict is a commutative fold over
-    /// independent per-point judgements, so every order produces the
-    /// identical verdict — the determinism suite asserts exactly that.
+    /// The verdict over every bounded crash point of one case's op log.
+    /// A verdict is a pure function of the pristine image, the log and
+    /// the broken-rename latch, so each distinct log is judged once (in
+    /// enumeration order) and every repeat is answered from the memo
+    /// without materializing an image; `truncated` is taken from the
+    /// call either way.
     ///
     /// # Panics
     ///
-    /// If an `order` index is out of range, or if remounting ever
-    /// dirties the verification kernel's memory (images are swapped
-    /// in as filesystem state only — the address space must stay
-    /// untouched).
+    /// As [`evaluate_ordered`](Self::evaluate_ordered).
+    pub fn evaluate(&mut self, ops: &[FsOp], truncated: bool) -> CaseVerdict {
+        self.memoized(ops, truncated, fault::broken_rename_armed())
+    }
+
+    /// [`evaluate`](Self::evaluate) under the latch state `armed`.
+    fn memoized(&mut self, ops: &[FsOp], truncated: bool, armed: bool) -> CaseVerdict {
+        if let Some(&verdict) = self.memo[usize::from(armed)].get(ops) {
+            return CaseVerdict {
+                truncated,
+                ..verdict
+            };
+        }
+        let verdict = self.judge_points(ops, truncated, armed, None);
+        let memo = &mut self.memo[usize::from(armed)];
+        if memo.len() >= MEMO_CAP {
+            memo.clear();
+        }
+        memo.insert(ops.to_vec(), verdict);
+        verdict
+    }
+
+    /// Judges every bounded crash point of one case's op log in an
+    /// explicit order (`order` must be a permutation of `0..points`;
+    /// `None` is enumeration order), never consulting the memo. The
+    /// verdict is a commutative fold over independent per-point
+    /// judgements, so every order produces the identical verdict — the
+    /// determinism suite asserts exactly that.
+    ///
+    /// # Panics
+    ///
+    /// If `order` is not a permutation of the crash points, or if
+    /// remounting ever dirties the verification kernel's memory (images
+    /// are swapped in as filesystem state only — the address space must
+    /// stay untouched).
     pub fn evaluate_ordered(
         &mut self,
         ops: &[FsOp],
         truncated: bool,
+        order: Option<&[usize]>,
+    ) -> CaseVerdict {
+        self.judge_points(ops, truncated, fault::broken_rename_armed(), order)
+    }
+
+    /// Materializes and judges the crash image of every point, under the
+    /// broken-rename latch state `armed`.
+    fn judge_points(
+        &mut self,
+        ops: &[FsOp],
+        truncated: bool,
+        armed: bool,
         order: Option<&[usize]>,
     ) -> CaseVerdict {
         let points = crashfs::crash_points(ops);
@@ -336,11 +428,18 @@ impl Verifier {
             ..CaseVerdict::default()
         };
         let indices: Vec<usize> = match order {
-            Some(o) => o.to_vec(),
+            Some(o) => {
+                assert!(
+                    is_permutation(o, points.len()),
+                    "`order` must be a permutation of the {} crash points",
+                    points.len()
+                );
+                o.to_vec()
+            }
             None => (0..points.len()).collect(),
         };
         for &i in &indices {
-            let [wf, ot, dur, ren] = self.judge(ops, points[i]);
+            let [wf, ot, dur, ren] = self.judge(ops, points[i], armed);
             if wf || ot || dur || ren {
                 verdict.inconsistent += 1;
             }
@@ -364,9 +463,9 @@ impl Verifier {
     /// real mutators, remount into the verification kernel (a crashcon
     /// *remount*), and run the four oracles. Returns
     /// `[well_formed, open_table, durability, rename]` violation flags.
-    fn judge(&mut self, ops: &[FsOp], point: CrashPoint) -> [bool; 4] {
+    fn judge(&mut self, ops: &[FsOp], point: CrashPoint, broken_rename: bool) -> [bool; 4] {
         let mut image = self.pristine.clone();
-        crashfs::apply_ops(&mut image, ops, point, fault::broken_rename_armed());
+        crashfs::apply_ops(&mut image, ops, point, broken_rename);
         self.kernel.fs = image;
         let fs = &self.kernel.fs;
 
@@ -424,6 +523,15 @@ impl Verifier {
     }
 }
 
+/// Whether `order` lists each of `0..n` exactly once.
+fn is_permutation(order: &[usize], n: usize) -> bool {
+    let mut seen = vec![false; n];
+    order.len() == n
+        && order
+            .iter()
+            .all(|&i| i < n && !std::mem::replace(&mut seen[i], true))
+}
+
 /// Whether `path` is (or lies under) the source or destination of any
 /// surviving rename — such divergences are attributed to the rename
 /// oracle rather than the durability oracle.
@@ -475,19 +583,6 @@ impl Judge {
         );
         self.verifier.evaluate(&ops, truncated).pack()
     }
-}
-
-/// Whether `packed` is a verdict byte the engine writes (no bits beyond
-/// the six flags).
-pub(crate) fn decodes(packed: u8) -> bool {
-    packed
-        & !(PACK_ACTIVE
-            | PACK_WELL_FORMED
-            | PACK_OPEN_TABLE
-            | PACK_DURABILITY
-            | PACK_RENAME
-            | PACK_TRUNCATED)
-        == 0
 }
 
 /// Executes one MuT's crashcon cases and returns the per-case
@@ -623,15 +718,20 @@ pub fn run_crashcon_journaled(
     let epoch = Epoch::open();
     let mut cursor = Resume::open(journal_path, hash, resume)?;
     let fuel_budget = cfg.effective_fuel_budget();
-    let mut judge = Judge::new(os);
     let mut tallies = Vec::with_capacity(preps.len());
     for (m_idx, prep) in preps.iter().enumerate() {
         telemetry::on_mut_begin(prep.plan.cases.len() as u64);
         let mut tally = CrashTally::new(prep.mut_.name, prep.mut_.group);
+        // One rig (and so one verdict memo) per MuT, as in the clean
+        // pass; a MuT replayed whole never boots one.
+        let mut judge = None;
         for (c_idx, combo) in prep.plan.cases.iter().enumerate() {
-            let (packed, aux) = match cursor.replay(m_idx, c_idx, |p| decodes(p).then_some(p))? {
+            let replayed =
+                cursor.replay(m_idx, c_idx, |p, a| CaseVerdict::decode(p, a).map(|_| p))?;
+            let (packed, aux) = match replayed {
                 Some(rec) => rec,
                 None => {
+                    let judge = judge.get_or_insert_with(|| Judge::new(os));
                     let (p, a) = judge.case(os, prep, combo, fuel_budget);
                     cursor.append(m_idx, c_idx, p, a)?;
                     (p, a)
@@ -641,7 +741,6 @@ pub fn run_crashcon_journaled(
         }
         tallies.push(tally);
     }
-    drop(judge);
     let (replayed, fsyncs, warnings) = cursor.finish()?;
     Ok(crash_report(os, tallies, warnings, false, |total| {
         epoch.close(1, total, replayed, 0, fsyncs)
@@ -754,5 +853,82 @@ mod tests {
         let reversed: Vec<usize> = (0..n).rev().collect();
         let backward = verifier.evaluate_ordered(&ops, false, Some(&reversed));
         assert_eq!(forward, backward);
+    }
+
+    /// A repeated log is answered from the memo: no crash image is
+    /// materialized (the snapshot and remount counters stay put), while
+    /// an explicit order judges every point again. The latch state is
+    /// passed in, so a test arming the global latch meanwhile cannot
+    /// turn the repeat into a miss.
+    #[test]
+    fn repeated_log_materializes_no_image() {
+        let ops = vec![
+            FsOp::CreateFile {
+                path: "/a".into(),
+                content: Vec::new(),
+                at_ms: 1,
+            },
+            FsOp::Barrier { at_ms: 2 },
+        ];
+        let sink = std::sync::Arc::new(exec::stats::Counters::default());
+        let images = || {
+            use std::sync::atomic::Ordering::Relaxed;
+            (
+                sink.crashcon_snapshots.load(Relaxed),
+                sink.crashcon_remounts.load(Relaxed),
+            )
+        };
+        exec::stats::install_sink(std::sync::Arc::clone(&sink));
+        let mut verifier = Verifier::new(MachineFlavor::Windows);
+        let first = verifier.memoized(&ops, false, false);
+        let judged = u64::from(first.points);
+        assert_eq!(images(), (judged, judged), "a miss judges every point");
+        assert_eq!(verifier.memoized(&ops, false, false), first);
+        assert_eq!(
+            verifier.memoized(&ops, true, false),
+            CaseVerdict {
+                truncated: true,
+                ..first
+            }
+        );
+        assert_eq!(images(), (judged, judged), "a repeat materializes no image");
+        assert_eq!(
+            verifier.memoized(&ops, false, true),
+            first,
+            "the armed latch is its own key"
+        );
+        assert_eq!(images(), (2 * judged, 2 * judged));
+        assert_eq!(verifier.evaluate_ordered(&ops, false, None), first);
+        assert_eq!(
+            images(),
+            (3 * judged, 3 * judged),
+            "an explicit evaluation bypasses the memo"
+        );
+        exec::stats::clear_sink();
+    }
+
+    #[test]
+    fn evaluate_ordered_rejects_an_order_that_is_not_a_permutation() {
+        let ops = vec![FsOp::Mkdir {
+            path: "/w".into(),
+            at_ms: 1,
+        }];
+        let n = crashfs::crash_points(&ops).len();
+        assert_eq!(n, 2);
+        for order in [&[0, 0][..], &[1], &[0, 1, 1], &[0, 2], &[]] {
+            let mut verifier = Verifier::new(MachineFlavor::Posix);
+            let judged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                verifier.evaluate_ordered(&ops, false, Some(order))
+            }));
+            assert!(
+                judged.is_err(),
+                "order {order:?} over {n} points must panic"
+            );
+        }
+        let mut verifier = Verifier::new(MachineFlavor::Posix);
+        assert_eq!(
+            verifier.evaluate_ordered(&ops, false, Some(&[1, 0])).points,
+            2
+        );
     }
 }

@@ -70,11 +70,12 @@ pub mod stats {
         /// Nanoseconds spent restoring while installed.
         pub restore_nanos: AtomicU64,
         /// Filesystem crash images materialized by the crashcon engine
-        /// (one clone of the pristine tree per crash point). Never part of
-        /// `restores`: a crash-point snapshot is not a machine restore.
+        /// (one clone of the pristine tree per judged crash point). Never
+        /// part of `restores`: a crash-point snapshot is not a machine
+        /// restore.
         pub crashcon_snapshots: AtomicU64,
         /// Crash images "remounted" into the crashcon engine's resident
-        /// verification kernel (one per evaluated crash point).
+        /// verification kernel (one per judged crash point).
         pub crashcon_remounts: AtomicU64,
     }
 
@@ -149,7 +150,7 @@ pub mod stats {
     }
 
     /// Records a batch of crashcon crash-point snapshots and remounts
-    /// (one pair per evaluated crash point, flushed per case). Kept out of
+    /// (one pair per judged crash point, flushed per judged log). Kept out of
     /// `restores` entirely — see [`Counters::crashcon_snapshots`].
     pub(crate) fn record_crashcon(snapshots: u64, remounts: u64) {
         crate::telemetry::on_crashcon(snapshots, remounts);

@@ -302,11 +302,11 @@ impl ShardResult {
 
     /// Checks a worker's reply against the shard it answers and the
     /// coordinator's plan (`planned` cases per catalog MuT): the range
-    /// must match, and each executed MuT must carry only record bytes
-    /// its mode decodes, aux counts paired one-to-one with its records
-    /// (always present in crashcon), and exactly its planned case count
-    /// — except that a classic pass stops early at an unprobed system
-    /// crash.
+    /// must match, and each executed MuT must carry aux counts paired
+    /// one-to-one with its records (always present in crashcon), only
+    /// records its mode decodes (in crashcon, only verdicts the verifier
+    /// can produce), and exactly its planned case count — except that a
+    /// classic pass stops early at an unprobed system crash.
     fn check(&self, spec: &ShardSpec, planned: &[usize]) -> Result<(), String> {
         if self.mut_start != spec.mut_start || self.muts.len() != spec.mut_end - spec.mut_start {
             return Err("result does not match its spec".to_owned());
@@ -315,15 +315,21 @@ impl ShardResult {
         for (m_idx, clean) in (spec.mut_start..).zip(&self.muts) {
             let Some(clean) = clean else { continue };
             let (n, plan) = (clean.records.len(), planned[m_idx]);
-            if !clean.records.iter().all(|&b| mode.decodes(b)) {
-                return Err(format!("MuT {m_idx} has an undecodable record byte"));
-            }
             let aux_ok = match &clean.fuel {
                 Some(aux) => aux.len() == n,
                 None => mode != Mode::Crashcon,
             };
             if !aux_ok {
                 return Err(format!("MuT {m_idx} has aux counts that do not pair with its records"));
+            }
+            let aux = |i: usize| clean.fuel.as_ref().map_or(0, |aux| aux[i]);
+            if !clean
+                .records
+                .iter()
+                .enumerate()
+                .all(|(i, &b)| mode.decodes(b, aux(i)))
+            {
+                return Err(format!("MuT {m_idx} has an undecodable record"));
             }
             let early_stop = mode != Mode::Crashcon
                 && n < plan
@@ -1234,6 +1240,7 @@ fn fleet_pass(
 mod tests {
     use super::*;
     use crate::crash::pack_case;
+    use crate::crashcon::{CaseVerdict, PACK_ACTIVE, PACK_DURABILITY, PACK_RENAME, PACK_TRUNCATED};
 
     fn spec(mode: Mode) -> ShardSpec {
         ShardSpec {
@@ -1331,28 +1338,74 @@ mod tests {
             Mode::Classic
         ));
 
-        // Crashcon: aux counts are required, a pass never stops early
-        // (0x0c is a valid verdict byte that reads as an unprobed crash
-        // in classic mode), and no bit beyond the six flags is set.
-        let verdicts = |n| Some(vec![0; n]);
+        // Crashcon: records are packed verdicts — an empty log (one
+        // crash point), `create, barrier` (two ops, three points) and a
+        // full, truncated log failing every oracle.
+        let verdict = |ops, points, inconsistent, violated, truncated| {
+            CaseVerdict {
+                ops,
+                truncated,
+                points,
+                inconsistent,
+                viol_well_formed: violated,
+                viol_open_table: violated,
+                viol_durability: violated,
+                viol_rename: violated,
+            }
+            .pack()
+        };
+        let empty = verdict(0, 1, 0, false, false);
+        let create_barrier = verdict(2, 3, 0, false, false);
+        let full = verdict(256, 1021, 17, true, true);
+        let verdicts = |v: &[(u8, u64)]| {
+            ran(
+                v.iter().map(|r| r.0).collect(),
+                Some(v.iter().map(|r| r.1).collect()),
+            )
+        };
         assert_eq!(
             check(
-                reply(vec![ran(vec![0, 1, 0x3f], verdicts(3)), None]),
+                reply(vec![verdicts(&[empty, create_barrier, full]), None]),
                 Mode::Crashcon
             ),
             Ok(())
         );
+        // Aux counts are required, and a pass never stops early (0x0c is
+        // a possible verdict byte that reads as an unprobed crash in
+        // classic mode).
         assert!(rejected(
             reply(vec![ran(vec![0; 3], None), None]),
             Mode::Crashcon
         ));
+        let crash_verdict = (crash(false), verdict(0, 1, 1, false, false).1);
+        assert_eq!(crash_verdict.0, 0x0c);
         assert!(rejected(
-            reply(vec![ran(vec![0, crash(false)], verdicts(2)), None]),
+            reply(vec![verdicts(&[empty, crash_verdict]), None]),
             Mode::Crashcon
         ));
-        assert!(rejected(
-            reply(vec![ran(vec![0, 0x40, 0], verdicts(3)), None]),
-            Mode::Crashcon
-        ));
+        // Verdicts no verifier produces, each in an otherwise whole reply.
+        let aux =
+            |ops: u64, points: u64, inconsistent: u64| (ops << 40) | (points << 20) | inconsistent;
+        for impossible in [
+            (0x40, aux(0, 1, 0)),                             // a bit beyond the six flags
+            (0, 0),                                           // no crash point
+            (PACK_ACTIVE, 0),                                 // active without ops
+            (0x3f, 0),                                        // violations without counts
+            (PACK_ACTIVE, aux(3, 3, 0)),                      // fewer points than ops + 1
+            (PACK_ACTIVE | PACK_RENAME, aux(2, 3, 4)),        // more inconsistent than points
+            (PACK_ACTIVE, aux(257, 300, 0)),                  // more ops than the recorder keeps
+            (0, aux(2, 3, 0)),                                // ops without PACK_ACTIVE
+            (PACK_ACTIVE, aux(2, 3, 1)),                      // inconsistent without a violation
+            (PACK_ACTIVE | PACK_DURABILITY, aux(2, 3, 0)),    // a violation, nothing inconsistent
+            (PACK_ACTIVE | PACK_TRUNCATED, aux(255, 300, 0)), // truncated short of the bound
+        ] {
+            assert!(
+                rejected(
+                    reply(vec![verdicts(&[empty, impossible, empty]), None]),
+                    Mode::Crashcon
+                ),
+                "{impossible:x?} must be rejected"
+            );
+        }
     }
 }

@@ -412,21 +412,22 @@ impl Resume {
 
     /// The recorded outcome and fuel of case `case` of MuT `mut_idx`, if
     /// the next recovered record sits at exactly that position and
-    /// `decode` accepts its packed byte. The first record that fails
-    /// either check ends replay for good: the journal is truncated back
-    /// to the accepted prefix and every later case executes.
+    /// `decode` accepts its packed byte and fuel word. The first record
+    /// that fails either check ends replay for good: the journal is
+    /// truncated back to the accepted prefix and every later case
+    /// executes.
     pub(crate) fn replay<T>(
         &mut self,
         mut_idx: usize,
         case: usize,
-        decode: impl FnOnce(u8) -> Option<T>,
+        decode: impl FnOnce(u8, u64) -> Option<T>,
     ) -> io::Result<Option<(T, u64)>> {
         if !self.live {
             return Ok(None);
         }
         if let Some(rec) = self.recovered.get(self.accepted) {
             if rec.mut_idx as usize == mut_idx && rec.case_idx as usize == case {
-                if let Some(v) = decode(rec.packed) {
+                if let Some(v) = decode(rec.packed, rec.fuel) {
                     self.accepted += 1;
                     return Ok(Some((v, rec.fuel)));
                 }

@@ -299,7 +299,7 @@ pub struct Metrics {
     /// Shard-retry backoff delays, milliseconds.
     pub backoff_ms: Histogram,
     /// Crashcon filesystem crash images materialized (one pristine-tree
-    /// clone per crash point; never counted under `restores`).
+    /// clone per judged crash point; never counted under `restores`).
     pub crashcon_snapshots: AtomicU64,
     /// Crashcon crash images remounted into the verification kernel.
     pub crashcon_remounts: AtomicU64,
@@ -733,7 +733,7 @@ pub fn on_restore(nanos: u64, fast: bool) {
 }
 
 /// A batch of crashcon crash-point snapshots and remounts (flushed per
-/// case by the crashcon engine).
+/// judged log by the crashcon verifier).
 pub fn on_crashcon(snapshots: u64, remounts: u64) {
     with_hub(|h| {
         h.metrics

@@ -223,7 +223,7 @@ pub type OfdId = u64;
 /// filesystem is spelling-independent. `at_ms` is the filesystem clock at the
 /// time of the op — the kernel drives that clock from the fuel meter, which is
 /// what makes crash points deterministic across hosts and engines.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FsOp {
     /// A regular file came into existence with `content`.
     CreateFile {

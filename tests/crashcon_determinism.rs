@@ -2,16 +2,19 @@
 //! representative variant set at the golden cap, the serial engine, the
 //! parallel engine at 2 and 8 workers, a fresh journaled run, and a
 //! journaled run split at the mid-case boundary and resumed must all
-//! produce **bit-identical** per-MuT tallies; and a per-case verdict is
-//! a commutative fold over independent crash-point judgements, so any
-//! evaluation order over the enumerated points — including orders over
-//! proptest-generated workloads — yields the identical verdict.
+//! produce **bit-identical** per-MuT tallies, and a journal record
+//! carrying an impossible verdict is re-executed rather than folded; a
+//! per-case verdict is a commutative fold over independent crash-point
+//! judgements, so any evaluation order over the enumerated points —
+//! including orders over proptest-generated workloads — yields the
+//! identical verdict, and the verifier's memo answers a repeated log
+//! with the verdict a fresh judgement gives.
 
 use ballista::campaign::CampaignConfig;
-use ballista::crashcon::{run_crashcon, run_crashcon_journaled, Verifier};
-use ballista::journal::{HEADER_LEN, RECORD_LEN};
+use ballista::crashcon::{run_crashcon, run_crashcon_journaled, CaseVerdict, Verifier};
+use ballista::journal::{CaseRecord, HEADER_LEN, RECORD_LEN};
 use proptest::prelude::*;
-use sim_kernel::fs::{FileSystem, OpenOptions};
+use sim_kernel::fs::{FileSystem, OpenOptions, MAX_OPLOG};
 use sim_kernel::variant::OsVariant;
 use sim_kernel::MachineFlavor;
 use std::fs;
@@ -87,6 +90,49 @@ fn crashcon_engines_bit_identical_across_serial_parallel_and_resume() {
     }
 }
 
+/// A journal record whose checksum is valid but whose aux word no
+/// verifier produces (here: no crash point at all) must end replay at
+/// that record — everything from it on is executed afresh — instead of
+/// folding garbage into the tally.
+#[test]
+fn journal_record_with_an_impossible_verdict_is_re_executed() {
+    let os = OsVariant::Win95;
+    let cfg = CampaignConfig { cap: 40, ..cfg(1) };
+    let journal = scratch("impossible-aux.jrn");
+    let _ = fs::remove_file(&journal);
+    let fresh = run_crashcon_journaled(os, &cfg, &journal, false).expect("journaled run");
+
+    let mut bytes = fs::read(&journal).expect("journal readable");
+    let at = fresh.total_cases / 2;
+    let slot = HEADER_LEN + at * RECORD_LEN..HEADER_LEN + (at + 1) * RECORD_LEN;
+    let rec = CaseRecord::decode(&bytes[slot.clone()]).expect("checksummed record");
+    assert!(
+        CaseVerdict::decode(rec.packed, rec.fuel).is_some(),
+        "the engine wrote a possible verdict"
+    );
+    let garbled = CaseRecord { fuel: 0, ..rec };
+    assert!(CaseVerdict::decode(garbled.packed, garbled.fuel).is_none());
+    bytes[slot].copy_from_slice(&garbled.encode());
+    fs::write(&journal, &bytes).expect("rewrite journal");
+
+    let resumed = run_crashcon_journaled(os, &cfg, &journal, true).expect("resume");
+    assert_eq!(
+        fresh.muts, resumed.muts,
+        "resumed tallies diverged from a fresh run"
+    );
+    assert!(
+        resumed
+            .warnings
+            .iter()
+            .any(|w| w.contains(&format!("diverged from the plan at record {at}"))),
+        "replay must stop at the garbled record: {:?}",
+        resumed.warnings
+    );
+    let stats = resumed.stats.expect("journaled runs report stats");
+    assert_eq!(stats.replayed_cases, at);
+    let _ = fs::remove_file(&journal);
+}
+
 /// The workload alphabet the proptest strategy draws from: a small fixed
 /// path set plus an op-code, applied to a recording filesystem. Failed
 /// calls record nothing, so every generated sequence yields a valid log.
@@ -144,7 +190,11 @@ proptest! {
     /// For arbitrary recorded workloads, the verdict is independent of
     /// the order crash points are judged in: enumeration order and a
     /// seeded shuffle must agree bit for bit, on both a POSIX and a
-    /// Windows (case-folding) filesystem personality.
+    /// Windows (case-folding) filesystem personality. The memo answers a
+    /// repeat, with either truncation flag, exactly as a fresh verifier
+    /// judges the log, and every verdict packs to a record the decode
+    /// check accepts — except a truncation flag on a log shorter than
+    /// the recording bound, which no recorder produces.
     #[test]
     fn verdicts_are_independent_of_crash_point_order(
         steps in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<usize>(), any::<u8>()), 1..24),
@@ -167,6 +217,19 @@ proptest! {
             let shuffled = verifier.evaluate_ordered(&ops, truncated, Some(&permutation(n, &seed)));
             prop_assert_eq!(reference, shuffled);
             prop_assert_eq!(reference.pack(), shuffled.pack());
+
+            let repeat = verifier.evaluate(&ops, truncated);
+            let flipped = verifier.evaluate(&ops, !truncated);
+            let fresh = Verifier::new(flavor).evaluate(&ops, truncated);
+            prop_assert_eq!(repeat, reference);
+            prop_assert_eq!(fresh, reference);
+            prop_assert_eq!(flipped.truncated, !truncated);
+            prop_assert_eq!(CaseVerdict { truncated, ..flipped }, reference);
+            for v in [reference, shuffled, repeat, fresh, flipped] {
+                let (packed, aux) = v.pack();
+                let possible = !v.truncated || ops.len() == MAX_OPLOG;
+                prop_assert_eq!(CaseVerdict::decode(packed, aux), possible.then_some(v));
+            }
         }
     }
 }
