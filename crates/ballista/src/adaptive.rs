@@ -23,7 +23,7 @@
 //!    observes each case's *clean* outcome (the same record the parallel
 //!    engine's clean pass would produce).
 //! 2. **Pin** ([`PinnedPlan`]): the explored case list is frozen into an
-//!    explicit per-MuT [`CaseSet`]. Pinning is what keeps replay
+//!    explicit per-MuT [`Plan`] of linear indices. Pinning is what keeps replay
 //!    deterministic: the adaptive *choice* happens once, and every
 //!    engine afterwards executes a plain, fixed plan — so the serial,
 //!    parallel, journaled, and fleet engines produce **bit-identical**
@@ -64,7 +64,7 @@ use crate::crash::FailureClass;
 use crate::exec::{CaseRunner, Session};
 use crate::journal::PlanHasher;
 use crate::muts::Mut;
-use crate::sampling::{self, CaseSet, Combo};
+use crate::sampling::{self, Combo, Plan};
 use crate::telemetry;
 use crate::value::TestValue;
 use rand::rngs::StdRng;
@@ -197,7 +197,7 @@ pub struct PinnedMut {
     /// re-drawn rather than pinned). For exhaustive and zero-parameter
     /// MuTs this is exactly the fixed plan — adaptive selection cannot
     /// beat "all of them".
-    pub plan: Arc<CaseSet>,
+    pub plan: Plan,
 }
 
 /// The frozen result of an explore phase: per-MuT pinned plans (catalog
@@ -222,7 +222,7 @@ impl PinnedPlan {
     /// the same cap — the equal-budget invariant).
     #[must_use]
     pub fn pinned_cases(&self) -> u64 {
-        self.muts.iter().map(|m| m.plan.cases.len() as u64).sum()
+        self.muts.iter().map(|m| m.plan.len() as u64).sum()
     }
 
     /// Stable FNV-1a digest of the full pinned case list — what the
@@ -233,9 +233,9 @@ impl PinnedPlan {
         h.write_str(self.os.short_name());
         for m in &self.muts {
             h.write_str(&m.name);
-            h.write_u64(m.plan.cases.len() as u64);
-            for combo in &m.plan.cases {
-                h.write_u64(sampling::encode(combo, &m.plan.dims));
+            h.write_u64(m.plan.len() as u64);
+            for i in 0..m.plan.len() {
+                h.write_u64(m.plan.linear(i));
             }
         }
         h.finish()
@@ -244,10 +244,10 @@ impl PinnedPlan {
     /// The pinned plans keyed by MuT name — the shape
     /// [`Coverage::from_report_with_plans`] consumes.
     #[must_use]
-    pub fn plans_by_name(&self) -> BTreeMap<String, Arc<CaseSet>> {
+    pub fn plans_by_name(&self) -> BTreeMap<String, Plan> {
         self.muts
             .iter()
-            .map(|m| (m.name.clone(), Arc::clone(&m.plan)))
+            .map(|m| (m.name.clone(), m.plan.clone()))
             .collect()
     }
 }
@@ -321,12 +321,13 @@ struct MutState<'a> {
     type_ids: Vec<usize>,
     dims: Vec<usize>,
     /// The fixed plan (budget source; pinned verbatim for `fixed` MuTs).
-    fixed_plan: Arc<CaseSet>,
+    fixed_plan: Plan,
     /// `true` when the fixed plan is exhaustive (or the MuT takes no
     /// parameters): there is nothing to steer, the pin *is* the plan.
     fixed: bool,
-    pinned: Vec<Combo>,
-    deferred: Vec<Combo>,
+    /// Linear indices pinned so far, and the deferred crash case.
+    pinned: Vec<u64>,
+    deferred: Vec<u64>,
     taken: HashSet<u64>,
     /// Total combinations (pre-computed; steerable MuTs only need it).
     total: u64,
@@ -334,7 +335,7 @@ struct MutState<'a> {
     /// the budget (and by combination-space headroom), so exploration
     /// terminates even on crash-dense MuTs.
     discards: usize,
-    /// Progress cursor for `fixed` MuTs (index into `fixed_plan.cases`).
+    /// Progress cursor for `fixed` MuTs (case index into `fixed_plan`).
     cursor: usize,
     /// `true` once a `fixed` MuT crashed at residue zero — remaining
     /// cases are skipped (replay will stop at the same point anyway).
@@ -348,7 +349,7 @@ struct MutState<'a> {
 
 impl MutState<'_> {
     fn budget(&self) -> usize {
-        self.fixed_plan.cases.len()
+        self.fixed_plan.len()
     }
 
     fn spent(&self) -> usize {
@@ -390,7 +391,7 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
         .iter()
         .map(|m| {
             let prep = prepare(&registry, m, cfg);
-            let fixed = prep.plan.exhaustive || prep.pools.is_empty();
+            let fixed = prep.plan.exhaustive();
             let dims: Vec<usize> = prep.pools.iter().map(Vec::len).collect();
             let total = sampling::combination_count(&dims);
             let type_ids = m
@@ -434,6 +435,7 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
     let mut cov = Coverage::default();
     let mut session = Session::new();
     let mut runner = CaseRunner::new();
+    let mut combo = Combo::new();
     let mut rounds = Vec::with_capacity(rounds_n);
     let mut explore_cases = 0u64;
 
@@ -455,13 +457,12 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
             }
             let mut progress = 0;
             while progress < quota {
-                let combo = if st.fixed {
-                    let c = st.fixed_plan.cases[st.cursor].clone();
+                if st.fixed {
+                    st.fixed_plan.case(st.cursor, &mut combo);
                     st.cursor += 1;
-                    c
                 } else {
-                    draw_combo(&mut rng, st, &feedback)
-                };
+                    draw_combo(&mut rng, st, &feedback, &mut combo);
+                }
                 session.residue = 0;
                 let result =
                     runner.execute(os, st.mut_, &st.pools, &combo, &mut session, fuel_budget);
@@ -489,7 +490,8 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
                         break;
                     }
                 } else {
-                    st.taken.insert(sampling::encode(&combo, &st.dims));
+                    let linear = sampling::encode(&combo, &st.dims);
+                    st.taken.insert(linear);
                     if result.class == FailureClass::Catastrophic {
                         // Keep the first crash (pinned last, so replay
                         // still reports the MuT Catastrophic); re-draw
@@ -507,9 +509,9 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
                             st.discards += 1;
                             continue;
                         }
-                        st.deferred.push(combo);
+                        st.deferred.push(linear);
                     } else {
-                        st.pinned.push(combo);
+                        st.pinned.push(linear);
                     }
                     progress += 1;
                 }
@@ -536,16 +538,12 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
         .into_iter()
         .map(|st| {
             let plan = if st.fixed {
-                Arc::clone(&st.fixed_plan)
+                st.fixed_plan
             } else {
-                let mut cases = st.pinned;
-                cases.extend(st.deferred);
-                debug_assert_eq!(cases.len(), st.fixed_plan.cases.len());
-                Arc::new(CaseSet {
-                    dims: st.dims,
-                    cases,
-                    exhaustive: false,
-                })
+                let mut pins = st.pinned;
+                pins.extend(st.deferred);
+                debug_assert_eq!(pins.len(), st.fixed_plan.len());
+                Plan::pinned(&st.dims, pins)
             };
             PinnedMut {
                 name: st.mut_.name.to_owned(),
@@ -564,24 +562,25 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
     plan
 }
 
-/// Draws one not-yet-taken combination for a steerable MuT: per
-/// parameter, a draw by the current [`weight`]s of the parameter type's
-/// pool. Collisions with already-pinned cases retry a few times, then
-/// fall back to a linear probe. The probe always lands: combinations
-/// strictly exceed the budget for steerable MuTs (else the plan would be
-/// exhaustive), and the explorer's crash-discard guard never takes a
-/// combination unless enough free ones remain to fill every outstanding
-/// pin.
-fn draw_combo(rng: &mut StdRng, st: &MutState<'_>, feedback: &[TypeFeedback]) -> Combo {
+/// Draws one not-yet-taken combination for a steerable MuT into
+/// `combo`: per parameter, a draw by the current [`weight`]s of the
+/// parameter type's pool. Collisions with already-pinned cases retry a
+/// few times, then fall back to a linear probe. The probe always lands:
+/// combinations strictly exceed the budget for steerable MuTs (else the
+/// plan would be exhaustive), and the explorer's crash-discard guard
+/// never takes a combination unless enough free ones remain to fill
+/// every outstanding pin.
+fn draw_combo(rng: &mut StdRng, st: &MutState<'_>, feedback: &[TypeFeedback], combo: &mut Combo) {
     for attempt in 0..=DRAW_RETRIES {
-        let combo: Combo = st
-            .type_ids
-            .iter()
-            .map(|&id| sampling::weighted_index(rng, &feedback[id].weights))
-            .collect();
-        let linear = sampling::encode(&combo, &st.dims);
+        combo.clear();
+        combo.extend(
+            st.type_ids
+                .iter()
+                .map(|&id| sampling::weighted_index(rng, &feedback[id].weights)),
+        );
+        let linear = sampling::encode(combo, &st.dims);
         if !st.taken.contains(&linear) {
-            return combo;
+            return;
         }
         if attempt == DRAW_RETRIES {
             // Weighted retries keep colliding (the hot region is dense):
@@ -590,7 +589,8 @@ fn draw_combo(rng: &mut StdRng, st: &MutState<'_>, feedback: &[TypeFeedback]) ->
             loop {
                 probe = (probe + 1) % st.total;
                 if !st.taken.contains(&probe) {
-                    return sampling::decode(probe, &st.dims);
+                    *combo = sampling::decode(probe, &st.dims);
+                    return;
                 }
             }
         }
@@ -738,8 +738,8 @@ mod tests {
             assert_eq!(m.name, pm.name, "catalog order preserved");
             let fixed = prepare(&registry, m, &c);
             assert_eq!(
-                pm.plan.cases.len(),
-                fixed.plan.cases.len(),
+                pm.plan.len(),
+                fixed.plan.len(),
                 "{}: adaptive budget must equal the fixed plan's",
                 m.name
             );
@@ -787,13 +787,8 @@ mod tests {
     fn pinned_cases_are_distinct_per_mut() {
         let pin = explore(OsVariant::Win98, &cfg(50), &AdaptiveConfig::default());
         for pm in &pin.muts {
-            let distinct: HashSet<u64> = pm
-                .plan
-                .cases
-                .iter()
-                .map(|c| sampling::encode(c, &pm.plan.dims))
-                .collect();
-            assert_eq!(distinct.len(), pm.plan.cases.len(), "{}", pm.name);
+            let distinct: HashSet<u64> = (0..pm.plan.len()).map(|i| pm.plan.linear(i)).collect();
+            assert_eq!(distinct.len(), pm.plan.len(), "{}", pm.name);
         }
     }
 

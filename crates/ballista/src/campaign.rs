@@ -36,7 +36,7 @@ use crate::exec::{
 use crate::fleet::{Heartbeat, ShardResult, WireCleanMut};
 use crate::journal::{PlanHasher, Resume};
 use crate::muts::Mut;
-use crate::sampling::{self, CaseSet, PAPER_CAP};
+use crate::sampling::{self, Combo, Plan, PAPER_CAP};
 use crate::telemetry::{self, CaseTrace, TraceCollector};
 use crate::value::TestValue;
 use serde::{Content, Deserialize, Serialize};
@@ -48,7 +48,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// How many times a contained worker panic earns the MuT a rerun on
@@ -251,11 +251,71 @@ impl Deserialize for CampaignFingerprint {
 
 /// Computes the [`CampaignFingerprint`] of `(os, cfg)` — the exact hash
 /// the journaled engine stamps into its header and the result cache
-/// keys on. Resolves the catalog and every per-MuT sampling plan (plans
-/// come from the process-wide plan cache, so repeated calls are cheap).
+/// keys on. Reads each MuT's planned case count off the variant's
+/// signature table (built once per process), so it draws no plan and
+/// resolves no pool.
 #[must_use]
 pub fn fingerprint(os: OsVariant, cfg: &CampaignConfig) -> CampaignFingerprint {
     Mode::Classic.fingerprint(os, cfg)
+}
+
+/// The smallest cap at which every plan of `os` is exhaustive: the
+/// largest full product of its catalog (262 656 on the desktop variants
+/// past Windows 95). A larger cap plans the same cases under another
+/// fingerprint.
+#[must_use]
+pub fn exhaustive_cap(os: OsVariant) -> usize {
+    signatures(os).exhaustive_cap
+}
+
+/// A variant's catalog signatures in catalog order, and the largest
+/// number of cases any of them plans.
+struct Signatures {
+    muts: Vec<Signature>,
+    exhaustive_cap: usize,
+}
+
+/// One catalog MuT's sampling signature: its name and pool sizes, which
+/// decide its plan at every cap.
+struct Signature {
+    name: &'static str,
+    dims: Vec<usize>,
+}
+
+impl Signature {
+    /// Cases the MuT plans at `cap`: the whole product when the cap
+    /// covers it, else `cap` (a zero-parameter MuT plans its one case).
+    fn planned(&self, cap: usize) -> usize {
+        if self.dims.is_empty() {
+            return 1;
+        }
+        usize::try_from(sampling::combination_count(&self.dims)).map_or(cap, |n| n.min(cap))
+    }
+}
+
+/// `os`'s signature table, resolved once per process.
+fn signatures(os: OsVariant) -> &'static Signatures {
+    static TABLES: [OnceLock<Signatures>; OsVariant::ALL.len()] =
+        [const { OnceLock::new() }; OsVariant::ALL.len()];
+    let slot = OsVariant::ALL
+        .iter()
+        .position(|&v| v == os)
+        .expect("every variant is in ALL");
+    TABLES[slot].get_or_init(|| {
+        let registry = catalog::registry_for(os);
+        let muts: Vec<Signature> = catalog::catalog_for(os)
+            .iter()
+            .map(|m| Signature {
+                name: m.name,
+                dims: resolve_pools(&registry, m).iter().map(Vec::len).collect(),
+            })
+            .collect();
+        let exhaustive_cap = muts.iter().map(|sig| sig.planned(usize::MAX)).max();
+        Signatures {
+            exhaustive_cap: exhaustive_cap.unwrap_or(1),
+            muts,
+        }
+    })
 }
 
 /// Timing and machine-provisioning counters for one campaign run.
@@ -494,13 +554,23 @@ pub fn run_mut_campaign_with(
     sequential_mut(os, cfg, &prepare(registry, mut_, cfg), session, &mut None)
 }
 
-/// A MuT with its resolved pools and (shared) sampling plan — computed
-/// once and reused by both engine phases and, via the plan cache, across
-/// all variants running the same catalog signature.
+/// A MuT with its resolved pools and its plan — a view of the sample
+/// stream its signature shares with every variant and every cap
+/// ([`sampling::plan`]), reused by both engine phases.
 pub(crate) struct PreparedMut<'a> {
     pub(crate) mut_: &'a Mut,
     pub(crate) pools: Vec<Vec<TestValue>>,
-    pub(crate) plan: Arc<CaseSet>,
+    pub(crate) plan: Plan,
+}
+
+/// The plan of a MuT over `pools` at `cap`.
+pub(crate) fn plan_of(mut_: &Mut, pools: &[Vec<TestValue>], cap: usize) -> Plan {
+    if pools.is_empty() {
+        Plan::single()
+    } else {
+        let dims: Vec<usize> = pools.iter().map(Vec::len).collect();
+        sampling::plan(&dims, cap, mut_.name)
+    }
 }
 
 pub(crate) fn prepare<'a>(
@@ -509,12 +579,7 @@ pub(crate) fn prepare<'a>(
     cfg: &CampaignConfig,
 ) -> PreparedMut<'a> {
     let pools = resolve_pools(registry, mut_);
-    let plan = if pools.is_empty() {
-        Arc::new(sampling::single_case())
-    } else {
-        let dims: Vec<usize> = pools.iter().map(Vec::len).collect();
-        sampling::enumerate_shared(&dims, cfg.cap, mut_.name)
-    };
+    let plan = plan_of(mut_, &pools, cfg.cap);
     PreparedMut { mut_, pools, plan }
 }
 
@@ -574,7 +639,7 @@ impl Mode {
             .map(|i| {
                 let mut prep = prepare(&registry, &muts[i], cfg);
                 if let Some(pin) = &pin {
-                    prep.plan = Arc::clone(&pin.muts[i].plan);
+                    prep.plan = pin.muts[i].plan.clone();
                 }
                 prep
             })
@@ -583,9 +648,11 @@ impl Mode {
 
     /// The campaign's [`CampaignFingerprint`], with the mode tag folded
     /// in first (`crashcon/1`, or `adaptive/1` plus the explore knobs) so
-    /// no two modes share a journal or a cache entry. The fixed plans are
-    /// hashed in every mode: a pinned plan is a pure function of the
-    /// knobs the tag folds, so addressing a campaign never explores.
+    /// no two modes share a journal or a cache entry. Each MuT's name and
+    /// fixed planned count are hashed in every mode, read off the
+    /// variant's signature table: a pinned plan is a pure function of the
+    /// knobs the tag folds, so addressing a campaign never explores, and
+    /// a planned count is `min(cap, product)`, so it never plans.
     pub(crate) fn fingerprint(self, os: OsVariant, cfg: &CampaignConfig) -> CampaignFingerprint {
         let mut h = PlanHasher::new();
         match self {
@@ -609,10 +676,9 @@ impl Mode {
         // so auto fingerprints identically on every host.
         h.write_u64(u64::from(cfg.isolation_probe));
         h.write_u64(cfg.parallelism as u64);
-        let muts = catalog::catalog_for(os);
-        for prep in Mode::Classic.preps(os, cfg, &muts, 0..muts.len()) {
-            h.write_str(prep.mut_.name);
-            h.write_u64(prep.plan.cases.len() as u64);
+        for sig in &signatures(os).muts {
+            h.write_str(sig.name);
+            h.write_u64(sig.planned(cfg.cap) as u64);
         }
         CampaignFingerprint(h.finish())
     }
@@ -793,12 +859,15 @@ fn run_clean_mut(
     fuel_budget: u64,
     capture_fuel: bool,
 ) -> WireCleanMut {
-    let mut records = Vec::with_capacity(prep.plan.cases.len());
-    let mut fuel = capture_fuel.then(|| Vec::with_capacity(prep.plan.cases.len()));
+    let planned = prep.plan.len();
+    let mut records = Vec::with_capacity(planned);
+    let mut fuel = capture_fuel.then(|| Vec::with_capacity(planned));
     let mut clean = Session::new();
     let mut runner = CaseRunner::new();
-    for combo in &prep.plan.cases {
+    let mut combo = Combo::new();
+    for c_idx in 0..planned {
         clean.residue = 0;
+        let combo = prep.plan.case(c_idx, &mut combo);
         let r = runner.execute(os, prep.mut_, &prep.pools, combo, &mut clean, fuel_budget);
         records.push(crash::pack_case(r.raw, r.any_exceptional, r.residue_probed));
         if let Some(fuel) = fuel.as_mut() {
@@ -830,7 +899,7 @@ pub(crate) fn clean_range(
     };
     let mut cases_done = 0u64;
     for prep in preps {
-        telemetry::on_mut_begin(prep.plan.cases.len() as u64);
+        telemetry::on_mut_begin(prep.plan.len() as u64);
         let clean = fenced(
             prep.mut_.name,
             &mut out.warnings,
@@ -889,11 +958,7 @@ fn open_span(tc: &mut Option<TraceCollector>, prep: &PreparedMut<'_>, reopen: bo
         if reopen {
             tc.abort_mut();
         }
-        tc.begin_mut(
-            prep.mut_.name,
-            prep.mut_.group.label(),
-            prep.plan.cases.len(),
-        );
+        tc.begin_mut(prep.mut_.name, prep.mut_.group.label(), prep.plan.len());
     }
 }
 
@@ -904,7 +969,8 @@ fn open_span(tc: &mut Option<TraceCollector>, prep: &PreparedMut<'_>, reopen: bo
 /// first Catastrophic case after its isolation probe: "the system crash
 /// interrupts the testing process, and the set of test cases run for
 /// that function is incomplete." The single source of classic tally
-/// semantics for the sequential, replay and journaled loops.
+/// semantics for the sequential, replay and journaled loops. `source`
+/// gets the case index and decodes the case only if it executes it.
 fn fold_mut<E>(
     os: OsVariant,
     cfg: &CampaignConfig,
@@ -912,14 +978,14 @@ fn fold_mut<E>(
     cases: usize,
     session: &mut Session,
     tc: &mut Option<TraceCollector>,
-    mut source: impl FnMut(usize, &[usize], &mut Session) -> Result<CaseResult, E>,
+    mut source: impl FnMut(usize, &mut Session) -> Result<CaseResult, E>,
 ) -> Result<MutTally, E> {
-    let mut tally = empty_tally(prep.mut_, prep.plan.cases.len());
-    for (c_idx, combo) in prep.plan.cases.iter().enumerate().take(cases) {
+    let mut tally = empty_tally(prep.mut_, prep.plan.len());
+    for c_idx in 0..cases.min(prep.plan.len()) {
         if cfg.perfect_cleanup {
             session.residue = 0;
         }
-        let result = source(c_idx, combo, session)?;
+        let result = source(c_idx, session)?;
         telemetry::on_case_applied(result.class);
         tally.cases += 1;
         if cfg.record_raw {
@@ -944,8 +1010,9 @@ fn fold_mut<E>(
             FailureClass::Catastrophic => {
                 tally.catastrophic = true;
                 if cfg.isolation_probe {
+                    let combo = prep.plan.combo(c_idx);
                     tally.crash_reproducible_in_isolation =
-                        Some(reproduce_in_isolation(os, prep.mut_, &prep.pools, combo));
+                        Some(reproduce_in_isolation(os, prep.mut_, &prep.pools, &combo));
                 }
                 break;
             }
@@ -977,8 +1044,10 @@ fn sequential_mut(
 ) -> MutTally {
     let mut runner = CaseRunner::new();
     let fuel_budget = cfg.effective_fuel_budget();
-    let cases = prep.plan.cases.len();
-    let Ok(tally) = fold_mut::<Infallible>(os, cfg, prep, cases, session, tc, |_, combo, s| {
+    let mut combo = Combo::new();
+    let cases = prep.plan.len();
+    let Ok(tally) = fold_mut::<Infallible>(os, cfg, prep, cases, session, tc, |c, s| {
+        let combo = prep.plan.case(c, &mut combo);
         Ok(runner.execute(os, prep.mut_, &prep.pools, combo, s, fuel_budget))
     });
     tally
@@ -1000,16 +1069,17 @@ fn replay_pass(
     let mut replayed = 0usize;
     let mut runner = CaseRunner::new();
     let fuel_budget = cfg.effective_fuel_budget();
+    let mut combo = Combo::new();
     let mut tallies = Vec::with_capacity(preps.len());
     for (prep, recs) in preps.iter().zip(records) {
         open_span(tc, prep, false);
         let Some(recs) = recs else {
-            tallies.push(empty_tally(prep.mut_, prep.plan.cases.len()));
+            tallies.push(empty_tally(prep.mut_, prep.plan.len()));
             continue;
         };
         let cases = recs.records.len();
         let Ok(tally) =
-            fold_mut::<Infallible>(os, cfg, prep, cases, &mut session, tc, |c, combo, s| {
+            fold_mut::<Infallible>(os, cfg, prep, cases, &mut session, tc, |c, s| {
                 Ok(match crash::unpack_case(recs.records[c]) {
                     // Reused, not re-executed: its fuel comes from the
                     // clean-pass side channel. Sound because a reused case
@@ -1025,6 +1095,7 @@ fn replay_pass(
                     ),
                     _ => {
                         replayed += 1;
+                        let combo = prep.plan.case(c, &mut combo);
                         runner.execute(os, prep.mut_, &prep.pools, combo, s, fuel_budget)
                     }
                 })
@@ -1106,7 +1177,7 @@ pub(crate) fn run_mode(mode: Mode, os: OsVariant, cfg: &CampaignConfig) -> Campa
     let mut degraded = false;
     let mut tallies = Vec::with_capacity(preps.len());
     for prep in &preps {
-        let planned = prep.plan.cases.len();
+        let planned = prep.plan.len();
         telemetry::on_mut_begin(planned as u64);
         // Each attempt walks a copy of the session, committed only on
         // success, so a mid-MuT panic leaves no half-advanced session.
@@ -1208,9 +1279,10 @@ pub(crate) fn run_journaled(
     let fuel_budget = cfg.effective_fuel_budget();
     let mut session = Session::new();
     let mut runner = CaseRunner::new();
+    let mut combo = Combo::new();
     let mut tallies = Vec::with_capacity(preps.len());
     for (m_idx, prep) in preps.iter().enumerate() {
-        let planned = prep.plan.cases.len();
+        let planned = prep.plan.len();
         telemetry::on_mut_begin(planned as u64);
         open_span(&mut tc, prep, false);
         tallies.push(fold_mut::<std::io::Error>(
@@ -1220,7 +1292,7 @@ pub(crate) fn run_journaled(
             planned,
             &mut session,
             &mut tc,
-            |c_idx, combo, s| {
+            |c_idx, s| {
                 // A replayed record carries the fuel the case burned when it
                 // originally ran — a pure function of the case.
                 if let Some((rec, fuel)) =
@@ -1228,6 +1300,7 @@ pub(crate) fn run_journaled(
                 {
                     return Ok(recorded(s, rec, fuel));
                 }
+                let combo = prep.plan.case(c_idx, &mut combo);
                 let r = runner.execute(os, prep.mut_, &prep.pools, combo, s, fuel_budget);
                 let packed = crash::pack_case(r.raw, r.any_exceptional, r.residue_probed);
                 cursor.append(m_idx, c_idx, packed, r.fuel_used)?;

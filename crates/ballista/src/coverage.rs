@@ -19,10 +19,9 @@
 use crate::campaign::{CampaignConfig, CampaignReport, MutTally};
 use crate::catalog;
 use crate::crash::{FailureClass, RawOutcome};
-use crate::sampling::{self, CaseSet};
+use crate::sampling::{Combo, Plan};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// Labels for the outcome-class counters, in severity order. `ErrorReport`
 /// is the robust-error column (not a CRASH failure); `SuspectedHindering`
@@ -129,7 +128,7 @@ impl Coverage {
     pub fn from_report_with_plans(
         report: &CampaignReport,
         cfg: &CampaignConfig,
-        plans: &BTreeMap<String, Arc<CaseSet>>,
+        plans: &BTreeMap<String, Plan>,
     ) -> Self {
         Self::from_report_inner(report, cfg, Some(plans))
     }
@@ -137,11 +136,12 @@ impl Coverage {
     fn from_report_inner(
         report: &CampaignReport,
         cfg: &CampaignConfig,
-        plans: Option<&BTreeMap<String, Arc<CaseSet>>>,
+        plans: Option<&BTreeMap<String, Plan>>,
     ) -> Self {
         let registry = catalog::registry_for(report.os);
         let muts = catalog::catalog_for(report.os);
         let mut cov = Coverage::default();
+        let mut combo = Combo::new();
         let variant = report.os.short_name().to_owned();
         cov.variants.insert(variant.clone());
         for tally in &report.muts {
@@ -149,14 +149,9 @@ impl Coverage {
                 continue; // foreign tally (not in this variant's catalog)
             };
             let pools = crate::campaign::resolve_pools(&registry, mut_);
-            let pinned = plans.and_then(|p| p.get(&tally.name)).cloned();
-            let plan = match pinned {
-                Some(plan) => plan,
-                None if pools.is_empty() => Arc::new(sampling::single_case()),
-                None => {
-                    let dims: Vec<usize> = pools.iter().map(Vec::len).collect();
-                    sampling::enumerate_shared(&dims, cfg.cap, mut_.name)
-                }
+            let plan = match plans.and_then(|p| p.get(&tally.name)) {
+                Some(plan) => plan.clone(),
+                None => crate::campaign::plan_of(mut_, &pools, cfg.cap),
             };
             let entry = cov.muts.entry(tally.name.clone()).or_default();
             entry.planned += tally.planned as u64;
@@ -168,7 +163,8 @@ impl Coverage {
                 let slot = cov.pools.entry((*ty).to_owned()).or_default();
                 slot.size = slot.size.max(pool.len() as u64);
             }
-            for combo in plan.cases.iter().take(tally.cases) {
+            for c_idx in 0..tally.cases.min(plan.len()) {
+                let combo = plan.case(c_idx, &mut combo);
                 for ((ty, pool), &idx) in mut_.params.iter().zip(&pools).zip(combo) {
                     let slot = cov.pools.entry((*ty).to_owned()).or_default();
                     slot.touched.insert(pool[idx].name.to_owned());

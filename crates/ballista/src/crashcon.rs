@@ -61,6 +61,7 @@ use crate::exec::{self, fault, CaseRunner, Session};
 use crate::fleet::{ShardResult, WireCleanMut};
 use crate::journal::Resume;
 use crate::muts::FunctionGroup;
+use crate::sampling::Combo;
 use crate::telemetry;
 use serde::{Deserialize, Serialize};
 use sim_kernel::crashfs::{self, CrashPoint, SpecNode, SpecTree};
@@ -543,12 +544,14 @@ fn rename_involved(path: &str, pairs: &[(&str, &str)]) -> bool {
     })
 }
 
-/// One thread's crashcon rig: a case runner, a residue-zero session, and
-/// a resident verifier for the variant's machine flavour.
+/// One thread's crashcon rig: a case runner, a residue-zero session, a
+/// resident verifier for the variant's machine flavour, and the buffer
+/// each case decodes into.
 struct Judge {
     runner: CaseRunner,
     session: Session,
     verifier: Verifier,
+    combo: Combo,
 }
 
 impl Judge {
@@ -557,17 +560,18 @@ impl Judge {
             runner: CaseRunner::new(),
             session: Session::new(),
             verifier: Verifier::new(os.machine_flavor()),
+            combo: Combo::new(),
         }
     }
 
-    /// Executes one case with the op recorder armed and judges every
-    /// bounded crash point of its log: the case's packed `(verdict, aux)`
-    /// record.
+    /// Executes case `c_idx` of `prep`'s plan with the op recorder armed
+    /// and judges every bounded crash point of its log: the case's packed
+    /// `(verdict, aux)` record.
     fn case(
         &mut self,
         os: OsVariant,
         prep: &PreparedMut<'_>,
-        combo: &[usize],
+        c_idx: usize,
         fuel_budget: u64,
     ) -> (u8, u64) {
         // Crashcon cases are residue-free: verdicts must be pure
@@ -577,7 +581,7 @@ impl Judge {
             os,
             prep.mut_,
             &prep.pools,
-            combo,
+            prep.plan.case(c_idx, &mut self.combo),
             &mut self.session,
             fuel_budget,
         );
@@ -594,11 +598,8 @@ pub(crate) fn crash_mut_records(
     fuel_budget: u64,
 ) -> WireCleanMut {
     let mut judge = Judge::new(os);
-    let (records, aux) = prep
-        .plan
-        .cases
-        .iter()
-        .map(|combo| judge.case(os, prep, combo, fuel_budget))
+    let (records, aux) = (0..prep.plan.len())
+        .map(|c_idx| judge.case(os, prep, c_idx, fuel_budget))
         .unzip();
     WireCleanMut {
         records,
@@ -720,19 +721,19 @@ pub fn run_crashcon_journaled(
     let fuel_budget = cfg.effective_fuel_budget();
     let mut tallies = Vec::with_capacity(preps.len());
     for (m_idx, prep) in preps.iter().enumerate() {
-        telemetry::on_mut_begin(prep.plan.cases.len() as u64);
+        telemetry::on_mut_begin(prep.plan.len() as u64);
         let mut tally = CrashTally::new(prep.mut_.name, prep.mut_.group);
         // One rig (and so one verdict memo) per MuT, as in the clean
         // pass; a MuT replayed whole never boots one.
         let mut judge = None;
-        for (c_idx, combo) in prep.plan.cases.iter().enumerate() {
+        for c_idx in 0..prep.plan.len() {
             let replayed =
                 cursor.replay(m_idx, c_idx, |p, a| CaseVerdict::decode(p, a).map(|_| p))?;
             let (packed, aux) = match replayed {
                 Some(rec) => rec,
                 None => {
                     let judge = judge.get_or_insert_with(|| Judge::new(os));
-                    let (p, a) = judge.case(os, prep, combo, fuel_budget);
+                    let (p, a) = judge.case(os, prep, c_idx, fuel_budget);
                     cursor.append(m_idx, c_idx, p, a)?;
                     (p, a)
                 }

@@ -1165,7 +1165,7 @@ fn fleet_pass(
         let degraded = match worker_command() {
             Some(cmd) => {
                 let wire: Vec<Vec<u8>> = specs.iter().map(ShardSpec::to_wire).collect();
-                let planned: Vec<usize> = preps.iter().map(|p| p.plan.cases.len()).collect();
+                let planned: Vec<usize> = preps.iter().map(|p| p.plan.len()).collect();
                 let sup = Supervisor {
                     specs: &specs,
                     wire: &wire,

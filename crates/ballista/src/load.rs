@@ -15,7 +15,7 @@ use crate::crash::{FailureClass, RawOutcome};
 use crate::datatype::TypeRegistry;
 use crate::exec::{execute_case_on, Session};
 use crate::muts::Mut;
-use crate::sampling;
+use crate::sampling::Combo;
 use crate::value::TestValue;
 use serde::{Deserialize, Serialize};
 use sim_kernel::fs::OpenOptions;
@@ -122,12 +122,8 @@ pub fn run_load_comparison(
     let mut out = Vec::new();
     for m in muts {
         let pools: Vec<Vec<TestValue>> = m.params.iter().map(|ty| registry.pool(ty)).collect();
-        let case_set = if pools.is_empty() {
-            sampling::single_case()
-        } else {
-            let dims: Vec<usize> = pools.iter().map(Vec::len).collect();
-            sampling::enumerate(&dims, cap, m.name)
-        };
+        let plan = crate::campaign::plan_of(m, &pools, cap);
+        let mut buf = Combo::new();
         let mut delta = LoadDelta {
             name: m.name.to_owned(),
             group: m.group,
@@ -137,7 +133,8 @@ pub fn run_load_comparison(
             new_errors: 0,
             scaffold_degraded: 0,
         };
-        for combo in &case_set.cases {
+        for c_idx in 0..plan.len() {
+            let combo = plan.case(c_idx, &mut buf);
             delta.cases += 1;
             // Detect scaffold degradation: run the constructors alone on
             // both machine states and compare degeneracy.

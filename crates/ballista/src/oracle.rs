@@ -32,10 +32,9 @@ use crate::campaign::{CampaignReport, MutTally};
 use crate::catalog;
 use crate::crash::RawOutcome;
 use crate::exec::{execute_case, Session};
-use crate::sampling;
+use crate::sampling::Plan;
 use serde::{Deserialize, Serialize};
 use sim_kernel::variant::OsVariant;
-use std::sync::Arc;
 
 /// One named invariant's outcome: how many facts were checked and every
 /// violation found (empty ⇒ the invariant holds).
@@ -302,7 +301,7 @@ pub fn check_cross_variant(reports: &[CampaignReport]) -> Conformance {
 /// variant"). Pure catalog check: no campaign needs to have run.
 #[must_use]
 pub fn check_sampling_identity(cap: usize) -> Check {
-    type MutPlans = Vec<(&'static str, Arc<sampling::CaseSet>)>;
+    type MutPlans = Vec<(&'static str, Plan)>;
     let mut check = Check::new("identical-sampling-order");
     let plans: Vec<(OsVariant, MutPlans)> = OsVariant::ALL
         .into_iter()
@@ -312,13 +311,7 @@ pub fn check_sampling_identity(cap: usize) -> Check {
                 .into_iter()
                 .map(|m| {
                     let pools = crate::campaign::resolve_pools(&registry, &m);
-                    let plan = if pools.is_empty() {
-                        Arc::new(sampling::single_case())
-                    } else {
-                        let dims: Vec<usize> = pools.iter().map(Vec::len).collect();
-                        sampling::enumerate_shared(&dims, cap, m.name)
-                    };
-                    (m.name, plan)
+                    (m.name, crate::campaign::plan_of(&m, &pools, cap))
                 })
                 .collect();
             (os, per_mut)
@@ -328,11 +321,12 @@ pub fn check_sampling_identity(cap: usize) -> Check {
     for (name, plan) in &first.1 {
         for (os, other) in rest {
             if let Some((_, other_plan)) = other.iter().find(|(n, _)| n == name) {
-                if plan.dims != other_plan.dims {
+                if plan.dims() != other_plan.dims() {
                     continue; // different pool worlds; sizes may differ
                 }
                 check.checked += 1;
-                if plan.cases != other_plan.cases {
+                // Linear index for linear index.
+                if plan != other_plan {
                     check.violations.push(format!(
                         "{name}: sampling order diverges between {} and {}",
                         first.0.short_name(),

@@ -8,10 +8,29 @@
 //! from the *MuT name only* — identical dimensions + identical name ⇒
 //! identical case list on every variant, which is what makes the Figure 2
 //! voting well-defined.
+//!
+//! # Plans by prefix
+//!
+//! The sampler draws distinct linear (lexicographic) indices from a
+//! generator seeded by the MuT's name and stops at the cap. Every capped
+//! plan of a MuT signature — its name and pool sizes — is therefore a
+//! prefix of one stream. [`plan`] keeps that stream once per signature,
+//! process-wide, as the indices drawn so far; it only grows, continuing
+//! from the saved generator state, up to the largest cap asked. A
+//! [`Plan`] is the stream's first `cap` entries, or, when the cap covers
+//! the product, the plain lexicographic range, which stores nothing. So
+//! planning a new cap below the largest one asked draws and stores
+//! nothing, and memory is bounded by the catalog times the largest cap.
+//! Engines decode each case into a reused buffer as they run it
+//! ([`Plan::case`]).
+//!
+//! [`enumerate`] is the uncached reference sampler, and
+//! [`enumerate_shared`] materialises a [`Plan`] as an explicit
+//! [`CaseSet`] for callers that want every combination at once.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The paper's per-MuT cap.
@@ -20,7 +39,7 @@ pub const PAPER_CAP: usize = 5000;
 /// A test case: one pool index per parameter.
 pub type Combo = Vec<usize>;
 
-/// The selected case list for one MuT.
+/// The selected case list for one MuT, every combination explicit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CaseSet {
     /// Pool sizes per parameter.
@@ -41,14 +60,31 @@ pub fn combination_count(dims: &[usize]) -> u64 {
 /// inverse of [`encode`]. Public for the adaptive explorer's
 /// collision-probe fallback, which walks linear indices directly.
 #[must_use]
-pub fn decode(mut linear: u64, dims: &[usize]) -> Combo {
-    // Mixed-radix decode, least-significant dimension last (lexicographic).
-    let mut combo = vec![0usize; dims.len()];
-    for (slot, &d) in combo.iter_mut().zip(dims).rev() {
-        *slot = (linear % d as u64) as usize;
-        linear /= d as u64;
-    }
+pub fn decode(linear: u64, dims: &[usize]) -> Combo {
+    let mut combo = Vec::with_capacity(dims.len());
+    decode_into(linear, dims, false, &mut combo);
     combo
+}
+
+/// Mixed-radix decode of `linear` into `combo`, least-significant
+/// dimension last (lexicographic). `narrow` selects 32-bit division,
+/// exact when the product of `dims` fits in a `u32`.
+fn decode_into(linear: u64, dims: &[usize], narrow: bool, combo: &mut Combo) {
+    combo.clear();
+    combo.resize(dims.len(), 0);
+    if narrow {
+        let mut linear = linear as u32;
+        for (slot, &d) in combo.iter_mut().zip(dims).rev() {
+            *slot = (linear % d as u32) as usize;
+            linear /= d as u32;
+        }
+    } else {
+        let mut linear = linear;
+        for (slot, &d) in combo.iter_mut().zip(dims).rev() {
+            *slot = (linear % d as u64) as usize;
+            linear /= d as u64;
+        }
+    }
 }
 
 /// The linear (lexicographic) index of a combination — the exact inverse
@@ -111,9 +147,28 @@ pub fn seed_from_name(name: &str) -> u64 {
     h
 }
 
+/// The sampler's one draw loop: the linear indices below `total` that
+/// `rng` draws, in draw order, each yielded the first time it is drawn
+/// and not if `seen` already holds it. `seen` records every index
+/// yielded.
+fn fresh<'a>(
+    rng: &'a mut StdRng,
+    total: u64,
+    seen: &'a mut HashSet<u64>,
+) -> impl Iterator<Item = u64> + 'a {
+    std::iter::repeat_with(move || rng.random_range(0..total))
+        .filter(move |&linear| seen.insert(linear))
+}
+
+fn check_dims(dims: &[usize], seed_name: &str) {
+    assert!(!dims.is_empty(), "MuT with no parameters has one (empty) case");
+    assert!(dims.iter().all(|&d| d > 0), "empty pool for {seed_name}");
+}
+
 /// Enumerates the case set for pools of the given sizes: exhaustive when
 /// the product is within `cap`, otherwise `cap` distinct pseudo-random
-/// combinations seeded by `seed_name`.
+/// combinations seeded by `seed_name`. The uncached reference: every
+/// [`Plan`] from [`plan`] equals it case for case.
 ///
 /// # Panics
 ///
@@ -121,8 +176,7 @@ pub fn seed_from_name(name: &str) -> u64 {
 /// catalog wiring bug).
 #[must_use]
 pub fn enumerate(dims: &[usize], cap: usize, seed_name: &str) -> CaseSet {
-    assert!(!dims.is_empty(), "MuT with no parameters has one (empty) case");
-    assert!(dims.iter().all(|&d| d > 0), "empty pool for {seed_name}");
+    check_dims(dims, seed_name);
     let total = combination_count(dims);
     if total <= cap as u64 {
         let cases = (0..total).map(|i| decode(i, dims)).collect();
@@ -135,12 +189,7 @@ pub fn enumerate(dims: &[usize], cap: usize, seed_name: &str) -> CaseSet {
     let mut rng = StdRng::seed_from_u64(seed_from_name(seed_name));
     let mut seen = HashSet::with_capacity(cap);
     let mut cases = Vec::with_capacity(cap);
-    while cases.len() < cap {
-        let linear = rng.random_range(0..total);
-        if seen.insert(linear) {
-            cases.push(decode(linear, dims));
-        }
-    }
+    cases.extend(fresh(&mut rng, total, &mut seen).take(cap).map(|linear| decode(linear, dims)));
     CaseSet {
         dims: dims.to_vec(),
         cases,
@@ -148,32 +197,203 @@ pub fn enumerate(dims: &[usize], cap: usize, seed_name: &str) -> CaseSet {
     }
 }
 
-type PlanKey = (String, Vec<usize>, usize);
-
-fn plan_cache() -> &'static Mutex<BTreeMap<PlanKey, Arc<CaseSet>>> {
-    static CACHE: OnceLock<Mutex<BTreeMap<PlanKey, Arc<CaseSet>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(BTreeMap::new()))
+/// A MuT's case list, stored as linear indices: the lexicographic range
+/// of an exhaustive plan (nothing stored), or a prefix of a shared index
+/// list — a signature's sample stream, or an adaptive pin. Cheap to
+/// clone; decode a case with [`Plan::case`].
+#[derive(Debug, Clone)]
+pub struct Plan {
+    dims: Vec<usize>,
+    order: Order,
+    /// The product of `dims` fits in a `u32`, so decoding may use 32-bit
+    /// division (true of every catalog MuT).
+    narrow: bool,
 }
 
-/// [`enumerate`] through a process-wide plan cache: the paper runs *the
-/// same* pseudorandom sample per MuT on every variant, so the plan for a
-/// given (name, dims, cap) is computed once and shared across all seven
-/// campaigns (and across campaign repeats). The cache is append-only and
-/// bounded by the catalog: one entry per distinct MuT signature per cap.
+#[derive(Debug, Clone)]
+enum Order {
+    /// Every combination in lexicographic order: case `i` is index `i`.
+    Range(usize),
+    /// The first `len` entries of a shared index list.
+    Indices(Arc<[u64]>, usize),
+}
+
+impl Plan {
+    fn new(dims: &[usize], order: Order) -> Plan {
+        Plan {
+            dims: dims.to_vec(),
+            order,
+            narrow: combination_count(dims) <= u64::from(u32::MAX),
+        }
+    }
+
+    /// The plan of a zero-parameter MuT: one empty case.
+    #[must_use]
+    pub fn single() -> Plan {
+        Plan::new(&[], Order::Range(1))
+    }
+
+    /// An explicit plan over `dims`: the given linear indices, in order
+    /// (an adaptive pin).
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts every index is below the product of `dims`.
+    #[must_use]
+    pub fn pinned(dims: &[usize], indices: Vec<u64>) -> Plan {
+        debug_assert!(indices.iter().all(|&l| l < combination_count(dims)));
+        let len = indices.len();
+        Plan::new(dims, Order::Indices(indices.into(), len))
+    }
+
+    /// Cases in the plan.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        match self.order {
+            Order::Range(len) | Order::Indices(_, len) => len,
+        }
+    }
+
+    /// Whether the plan has no case (only a zero cap on a sampled MuT).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Pool sizes per parameter.
+    #[must_use]
+    pub fn dims(&self) -> &[usize] {
+        &self.dims
+    }
+
+    /// Whether the plan is every combination in lexicographic order.
+    #[must_use]
+    pub fn exhaustive(&self) -> bool {
+        matches!(self.order, Order::Range(_))
+    }
+
+    /// Case `i`'s linear index.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is out of range.
+    #[must_use]
+        pub fn linear(&self, i: usize) -> u64 {
+        match &self.order {
+            Order::Range(len) => {
+                assert!(i < *len, "case {i} of a {len}-case plan");
+                i as u64
+            }
+            Order::Indices(indices, len) => {
+                assert!(i < *len, "case {i} of a {len}-case plan");
+                indices[i]
+            }
+        }
+    }
+
+    /// Decodes case `i` into `buf` and returns it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is out of range.
+        pub fn case<'b>(&self, i: usize, buf: &'b mut Combo) -> &'b [usize] {
+        decode_into(self.linear(i), &self.dims, self.narrow, buf);
+        buf
+    }
+
+    /// Case `i` as a fresh combination.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is out of range.
+    #[must_use]
+    pub fn combo(&self, i: usize) -> Combo {
+        let mut combo = Vec::new();
+        self.case(i, &mut combo);
+        combo
+    }
+
+    /// Every case decoded, as an explicit [`CaseSet`].
+    #[must_use]
+    pub fn to_case_set(&self) -> CaseSet {
+        CaseSet {
+            dims: self.dims.clone(),
+            cases: (0..self.len()).map(|i| self.combo(i)).collect(),
+            exhaustive: self.exhaustive(),
+        }
+    }
+}
+
+/// Two plans are equal when they run the same cases in the same order.
+impl PartialEq for Plan {
+    fn eq(&self, other: &Plan) -> bool {
+        self.dims == other.dims
+            && self.len() == other.len()
+            && (0..self.len()).all(|i| self.linear(i) == other.linear(i))
+    }
+}
+
+impl Eq for Plan {}
+
+/// One signature's sample stream: the distinct linear indices drawn so
+/// far, in draw order, and the generator state after the last draw.
+struct Stream {
+    drawn: Arc<[u64]>,
+    rng: StdRng,
+}
+
+/// Every signature's stream, keyed by `(seed name, dims)`.
+type Streams = HashMap<(String, Vec<usize>), Stream>;
+
+fn streams() -> &'static Mutex<Streams> {
+    static STREAMS: OnceLock<Mutex<Streams>> = OnceLock::new();
+    STREAMS.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
+/// The plan for pools of the given sizes at `cap`: the lexicographic
+/// range when the product is within `cap`, else the first `cap` entries
+/// of the `(seed_name, dims)` sample stream, grown first if it is
+/// shorter. Case for case equal to [`enumerate`].
+///
+/// # Panics
+///
+/// Same conditions as [`enumerate`].
+#[must_use]
+pub fn plan(dims: &[usize], cap: usize, seed_name: &str) -> Plan {
+    check_dims(dims, seed_name);
+    let total = combination_count(dims);
+    if total <= cap as u64 {
+        return Plan::new(dims, Order::Range(total as usize));
+    }
+    let mut streams = streams().lock().expect("sample streams poisoned");
+    let stream = streams
+        .entry((seed_name.to_owned(), dims.to_vec()))
+        .or_insert_with(|| Stream {
+            drawn: Arc::new([]),
+            rng: StdRng::seed_from_u64(seed_from_name(seed_name)),
+        });
+    if stream.drawn.len() < cap {
+        let more = cap - stream.drawn.len();
+        let mut drawn = Vec::with_capacity(cap);
+        drawn.extend_from_slice(&stream.drawn);
+        let mut seen = HashSet::with_capacity(cap);
+        seen.extend(drawn.iter().copied());
+        drawn.extend(fresh(&mut stream.rng, total, &mut seen).take(more));
+        stream.drawn = drawn.into();
+    }
+    Plan::new(dims, Order::Indices(Arc::clone(&stream.drawn), cap))
+}
+
+/// [`plan`], materialised as an explicit [`CaseSet`]. Decodes every case
+/// on each call and keeps no cache of its own: engines hold [`Plan`]s,
+/// and this serves callers that want the combinations themselves.
 ///
 /// # Panics
 ///
 /// Same conditions as [`enumerate`].
 #[must_use]
 pub fn enumerate_shared(dims: &[usize], cap: usize, seed_name: &str) -> Arc<CaseSet> {
-    let key = (seed_name.to_owned(), dims.to_vec(), cap);
-    let mut cache = plan_cache().lock().expect("plan cache poisoned");
-    if let Some(plan) = cache.get(&key) {
-        return Arc::clone(plan);
-    }
-    let plan = Arc::new(enumerate(dims, cap, seed_name));
-    cache.insert(key, Arc::clone(&plan));
-    plan
+    Arc::new(plan(dims, cap, seed_name).to_case_set())
 }
 
 /// Case list for a zero-parameter MuT: one empty case.
@@ -270,6 +490,37 @@ mod tests {
         let set = enumerate(&[9, 9, 9, 9], 100, "encode_roundtrip");
         let seen: HashSet<u64> = set.cases.iter().map(|c| encode(c, &set.dims)).collect();
         assert_eq!(seen.len(), set.cases.len(), "linear indices stay distinct");
+    }
+
+    #[test]
+    fn a_smaller_cap_slices_the_stream_a_larger_one_drew() {
+        let dims = [9, 9, 9, 9];
+        let big = plan(&dims, 1000, "prefix");
+        let small = plan(&dims, 100, "prefix");
+        assert_eq!(small.len(), 100);
+        assert!((0..100).all(|i| small.linear(i) == big.linear(i)));
+        assert_eq!(small.to_case_set(), enumerate(&dims, 100, "prefix"));
+        assert_eq!(big.to_case_set(), enumerate(&dims, 1000, "prefix"));
+        // A cap covering the product is the lexicographic range.
+        let all = plan(&[3, 2], 6, "small");
+        assert!(all.exhaustive());
+        assert_eq!(all.combo(5), vec![2, 1]);
+        assert_eq!(Plan::single().to_case_set(), single_case());
+    }
+
+    #[test]
+    fn wide_products_decode_with_64_bit_division() {
+        // A product above u32::MAX takes the 64-bit decode; every catalog
+        // product takes the 32-bit one. Both invert `encode`.
+        let dims = [70_000, 70_000, 3];
+        let wide = Plan::pinned(&dims, vec![0, 14_699_999_999, 9_876_543_210]);
+        for i in 0..wide.len() {
+            assert_eq!(encode(&wide.combo(i), &dims), wide.linear(i));
+        }
+        let narrow = plan(&[19, 12, 8, 12, 12], 50, "ReadFileEx");
+        for i in 0..narrow.len() {
+            assert_eq!(narrow.combo(i), decode(narrow.linear(i), narrow.dims()));
+        }
     }
 
     #[test]

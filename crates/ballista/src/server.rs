@@ -30,11 +30,21 @@
 //!
 //! # Fingerprint memoization
 //!
-//! Computing a fingerprint requires resolving every MuT's pools and
-//! sampling plan — microseconds, but far too slow for a hot cache-hit
-//! path. The server memoizes spec → fingerprint in a hash map, so the
-//! steady-state cost of a hit is two hash probes and a socket write
-//! (the `fleet_bench` hit-path throughput target leans on this).
+//! Computing a fingerprint hashes every catalog MuT's name and planned
+//! count off a per-variant table — microseconds, about as long as the
+//! rest of a cache hit. The server memoizes spec → fingerprint in a hash
+//! map, so the steady-state cost of a hit is two hash probes and a
+//! socket write (the `fleet_bench` hit-path throughput target leans on
+//! this).
+//!
+//! # Spec validation
+//!
+//! A spec is checked before anything fingerprints it: a `cap` above the
+//! variant's largest full product ([`campaign::exhaustive_cap`]) or an
+//! adaptive knob out of bounds is a `400`, counted in
+//! [`ServerMetrics::rejected_specs`]. Above that product every plan is
+//! already exhaustive, so a larger cap would only name the same campaign
+//! under another fingerprint.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -49,7 +59,7 @@ use sim_kernel::variant::OsVariant;
 
 use crate::adaptive::AdaptiveConfig;
 use crate::cache::ResultCache;
-use crate::campaign::{CampaignConfig, CampaignFingerprint, Mode};
+use crate::campaign::{self, CampaignConfig, CampaignFingerprint, Mode};
 use crate::fleet::{run_fleet_engine, FleetConfig, FleetProgress};
 use crate::telemetry;
 use serde::{Deserialize, Serialize};
@@ -63,13 +73,16 @@ const MAX_BODY: usize = 1 << 20;
 /// `{"os": "Win95", "cap": 200}`. Omitted knobs take the
 /// [`CampaignConfig::default`] protocol values (`cap` `0` also means
 /// "default": the paper's 5 000). `shards`/`workers` of `0` let the
-/// fleet pick.
+/// fleet pick. The server answers `400` to a `cap` above the variant's
+/// [`campaign::exhaustive_cap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CampaignSpec {
     /// OS variant under test (serialized as the enum variant name,
     /// e.g. `"Win95"`).
     pub os: OsVariant,
-    /// Per-MuT case cap; `0` → the paper's 5 000.
+    /// Per-MuT case cap; `0` → the paper's 5 000. At most the variant's
+    /// largest full product ([`campaign::exhaustive_cap`]); a larger cap
+    /// is a `400`.
     #[serde(default)]
     pub cap: usize,
     /// Record per-case packed outcome bytes.
@@ -229,6 +242,11 @@ pub struct ServerMetrics {
     /// Cases/second of the most recently completed campaign
     /// (micro-cases — `cases_per_sec × 1e6` stored integrally).
     pub last_campaign_ucases_per_sec: u64,
+    /// `POST /campaign` bodies answered `400`: malformed JSON, an
+    /// adaptive knob out of bounds, or a cap above the variant's largest
+    /// full product (absent in metrics written before the cap bound).
+    #[serde(default)]
+    pub rejected_specs: u64,
 }
 
 /// One in-flight campaign: the leader publishes the serialized report
@@ -273,6 +291,7 @@ struct State {
     campaigns_executed: AtomicU64,
     inflight_depth: AtomicUsize,
     last_ucases_per_sec: AtomicU64,
+    rejected_specs: AtomicU64,
 }
 
 impl State {
@@ -287,11 +306,12 @@ impl State {
             campaigns_executed: self.campaigns_executed.load(Ordering::Relaxed),
             inflight: self.inflight_depth.load(Ordering::Relaxed) as u64,
             last_campaign_ucases_per_sec: self.last_ucases_per_sec.load(Ordering::Relaxed),
+            rejected_specs: self.rejected_specs.load(Ordering::Relaxed),
         }
     }
 
-    /// Spec → fingerprint, memoized (computing a fingerprint resolves
-    /// every MuT's pools — too slow for the hot hit path).
+    /// Spec → fingerprint, memoized (a fingerprint hashes every catalog
+    /// MuT — as long as the rest of a hit).
     fn fingerprint_of(&self, spec: &CampaignSpec) -> CampaignFingerprint {
         if let Some(fp) = self
             .fingerprints
@@ -349,6 +369,7 @@ impl Server {
                 campaigns_executed: AtomicU64::new(0),
                 inflight_depth: AtomicUsize::new(0),
                 last_ucases_per_sec: AtomicU64::new(0),
+                rejected_specs: AtomicU64::new(0),
             }),
         })
     }
@@ -584,11 +605,20 @@ fn get_campaign(stream: &mut TcpStream, state: &State, request: &Request) -> io:
     }
 }
 
-/// Parses a `POST /campaign` body and bounds its adaptive knobs
+/// Parses a `POST /campaign` body and bounds its cap
+/// ([`campaign::exhaustive_cap`]) and its adaptive knobs
 /// ([`AdaptiveConfig::check_bounds`]) before anything fingerprints or
 /// runs the spec.
 fn parse_spec(body: &[u8]) -> Result<CampaignSpec, String> {
     let spec: CampaignSpec = serde_json::from_slice(body).map_err(|e| e.to_string())?;
+    let bound = campaign::exhaustive_cap(spec.os);
+    if spec.cap > bound {
+        return Err(format!(
+            "cap {} above the largest full product {bound} of {}",
+            spec.cap,
+            spec.os.short_name()
+        ));
+    }
     if let Some(acfg) = spec.adaptive() {
         acfg.check_bounds()?;
     }
@@ -601,6 +631,7 @@ fn post_campaign(stream: &mut TcpStream, state: &State, request: &Request) -> io
     let spec = match parse_spec(&request.body) {
         Ok(spec) => spec,
         Err(e) => {
+            state.rejected_specs.fetch_add(1, Ordering::Relaxed);
             let body = format!(r#"{{"error":"bad campaign spec: {e}"}}"#);
             return respond(
                 stream,

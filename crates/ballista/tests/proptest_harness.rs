@@ -51,6 +51,24 @@ proptest! {
         }
     }
 
+    /// Plans by prefix: whatever order caps are asked in — below, at or
+    /// above the product, growing or shrinking the signature's sample
+    /// stream — each plan equals the reference sampler at its cap.
+    #[test]
+    fn plans_equal_the_reference_in_any_request_order(
+        dims in proptest::collection::vec(1usize..9, 1..5),
+        requests in proptest::collection::vec((any::<bool>(), 0usize..1500), 1..8),
+        name in "[A-Za-z]{1,16}",
+    ) {
+        let product = sampling::combination_count(&dims) as usize;
+        for (near_product, n) in requests {
+            let cap = if near_product { (product + n % 3).saturating_sub(1) } else { n };
+            let plan = sampling::plan(&dims, cap, &name);
+            prop_assert_eq!(plan.len(), cap.min(product));
+            prop_assert_eq!(plan.to_case_set(), sampling::enumerate(&dims, cap, &name));
+        }
+    }
+
     /// Classification is total and consistent: severity only ever equals
     /// or exceeds the refined (Hindering-aware) classification's base, and
     /// the oracle bit only matters for ReturnedSuccess/ReturnedError.

@@ -130,6 +130,7 @@ fn fingerprint_addressing_and_distinct_specs() {
     // Malformed spec → 400.
     let (status, _) = request(addr, "POST", "/campaign", "{\"cap\": 60}");
     assert_eq!(status, 400);
+    assert_eq!(metrics(addr).rejected_specs, 1);
 
     // Two distinct specs are two campaigns with two fingerprints.
     let (status, body_a) = request(addr, "POST", "/campaign", &spec_json(60));
@@ -178,6 +179,7 @@ fn out_of_bounds_adaptive_knobs_are_rejected_and_the_server_keeps_serving() {
     let m = metrics(addr);
     assert_eq!(m.campaigns_executed, 0);
     assert_eq!(m.cache_misses, 0);
+    assert_eq!(m.rejected_specs, 2);
 
     // The server is still up and serves a valid adaptive spec.
     let (status, body) = request(addr, "POST", "/campaign", &adaptive(2, 0));
@@ -188,4 +190,63 @@ fn out_of_bounds_adaptive_knobs_are_rejected_and_the_server_keeps_serving() {
     let m = metrics(addr);
     assert_eq!(m.campaign_posts, 3);
     assert_eq!(m.campaigns_executed, 1);
+}
+
+#[test]
+fn caps_above_the_largest_full_product_are_rejected_before_fingerprinting() {
+    use ballista::cache::ResultCache;
+    use ballista::campaign::{exhaustive_cap, fingerprint, CampaignReport};
+
+    let os = OsVariant::Win98;
+    let max = exhaustive_cap(os);
+    assert_eq!(max, 19 * 12 * 8 * 12 * 12, "ReadFileEx's full product");
+    let spec = |cap: usize| CampaignSpec {
+        cap,
+        ..CampaignSpec::new(os)
+    };
+    let dir = scratch("cap-bound");
+    let addr = Server::bind(&ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        cache_dir: dir.clone(),
+        cache_capacity: 16,
+    })
+    .expect("bind server")
+    .spawn()
+    .addr;
+
+    // A cap equal to the largest product is accepted: it is fingerprinted
+    // and probed. A stand-in report stored under that fingerprint first
+    // answers the probe, so the test runs no exhaustive campaign.
+    let stand_in = CampaignReport {
+        os,
+        muts: Vec::new(),
+        total_cases: 0,
+        stats: None,
+        warnings: Vec::new(),
+        degraded: false,
+        fleet_degraded: false,
+    };
+    let stored = ResultCache::new(&dir, 1)
+        .expect("cache dir")
+        .store(fingerprint(os, &spec(max).config()), &stand_in)
+        .expect("store stand-in");
+    let body = serde_json::to_string(&spec(max)).expect("spec serializes");
+    let (status, served) = request(addr, "POST", "/campaign", &body);
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&served));
+    assert_eq!(served, *stored);
+
+    // One above it, and the largest cap JSON can carry, are a 400.
+    for cap in [max + 1, usize::MAX] {
+        let body = serde_json::to_string(&spec(cap)).expect("spec serializes");
+        let (status, reply) = request(addr, "POST", "/campaign", &body);
+        assert_eq!(status, 400, "cap {cap}");
+        let reply = String::from_utf8_lossy(&reply);
+        assert!(reply.contains("largest full product 262656"), "{reply}");
+    }
+    let m = metrics(addr);
+    assert_eq!(m.campaign_posts, 3);
+    assert_eq!(m.rejected_specs, 2);
+    assert_eq!(m.cache_hits, 1);
+    assert_eq!(m.cache_misses, 0);
+    assert_eq!(m.campaigns_executed, 0, "no rejected spec ran");
 }

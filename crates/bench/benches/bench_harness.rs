@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the testing machinery itself: machine boot,
-//! test-case enumeration, pool construction, single-case execution and
-//! the hot simulated-API paths.
+//! test-case enumeration and planning, campaign fingerprints, pool
+//! construction, single-case execution and the hot simulated-API paths.
 
+use ballista::campaign::{fingerprint, resolve_pools, CampaignConfig};
 use ballista::exec::Session;
 use ballista::sampling;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -34,16 +35,45 @@ fn bench_harness(c: &mut Criterion) {
         })
     });
 
-    // Pool resolution (constructor closures + inheritance).
+    // Plans by prefix: every win98 MuT planned at cap 200 once cap 1000
+    // has drawn its sample streams (each plan a slice), and the cap-200
+    // fingerprint (a fold over the signature table, no plan drawn).
     let registry = ballista::catalog::registry_for(OsVariant::Win98);
+    let muts = ballista::catalog::catalog_for(OsVariant::Win98);
+    let signatures: Vec<(&str, Vec<usize>)> = muts
+        .iter()
+        .map(|m| {
+            let dims = resolve_pools(&registry, m).iter().map(Vec::len).collect();
+            (m.name, dims)
+        })
+        .filter(|(_, dims): &(_, Vec<usize>)| !dims.is_empty())
+        .collect();
+    for (name, dims) in &signatures {
+        black_box(sampling::plan(dims, 1000, name));
+    }
+    group.bench_function("plan_slice_warm", |b| {
+        b.iter(|| {
+            for (name, dims) in &signatures {
+                black_box(sampling::plan(dims, black_box(200), name));
+            }
+        })
+    });
+    let cap200 = CampaignConfig {
+        cap: 200,
+        ..CampaignConfig::default()
+    };
+    group.bench_function("fingerprint_win98_cap200", |b| {
+        b.iter(|| black_box(fingerprint(OsVariant::Win98, black_box(&cap200))))
+    });
+
+    // Pool resolution (constructor closures + inheritance).
     group.bench_function("resolve_handle_pool", |b| {
         b.iter(|| black_box(registry.pool(black_box("HANDLE"))))
     });
 
     // One full test case end-to-end (the campaign inner loop).
-    let muts = ballista::catalog::catalog_for(OsVariant::Win98);
     let strlen = muts.iter().find(|m| m.name == "strlen").expect("in catalog");
-    let pools = ballista::campaign::resolve_pools(&registry, strlen);
+    let pools = resolve_pools(&registry, strlen);
     group.bench_function("execute_case_strlen", |b| {
         let mut session = Session::new();
         b.iter(|| {

@@ -96,3 +96,35 @@ fn sampling_respects_cap_at_paper_scale() {
         }
     }
 }
+
+/// Plans by prefix are the reference sampler's plans. Every signature of
+/// every variant's catalog is planned at caps asked in a mixed order —
+/// down, up, just below, at and just above its product — so its sample
+/// stream is sliced, grown from its saved state, and bypassed by the
+/// lexicographic range. Each plan must equal `sampling::enumerate` at its
+/// cap, case for case, exhaustive flag included.
+#[test]
+fn plans_equal_the_reference_sampler_in_any_request_order() {
+    let mut signatures = std::collections::BTreeSet::new();
+    for os in OsVariant::ALL {
+        let registry = catalog::registry_for(os);
+        for m in catalog::catalog_for(os) {
+            let dims: Vec<usize> = resolve_pools(&registry, &m).iter().map(Vec::len).collect();
+            if !dims.is_empty() {
+                signatures.insert((m.name, dims));
+            }
+        }
+    }
+    for (name, dims) in &signatures {
+        let product = sampling::combination_count(dims) as usize;
+        for cap in [5000, 1, 200, 1000, 150, 4999, product - 1, product, product + 1] {
+            let plan = sampling::plan(dims, cap, name);
+            assert_eq!(
+                plan.to_case_set(),
+                sampling::enumerate(dims, cap, name),
+                "{name} {dims:?} at cap {cap}"
+            );
+            assert_eq!(plan.exhaustive(), product <= cap, "{name} at cap {cap}");
+        }
+    }
+}
