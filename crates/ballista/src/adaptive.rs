@@ -543,7 +543,7 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
                 let mut pins = st.pinned;
                 pins.extend(st.deferred);
                 debug_assert_eq!(pins.len(), st.fixed_plan.len());
-                Plan::pinned(&st.dims, pins)
+                Plan::pinned(&st.dims, &pins)
             };
             PinnedMut {
                 name: st.mut_.name.to_owned(),

@@ -36,7 +36,7 @@ use crate::exec::{
 use crate::fleet::{Heartbeat, ShardResult, WireCleanMut};
 use crate::journal::{PlanHasher, Resume};
 use crate::muts::Mut;
-use crate::sampling::{self, Combo, Plan, PAPER_CAP};
+use crate::sampling::{self, Plan, PAPER_CAP};
 use crate::telemetry::{self, CaseTrace, TraceCollector};
 use crate::value::TestValue;
 use serde::{Content, Deserialize, Serialize};
@@ -864,10 +864,10 @@ fn run_clean_mut(
     let mut fuel = capture_fuel.then(|| Vec::with_capacity(planned));
     let mut clean = Session::new();
     let mut runner = CaseRunner::new();
-    let mut combo = Combo::new();
+    let mut cases = prep.plan.cases();
     for c_idx in 0..planned {
         clean.residue = 0;
-        let combo = prep.plan.case(c_idx, &mut combo);
+        let combo = cases.get(c_idx);
         let r = runner.execute(os, prep.mut_, &prep.pools, combo, &mut clean, fuel_budget);
         records.push(crash::pack_case(r.raw, r.any_exceptional, r.residue_probed));
         if let Some(fuel) = fuel.as_mut() {
@@ -1044,10 +1044,9 @@ fn sequential_mut(
 ) -> MutTally {
     let mut runner = CaseRunner::new();
     let fuel_budget = cfg.effective_fuel_budget();
-    let mut combo = Combo::new();
-    let cases = prep.plan.len();
-    let Ok(tally) = fold_mut::<Infallible>(os, cfg, prep, cases, session, tc, |c, s| {
-        let combo = prep.plan.case(c, &mut combo);
+    let mut cases = prep.plan.cases();
+    let Ok(tally) = fold_mut::<Infallible>(os, cfg, prep, prep.plan.len(), session, tc, |c, s| {
+        let combo = cases.get(c);
         Ok(runner.execute(os, prep.mut_, &prep.pools, combo, s, fuel_budget))
     });
     tally
@@ -1069,7 +1068,6 @@ fn replay_pass(
     let mut replayed = 0usize;
     let mut runner = CaseRunner::new();
     let fuel_budget = cfg.effective_fuel_budget();
-    let mut combo = Combo::new();
     let mut tallies = Vec::with_capacity(preps.len());
     for (prep, recs) in preps.iter().zip(records) {
         open_span(tc, prep, false);
@@ -1077,9 +1075,10 @@ fn replay_pass(
             tallies.push(empty_tally(prep.mut_, prep.plan.len()));
             continue;
         };
-        let cases = recs.records.len();
+        let reached = recs.records.len();
+        let mut cases = prep.plan.cases();
         let Ok(tally) =
-            fold_mut::<Infallible>(os, cfg, prep, cases, &mut session, tc, |c, s| {
+            fold_mut::<Infallible>(os, cfg, prep, reached, &mut session, tc, |c, s| {
                 Ok(match crash::unpack_case(recs.records[c]) {
                     // Reused, not re-executed: its fuel comes from the
                     // clean-pass side channel. Sound because a reused case
@@ -1095,8 +1094,7 @@ fn replay_pass(
                     ),
                     _ => {
                         replayed += 1;
-                        let combo = prep.plan.case(c, &mut combo);
-                        runner.execute(os, prep.mut_, &prep.pools, combo, s, fuel_budget)
+                        runner.execute(os, prep.mut_, &prep.pools, cases.get(c), s, fuel_budget)
                     }
                 })
             });
@@ -1279,10 +1277,10 @@ pub(crate) fn run_journaled(
     let fuel_budget = cfg.effective_fuel_budget();
     let mut session = Session::new();
     let mut runner = CaseRunner::new();
-    let mut combo = Combo::new();
     let mut tallies = Vec::with_capacity(preps.len());
     for (m_idx, prep) in preps.iter().enumerate() {
         let planned = prep.plan.len();
+        let mut cases = prep.plan.cases();
         telemetry::on_mut_begin(planned as u64);
         open_span(&mut tc, prep, false);
         tallies.push(fold_mut::<std::io::Error>(
@@ -1300,7 +1298,7 @@ pub(crate) fn run_journaled(
                 {
                     return Ok(recorded(s, rec, fuel));
                 }
-                let combo = prep.plan.case(c_idx, &mut combo);
+                let combo = cases.get(c_idx);
                 let r = runner.execute(os, prep.mut_, &prep.pools, combo, s, fuel_budget);
                 let packed = crash::pack_case(r.raw, r.any_exceptional, r.residue_probed);
                 cursor.append(m_idx, c_idx, packed, r.fuel_used)?;

@@ -19,7 +19,7 @@
 use crate::campaign::{CampaignConfig, CampaignReport, MutTally};
 use crate::catalog;
 use crate::crash::{FailureClass, RawOutcome};
-use crate::sampling::{Combo, Plan};
+use crate::sampling::Plan;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -141,7 +141,6 @@ impl Coverage {
         let registry = catalog::registry_for(report.os);
         let muts = catalog::catalog_for(report.os);
         let mut cov = Coverage::default();
-        let mut combo = Combo::new();
         let variant = report.os.short_name().to_owned();
         cov.variants.insert(variant.clone());
         for tally in &report.muts {
@@ -163,8 +162,9 @@ impl Coverage {
                 let slot = cov.pools.entry((*ty).to_owned()).or_default();
                 slot.size = slot.size.max(pool.len() as u64);
             }
+            let mut cases = plan.cases();
             for c_idx in 0..tally.cases.min(plan.len()) {
-                let combo = plan.case(c_idx, &mut combo);
+                let combo = cases.get(c_idx);
                 for ((ty, pool), &idx) in mut_.params.iter().zip(&pools).zip(combo) {
                     let slot = cov.pools.entry((*ty).to_owned()).or_default();
                     slot.touched.insert(pool[idx].name.to_owned());

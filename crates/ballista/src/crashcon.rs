@@ -61,7 +61,6 @@ use crate::exec::{self, fault, CaseRunner, Session};
 use crate::fleet::{ShardResult, WireCleanMut};
 use crate::journal::Resume;
 use crate::muts::FunctionGroup;
-use crate::sampling::Combo;
 use crate::telemetry;
 use serde::{Deserialize, Serialize};
 use sim_kernel::crashfs::{self, CrashPoint, SpecNode, SpecTree};
@@ -544,14 +543,12 @@ fn rename_involved(path: &str, pairs: &[(&str, &str)]) -> bool {
     })
 }
 
-/// One thread's crashcon rig: a case runner, a residue-zero session, a
-/// resident verifier for the variant's machine flavour, and the buffer
-/// each case decodes into.
+/// One thread's crashcon rig: a case runner, a residue-zero session and
+/// a resident verifier for the variant's machine flavour.
 struct Judge {
     runner: CaseRunner,
     session: Session,
     verifier: Verifier,
-    combo: Combo,
 }
 
 impl Judge {
@@ -560,18 +557,17 @@ impl Judge {
             runner: CaseRunner::new(),
             session: Session::new(),
             verifier: Verifier::new(os.machine_flavor()),
-            combo: Combo::new(),
         }
     }
 
-    /// Executes case `c_idx` of `prep`'s plan with the op recorder armed
-    /// and judges every bounded crash point of its log: the case's packed
-    /// `(verdict, aux)` record.
+    /// Executes `combo`, a case of `prep`'s plan, with the op recorder
+    /// armed and judges every bounded crash point of its log: the case's
+    /// packed `(verdict, aux)` record.
     fn case(
         &mut self,
         os: OsVariant,
         prep: &PreparedMut<'_>,
-        c_idx: usize,
+        combo: &[usize],
         fuel_budget: u64,
     ) -> (u8, u64) {
         // Crashcon cases are residue-free: verdicts must be pure
@@ -581,7 +577,7 @@ impl Judge {
             os,
             prep.mut_,
             &prep.pools,
-            prep.plan.case(c_idx, &mut self.combo),
+            combo,
             &mut self.session,
             fuel_budget,
         );
@@ -598,8 +594,9 @@ pub(crate) fn crash_mut_records(
     fuel_budget: u64,
 ) -> WireCleanMut {
     let mut judge = Judge::new(os);
+    let mut cases = prep.plan.cases();
     let (records, aux) = (0..prep.plan.len())
-        .map(|c_idx| judge.case(os, prep, c_idx, fuel_budget))
+        .map(|c_idx| judge.case(os, prep, cases.get(c_idx), fuel_budget))
         .unzip();
     WireCleanMut {
         records,
@@ -726,6 +723,7 @@ pub fn run_crashcon_journaled(
         // One rig (and so one verdict memo) per MuT, as in the clean
         // pass; a MuT replayed whole never boots one.
         let mut judge = None;
+        let mut cases = prep.plan.cases();
         for c_idx in 0..prep.plan.len() {
             let replayed =
                 cursor.replay(m_idx, c_idx, |p, a| CaseVerdict::decode(p, a).map(|_| p))?;
@@ -733,7 +731,7 @@ pub fn run_crashcon_journaled(
                 Some(rec) => rec,
                 None => {
                     let judge = judge.get_or_insert_with(|| Judge::new(os));
-                    let (p, a) = judge.case(os, prep, c_idx, fuel_budget);
+                    let (p, a) = judge.case(os, prep, cases.get(c_idx), fuel_budget);
                     cursor.append(m_idx, c_idx, p, a)?;
                     (p, a)
                 }

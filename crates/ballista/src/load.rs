@@ -15,7 +15,6 @@ use crate::crash::{FailureClass, RawOutcome};
 use crate::datatype::TypeRegistry;
 use crate::exec::{execute_case_on, Session};
 use crate::muts::Mut;
-use crate::sampling::Combo;
 use crate::value::TestValue;
 use serde::{Deserialize, Serialize};
 use sim_kernel::fs::OpenOptions;
@@ -123,7 +122,6 @@ pub fn run_load_comparison(
     for m in muts {
         let pools: Vec<Vec<TestValue>> = m.params.iter().map(|ty| registry.pool(ty)).collect();
         let plan = crate::campaign::plan_of(m, &pools, cap);
-        let mut buf = Combo::new();
         let mut delta = LoadDelta {
             name: m.name.to_owned(),
             group: m.group,
@@ -133,8 +131,9 @@ pub fn run_load_comparison(
             new_errors: 0,
             scaffold_degraded: 0,
         };
+        let mut cases = plan.cases();
         for c_idx in 0..plan.len() {
-            let combo = plan.case(c_idx, &mut buf);
+            let combo = cases.get(c_idx);
             delta.cases += 1;
             // Detect scaffold degradation: run the constructors alone on
             // both machine states and compare degeneracy.

@@ -15,14 +15,16 @@
 //! generator seeded by the MuT's name and stops at the cap. Every capped
 //! plan of a MuT signature — its name and pool sizes — is therefore a
 //! prefix of one stream. [`plan`] keeps that stream once per signature,
-//! process-wide, as the indices drawn so far; it only grows, continuing
-//! from the saved generator state, up to the largest cap asked. A
-//! [`Plan`] is the stream's first `cap` entries, or, when the cap covers
-//! the product, the plain lexicographic range, which stores nothing. So
-//! planning a new cap below the largest one asked draws and stores
-//! nothing, and memory is bounded by the catalog times the largest cap.
-//! Engines decode each case into a reused buffer as they run it
-//! ([`Plan::case`]).
+//! process-wide, as the cases drawn so far, each stored as its pool
+//! indices (two bytes per parameter); it only grows, continuing from the
+//! saved generator state, up to the largest cap asked. A [`Plan`] is the
+//! stream's first `cap` cases, or, when the cap covers the product, the
+//! plain lexicographic range, which stores nothing. So planning a new cap
+//! below the largest one asked draws and stores nothing, and memory is
+//! bounded by the catalog times the largest cap. Engines walk a plan with
+//! [`Plan::cases`], which copies a stored case and steps a lexicographic
+//! one from the case before it, so running a plan in order divides
+//! nothing.
 //!
 //! [`enumerate`] is the uncached reference sampler, and
 //! [`enumerate_shared`] materialises a [`Plan`] as an explicit
@@ -61,29 +63,28 @@ pub fn combination_count(dims: &[usize]) -> u64 {
 /// collision-probe fallback, which walks linear indices directly.
 #[must_use]
 pub fn decode(linear: u64, dims: &[usize]) -> Combo {
-    let mut combo = Vec::with_capacity(dims.len());
-    decode_into(linear, dims, false, &mut combo);
+    let mut combo = vec![0; dims.len()];
+    decode_into(linear, dims, &mut combo);
     combo
 }
 
-/// Mixed-radix decode of `linear` into `combo`, least-significant
-/// dimension last (lexicographic). `narrow` selects 32-bit division,
-/// exact when the product of `dims` fits in a `u32`.
-fn decode_into(linear: u64, dims: &[usize], narrow: bool, combo: &mut Combo) {
-    combo.clear();
-    combo.resize(dims.len(), 0);
-    if narrow {
-        let mut linear = linear as u32;
-        for (slot, &d) in combo.iter_mut().zip(dims).rev() {
-            *slot = (linear % d as u32) as usize;
-            linear /= d as u32;
+/// Mixed-radix decode of `linear` into `combo` (one slot per dimension),
+/// least-significant dimension last (lexicographic).
+fn decode_into(mut linear: u64, dims: &[usize], combo: &mut [usize]) {
+    for (slot, &d) in combo.iter_mut().zip(dims).rev() {
+        *slot = (linear % d as u64) as usize;
+        linear /= d as u64;
+    }
+}
+
+/// Advances `combo` to the next combination in lexicographic order.
+fn step(combo: &mut [usize], dims: &[usize]) {
+    for (slot, &d) in combo.iter_mut().zip(dims).rev() {
+        *slot += 1;
+        if *slot < d {
+            return;
         }
-    } else {
-        let mut linear = linear;
-        for (slot, &d) in combo.iter_mut().zip(dims).rev() {
-            *slot = (linear % d as u64) as usize;
-            linear /= d as u64;
-        }
+        *slot = 0;
     }
 }
 
@@ -161,7 +162,10 @@ fn fresh<'a>(
 }
 
 fn check_dims(dims: &[usize], seed_name: &str) {
-    assert!(!dims.is_empty(), "MuT with no parameters has one (empty) case");
+    assert!(
+        !dims.is_empty(),
+        "MuT with no parameters has one (empty) case"
+    );
     assert!(dims.iter().all(|&d| d > 0), "empty pool for {seed_name}");
 }
 
@@ -189,7 +193,11 @@ pub fn enumerate(dims: &[usize], cap: usize, seed_name: &str) -> CaseSet {
     let mut rng = StdRng::seed_from_u64(seed_from_name(seed_name));
     let mut seen = HashSet::with_capacity(cap);
     let mut cases = Vec::with_capacity(cap);
-    cases.extend(fresh(&mut rng, total, &mut seen).take(cap).map(|linear| decode(linear, dims)));
+    cases.extend(
+        fresh(&mut rng, total, &mut seen)
+            .take(cap)
+            .map(|linear| decode(linear, dims)),
+    );
     CaseSet {
         dims: dims.to_vec(),
         cases,
@@ -197,60 +205,88 @@ pub fn enumerate(dims: &[usize], cap: usize, seed_name: &str) -> CaseSet {
     }
 }
 
-/// A MuT's case list, stored as linear indices: the lexicographic range
-/// of an exhaustive plan (nothing stored), or a prefix of a shared index
-/// list — a signature's sample stream, or an adaptive pin. Cheap to
-/// clone; decode a case with [`Plan::case`].
+/// One pool index of a stored case. A stored plan keeps a case as its
+/// pool indices, so running it copies them and divides nothing; a pool
+/// of a stored plan therefore holds at most 65 536 values.
+type Digit = u16;
+
+fn check_storable(dims: &[usize]) {
+    assert!(
+        dims.iter().all(|&d| d <= usize::from(Digit::MAX) + 1),
+        "a stored plan's pools hold at most 65 536 values, got {dims:?}"
+    );
+}
+
+/// The linear index of a stored case.
+fn linear_of(row: &[Digit], dims: &[usize]) -> u64 {
+    row.iter()
+        .zip(dims)
+        .fold(0, |linear, (&c, &d)| linear * d as u64 + u64::from(c))
+}
+
+/// Appends the pool indices of the case at `linear` to `rows`, through
+/// the scratch `combo` (one slot per dimension).
+fn push_row(linear: u64, dims: &[usize], combo: &mut [usize], rows: &mut Vec<Digit>) {
+    decode_into(linear, dims, combo);
+    rows.extend(combo.iter().map(|&c| c as Digit));
+}
+
+/// A MuT's case list: the lexicographic range of an exhaustive plan
+/// (nothing stored), or a prefix of a shared table of stored cases — a
+/// signature's sample stream, or an adaptive pin. Cheap to clone; walk
+/// it in order with [`Plan::cases`].
 #[derive(Debug, Clone)]
 pub struct Plan {
     dims: Vec<usize>,
     order: Order,
-    /// The product of `dims` fits in a `u32`, so decoding may use 32-bit
-    /// division (true of every catalog MuT).
-    narrow: bool,
 }
 
 #[derive(Debug, Clone)]
 enum Order {
     /// Every combination in lexicographic order: case `i` is index `i`.
     Range(usize),
-    /// The first `len` entries of a shared index list.
-    Indices(Arc<[u64]>, usize),
+    /// The first `len` cases of a shared table, `dims.len()` pool
+    /// indices per case.
+    Rows(Arc<[Digit]>, usize),
 }
 
 impl Plan {
-    fn new(dims: &[usize], order: Order) -> Plan {
-        Plan {
-            dims: dims.to_vec(),
-            order,
-            narrow: combination_count(dims) <= u64::from(u32::MAX),
-        }
-    }
-
     /// The plan of a zero-parameter MuT: one empty case.
     #[must_use]
     pub fn single() -> Plan {
-        Plan::new(&[], Order::Range(1))
+        Plan {
+            dims: Vec::new(),
+            order: Order::Range(1),
+        }
     }
 
-    /// An explicit plan over `dims`: the given linear indices, in order
-    /// (an adaptive pin).
+    /// An explicit plan over `dims`: the cases at the given linear
+    /// indices, in order (an adaptive pin).
     ///
     /// # Panics
     ///
-    /// Debug-asserts every index is below the product of `dims`.
+    /// Panics when a pool holds more than 65 536 values; debug-asserts
+    /// every index is below the product of `dims`.
     #[must_use]
-    pub fn pinned(dims: &[usize], indices: Vec<u64>) -> Plan {
+    pub fn pinned(dims: &[usize], indices: &[u64]) -> Plan {
+        check_storable(dims);
         debug_assert!(indices.iter().all(|&l| l < combination_count(dims)));
-        let len = indices.len();
-        Plan::new(dims, Order::Indices(indices.into(), len))
+        let mut combo = vec![0; dims.len()];
+        let mut rows = Vec::with_capacity(indices.len() * dims.len());
+        for &linear in indices {
+            push_row(linear, dims, &mut combo, &mut rows);
+        }
+        Plan {
+            dims: dims.to_vec(),
+            order: Order::Rows(rows.into(), indices.len()),
+        }
     }
 
     /// Cases in the plan.
     #[must_use]
     pub fn len(&self) -> usize {
         match self.order {
-            Order::Range(len) | Order::Indices(_, len) => len,
+            Order::Range(len) | Order::Rows(_, len) => len,
         }
     }
 
@@ -272,33 +308,44 @@ impl Plan {
         matches!(self.order, Order::Range(_))
     }
 
+    /// Case `i`'s stored pool indices (`None` for a lexicographic plan).
+    fn row(&self, i: usize) -> Option<&[Digit]> {
+        assert!(i < self.len(), "case {i} of a {}-case plan", self.len());
+        match &self.order {
+            Order::Range(_) => None,
+            Order::Rows(rows, _) => {
+                let k = self.dims.len();
+                Some(&rows[i * k..(i + 1) * k])
+            }
+        }
+    }
+
     /// Case `i`'s linear index.
     ///
     /// # Panics
     ///
     /// Panics when `i` is out of range.
     #[must_use]
-        pub fn linear(&self, i: usize) -> u64 {
-        match &self.order {
-            Order::Range(len) => {
-                assert!(i < *len, "case {i} of a {len}-case plan");
-                i as u64
-            }
-            Order::Indices(indices, len) => {
-                assert!(i < *len, "case {i} of a {len}-case plan");
-                indices[i]
-            }
-        }
+    pub fn linear(&self, i: usize) -> u64 {
+        self.row(i)
+            .map_or(i as u64, |row| linear_of(row, &self.dims))
     }
 
-    /// Decodes case `i` into `buf` and returns it.
+    /// Writes case `i` into `combo`.
     ///
     /// # Panics
     ///
     /// Panics when `i` is out of range.
-        pub fn case<'b>(&self, i: usize, buf: &'b mut Combo) -> &'b [usize] {
-        decode_into(self.linear(i), &self.dims, self.narrow, buf);
-        buf
+    pub fn case(&self, i: usize, combo: &mut Combo) {
+        combo.resize(self.dims.len(), 0);
+        match self.row(i) {
+            None => decode_into(i as u64, &self.dims, combo),
+            Some(row) => {
+                for (slot, &c) in combo.iter_mut().zip(row) {
+                    *slot = usize::from(c);
+                }
+            }
+        }
     }
 
     /// Case `i` as a fresh combination.
@@ -313,12 +360,24 @@ impl Plan {
         combo
     }
 
+    /// A walk over the plan's cases, each written into one reused
+    /// buffer.
+    #[must_use]
+    pub fn cases(&self) -> Cases<'_> {
+        Cases {
+            plan: self,
+            combo: vec![0; self.dims.len()],
+            at: None,
+        }
+    }
+
     /// Every case decoded, as an explicit [`CaseSet`].
     #[must_use]
     pub fn to_case_set(&self) -> CaseSet {
+        let mut cases = self.cases();
         CaseSet {
             dims: self.dims.clone(),
-            cases: (0..self.len()).map(|i| self.combo(i)).collect(),
+            cases: (0..self.len()).map(|i| cases.get(i).to_vec()).collect(),
             exhaustive: self.exhaustive(),
         }
     }
@@ -335,10 +394,40 @@ impl PartialEq for Plan {
 
 impl Eq for Plan {}
 
-/// One signature's sample stream: the distinct linear indices drawn so
-/// far, in draw order, and the generator state after the last draw.
+/// A plan's cases, one at a time, in one buffer: a stored case is
+/// copied, and a lexicographic case that follows the one before it is
+/// stepped to, so walking a plan in order divides nothing.
+pub struct Cases<'p> {
+    plan: &'p Plan,
+    combo: Combo,
+    /// The case `combo` holds.
+    at: Option<usize>,
+}
+
+impl Cases<'_> {
+    /// Case `i`: one pool index per parameter.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is out of range.
+    pub fn get(&mut self, i: usize) -> &[usize] {
+        match self.plan.order {
+            Order::Range(len) if self.at.is_some_and(|at| at + 1 == i) => {
+                assert!(i < len, "case {i} of a {len}-case plan");
+                step(&mut self.combo, &self.plan.dims);
+            }
+            _ => self.plan.case(i, &mut self.combo),
+        }
+        self.at = Some(i);
+        &self.combo
+    }
+}
+
+/// One signature's sample stream: the distinct cases drawn so far, in
+/// draw order, stored as pool indices, and the generator state after the
+/// last draw.
 struct Stream {
-    drawn: Arc<[u64]>,
+    rows: Arc<[Digit]>,
     rng: StdRng,
 }
 
@@ -351,37 +440,49 @@ fn streams() -> &'static Mutex<Streams> {
 }
 
 /// The plan for pools of the given sizes at `cap`: the lexicographic
-/// range when the product is within `cap`, else the first `cap` entries
+/// range when the product is within `cap`, else the first `cap` cases
 /// of the `(seed_name, dims)` sample stream, grown first if it is
 /// shorter. Case for case equal to [`enumerate`].
 ///
 /// # Panics
 ///
-/// Same conditions as [`enumerate`].
+/// Same conditions as [`enumerate`], and a sampled plan's pools hold at
+/// most 65 536 values.
 #[must_use]
 pub fn plan(dims: &[usize], cap: usize, seed_name: &str) -> Plan {
     check_dims(dims, seed_name);
     let total = combination_count(dims);
     if total <= cap as u64 {
-        return Plan::new(dims, Order::Range(total as usize));
+        return Plan {
+            dims: dims.to_vec(),
+            order: Order::Range(total as usize),
+        };
     }
+    check_storable(dims);
+    let k = dims.len();
     let mut streams = streams().lock().expect("sample streams poisoned");
     let stream = streams
         .entry((seed_name.to_owned(), dims.to_vec()))
         .or_insert_with(|| Stream {
-            drawn: Arc::new([]),
+            rows: Arc::new([]),
             rng: StdRng::seed_from_u64(seed_from_name(seed_name)),
         });
-    if stream.drawn.len() < cap {
-        let more = cap - stream.drawn.len();
-        let mut drawn = Vec::with_capacity(cap);
-        drawn.extend_from_slice(&stream.drawn);
+    let drawn = stream.rows.len() / k;
+    if drawn < cap {
+        let mut rows = Vec::with_capacity(cap * k);
+        rows.extend_from_slice(&stream.rows);
         let mut seen = HashSet::with_capacity(cap);
-        seen.extend(drawn.iter().copied());
-        drawn.extend(fresh(&mut stream.rng, total, &mut seen).take(more));
-        stream.drawn = drawn.into();
+        seen.extend(rows.chunks_exact(k).map(|row| linear_of(row, dims)));
+        let mut combo = vec![0; k];
+        for linear in fresh(&mut stream.rng, total, &mut seen).take(cap - drawn) {
+            push_row(linear, dims, &mut combo, &mut rows);
+        }
+        stream.rows = rows.into();
     }
-    Plan::new(dims, Order::Indices(Arc::clone(&stream.drawn), cap))
+    Plan {
+        dims: dims.to_vec(),
+        order: Order::Rows(Arc::clone(&stream.rows), cap),
+    }
 }
 
 /// [`plan`], materialised as an explicit [`CaseSet`]. Decodes every case
@@ -509,18 +610,22 @@ mod tests {
     }
 
     #[test]
-    fn wide_products_decode_with_64_bit_division() {
-        // A product above u32::MAX takes the 64-bit decode; every catalog
-        // product takes the 32-bit one. Both invert `encode`.
-        let dims = [70_000, 70_000, 3];
-        let wide = Plan::pinned(&dims, vec![0, 14_699_999_999, 9_876_543_210]);
-        for i in 0..wide.len() {
-            assert_eq!(encode(&wide.combo(i), &dims), wide.linear(i));
+    fn walking_a_plan_matches_random_access() {
+        // In order, out of order and repeated: the walk agrees with
+        // `decode` on a lexicographic plan and on a stored one.
+        let order = [0, 1, 2, 3, 7, 8, 8, 0, 1, 11, 12, 23, 5, 6];
+        for plan in [plan(&[2, 3, 4], 24, "walk"), plan(&[2, 3, 4], 12, "walk")] {
+            let mut cases = plan.cases();
+            for &i in order.iter().filter(|&&i| i < plan.len()) {
+                assert_eq!(cases.get(i), decode(plan.linear(i), plan.dims()));
+            }
         }
-        let narrow = plan(&[19, 12, 8, 12, 12], 50, "ReadFileEx");
-        for i in 0..narrow.len() {
-            assert_eq!(narrow.combo(i), decode(narrow.linear(i), narrow.dims()));
-        }
+        let pin = Plan::pinned(&[19, 12, 8], &[1823, 0, 5, 1000]);
+        assert_eq!(pin.combo(0), decode(1823, &[19, 12, 8]));
+        assert_eq!(
+            (0..pin.len()).map(|i| pin.linear(i)).collect::<Vec<_>>(),
+            [1823, 0, 5, 1000]
+        );
     }
 
     #[test]
