@@ -410,6 +410,7 @@ impl Cases<'_> {
     /// # Panics
     ///
     /// Panics when `i` is out of range.
+    #[must_use]
     pub fn get(&mut self, i: usize) -> &[usize] {
         match self.plan.order {
             Order::Range(len) if self.at.is_some_and(|at| at + 1 == i) => {
