@@ -334,10 +334,11 @@ fn elapsed_ns(start: std::time::Instant) -> u64 {
 /// boot template per case.
 ///
 /// The reset is O(touched): the address space rolls back only the
-/// regions its dirty journal recorded, and each kernel subsystem carries
-/// a generation stamp that lets [`MachineSnapshot::restore_into`] skip
-/// the deep clone entirely when the case never structurally touched it.
-/// Both the dirty journal and the generation stamps are written *before*
+/// regions its dirty journal recorded, the filesystem only the nodes its
+/// journal recorded, and each kernel subsystem carries a generation
+/// stamp that lets [`MachineSnapshot::restore_into`] skip its reset
+/// entirely when the case never structurally touched it. Both the dirty
+/// journals and the generation stamps are written *before*
 /// the mutation they cover, so the reset stays sound even when a case
 /// panics mid-call and unwinds through the harness fence — the next
 /// provision simply rolls back everything the case could have dirtied.
@@ -536,9 +537,9 @@ impl CaseRunner {
     /// switched on for the duration of the case: returns the case result
     /// plus the drained [`FsOp`](sim_kernel::fs::FsOp) log (and whether
     /// the [`sim_kernel::fs::MAX_OPLOG`] bound truncated it). Recording is
-    /// (re-)enabled per case because the in-place reset replaces the
-    /// whole filesystem — recorder state included — whenever the previous
-    /// case structurally touched it.
+    /// (re-)enabled per case because the in-place reset restores the
+    /// recorder to the image's state (off) whenever the previous case
+    /// structurally touched the filesystem.
     #[must_use]
     pub fn execute_recorded(
         &mut self,
@@ -682,8 +683,20 @@ pub fn execute_case_budgeted(
     }
 }
 
+/// The most parameters a MuT may take: the length of the stack array
+/// [`run_on`] builds each case's arguments in, so a case allocates no
+/// argument vector. The catalog's largest arity is 5 (`CreateFile`,
+/// `ReadFileEx`, `mmap`, `select`, …); a tier-1 test checks that every
+/// catalog MuT fits.
+pub const MAX_ARITY: usize = 5;
+
 /// Runs constructors + dispatch on a given machine and reports (raw
 /// outcome, any-exceptional-input).
+///
+/// # Panics
+///
+/// When the MuT takes more than [`MAX_ARITY`] parameters — outside the
+/// case's panic fence, so a catalog error never passes for an Abort.
 fn run_on(
     kernel: &mut Kernel,
     os: OsVariant,
@@ -692,16 +705,22 @@ fn run_on(
     combo: &[usize],
 ) -> (RawOutcome, bool) {
     debug_assert_eq!(pools.len(), combo.len());
+    let arity = combo.len();
+    assert!(
+        arity <= MAX_ARITY,
+        "{} takes {arity} parameters, more than MAX_ARITY ({MAX_ARITY})",
+        mut_.name
+    );
     kernel.residue_probed = false; // per-case flag, even on reused machines
     let mut any_exceptional = false;
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut args = Vec::with_capacity(combo.len());
-        for (pool, &idx) in pools.iter().zip(combo) {
+        let mut args = [0u64; MAX_ARITY];
+        for (arg, (pool, &idx)) in args.iter_mut().zip(pools.iter().zip(combo)) {
             let value = &pool[idx];
             any_exceptional |= value.exceptional;
-            args.push((value.make)(kernel, os));
+            *arg = (value.make)(kernel, os);
         }
-        (mut_.dispatch)(kernel, os, &args)
+        (mut_.dispatch)(kernel, os, &args[..arity])
     }));
     // The crash latch outranks whatever the call returned: a dead machine
     // is Catastrophic even if the call "succeeded".

@@ -48,12 +48,12 @@
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use sim_kernel::variant::OsVariant;
 
@@ -420,9 +420,19 @@ struct Request {
     keep_alive: bool,
 }
 
+/// What one read off a connection produced.
+enum Incoming {
+    /// A complete request.
+    Request(Request),
+    /// A request whose `Content-Length` does not parse. Where its body
+    /// ends is unknown, so nothing after it on the connection is a
+    /// request: the connection answers 400 and closes.
+    BadLength,
+}
+
 /// Reads one request off the connection. `Ok(None)` = clean EOF
 /// (client closed an idle keep-alive connection).
-fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>> {
+fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Incoming>> {
     let mut line = String::new();
     if reader.read_line(&mut line)? == 0 {
         return Ok(None);
@@ -431,7 +441,7 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>
     let method = parts.next().unwrap_or_default().to_owned();
     let path = parts.next().unwrap_or_default().to_owned();
     let version = parts.next().unwrap_or_default().to_owned();
-    let mut content_length = 0usize;
+    let mut content_length = Some(0usize);
     let mut keep_alive = version != "HTTP/1.0";
     loop {
         let mut header = String::new();
@@ -445,12 +455,15 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>
         if let Some((name, value)) = header.split_once(':') {
             let value = value.trim();
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().unwrap_or(0);
+                content_length = value.parse().ok();
             } else if name.eq_ignore_ascii_case("connection") {
                 keep_alive = !value.eq_ignore_ascii_case("close");
             }
         }
     }
+    let Some(content_length) = content_length else {
+        return Ok(Some(Incoming::BadLength));
+    };
     if content_length > MAX_BODY {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -459,12 +472,12 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
-    Ok(Some(Request {
+    Ok(Some(Incoming::Request(Request {
         method,
         path,
         body,
         keep_alive,
-    }))
+    })))
 }
 
 /// Writes one `application/json` response.
@@ -508,12 +521,42 @@ fn handle_connection(stream: TcpStream, state: &State) {
     let mut stream = stream;
     loop {
         let request = match read_request(&mut reader) {
-            Ok(Some(request)) => request,
+            Ok(Some(Incoming::Request(request))) => request,
+            Ok(Some(Incoming::BadLength)) => {
+                let body = br#"{"error":"malformed Content-Length"}"#;
+                let _ = respond(&mut stream, 400, "Bad Request", &[], body, false);
+                linger_close(&stream, reader);
+                return;
+            }
             Ok(None) | Err(_) => return,
         };
         let keep_alive = request.keep_alive;
         let ok = handle_request(&mut stream, state, &request).is_ok();
         if !ok || !keep_alive {
+            return;
+        }
+    }
+}
+
+/// How long [`linger_close`] keeps reading from a client it has answered.
+const LINGER: Duration = Duration::from_millis(200);
+
+/// Closes a connection the server is done with while the client may still
+/// be sending: the write half closes first, so the client reads the
+/// response and then EOF, and what the client sends is read and dropped
+/// until it closes too or [`LINGER`] passes. Closing a socket with unread
+/// input resets the connection, and a reset can discard the response
+/// before the client reads it.
+fn linger_close(stream: &TcpStream, mut reader: BufReader<TcpStream>) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + LINGER;
+    let mut sink = [0u8; 4096];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        if matches!(reader.read(&mut sink), Ok(0) | Err(_)) {
             return;
         }
     }

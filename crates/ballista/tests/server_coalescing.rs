@@ -250,3 +250,61 @@ fn caps_above_the_largest_full_product_are_rejected_before_fingerprinting() {
     assert_eq!(m.cache_misses, 0);
     assert_eq!(m.campaigns_executed, 0, "no rejected spec ran");
 }
+
+#[test]
+fn a_deeply_nested_spec_is_a_counted_400_and_the_server_keeps_serving() {
+    let addr = start("deep-nesting");
+    // About 10 KB: far below the body limit, and without a nesting
+    // limit deep enough to overflow the connection thread's stack,
+    // which aborts the whole server.
+    let body = format!(r#"{{"os": {}"#, "[".repeat(10_000));
+    let (status, reply) = request(addr, "POST", "/campaign", &body);
+    assert_eq!(status, 400);
+    let reply = String::from_utf8_lossy(&reply);
+    assert!(reply.contains("recursion limit exceeded"), "{reply}");
+    let m = metrics(addr);
+    assert_eq!(m.campaign_posts, 1);
+    assert_eq!(m.rejected_specs, 1);
+
+    // The server is still up and runs a valid spec.
+    let (status, body) = request(addr, "POST", "/campaign", &spec_json(20));
+    assert_eq!(status, 200);
+    let report: ballista::campaign::CampaignReport =
+        serde_json::from_slice(&body).expect("report parses");
+    assert!(report.total_cases > 0);
+    assert_eq!(metrics(addr).campaigns_executed, 1);
+}
+
+#[test]
+fn a_malformed_content_length_is_a_400_that_closes_the_connection() {
+    let addr = start("bad-content-length");
+    // Read as length 0, the body would stay in the stream and be served
+    // as a second request on the same connection.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(
+            b"POST /campaign HTTP/1.1\r\nHost: test\r\nContent-Length: x\r\n\r\n\
+              GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n",
+        )
+        .expect("send request");
+    // A connection left open would block the read forever.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("set read timeout");
+    let mut response = Vec::new();
+    let eof = stream.read_to_end(&mut response);
+    let text = String::from_utf8_lossy(&response);
+    assert_eq!(
+        text.matches("HTTP/1.1 ").count(),
+        1,
+        "exactly one response: {text}"
+    );
+    assert!(text.starts_with("HTTP/1.1 400 "), "{text}");
+    assert!(text.contains("Connection: close"), "{text}");
+    eof.expect("the server closes the connection after the 400");
+
+    // Nothing reached the campaign path, and the server keeps serving.
+    let m = metrics(addr);
+    assert_eq!(m.campaign_posts, 0);
+    assert_eq!(m.rejected_specs, 0);
+}

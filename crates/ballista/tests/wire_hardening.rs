@@ -176,3 +176,15 @@ fn oversized_frame_length_is_rejected() {
     encoded.extend_from_slice(b"whatever");
     assert!(read_frame(&mut &encoded[..]).is_err());
 }
+
+/// A worker reply nested past the JSON parser's recursion limit is an
+/// error, not a stack overflow: on a supervisor slot thread an overflow
+/// would abort the coordinator along with every other shard.
+#[test]
+fn deeply_nested_replies_are_rejected_not_overflowed() {
+    let deep = format!(r#"{{"mut_start": {}"#, "[".repeat(10_000));
+    let err = ShardResult::from_wire(deep.as_bytes()).unwrap_err();
+    assert!(err.contains("recursion limit exceeded"), "{err}");
+    let err = ShardSpec::from_wire(deep.as_bytes()).unwrap_err();
+    assert!(err.contains("recursion limit exceeded"), "{err}");
+}

@@ -99,7 +99,7 @@ pub struct Stat {
     pub node_id: u64,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 enum Node {
     File {
         content: Vec<u8>,
@@ -109,6 +109,60 @@ enum Node {
         children: BTreeMap<String, u64>,
         attrs: FileAttrs,
     },
+}
+
+impl Clone for Node {
+    fn clone(&self) -> Self {
+        match self {
+            Node::File { content, attrs } => Node::File {
+                content: content.clone(),
+                attrs: *attrs,
+            },
+            Node::Dir { children, attrs } => Node::Dir {
+                children: children.clone(),
+                attrs: *attrs,
+            },
+        }
+    }
+
+    /// Copies `source` into `self` keeping `self`'s storage: a file's
+    /// content is refilled in its own buffer, and a directory drops the
+    /// names `source` lacks and allocates only for names it misses. A
+    /// case that created and removed the same file leaves its directory
+    /// equal to the image's, so resetting it allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (
+                Node::File { content, attrs },
+                Node::File {
+                    content: c,
+                    attrs: a,
+                },
+            ) => {
+                content.clone_from(c);
+                *attrs = *a;
+            }
+            (
+                Node::Dir { children, attrs },
+                Node::Dir {
+                    children: c,
+                    attrs: a,
+                },
+            ) => {
+                children.retain(|name, _| c.contains_key(name));
+                for (name, &id) in c {
+                    match children.get_mut(name) {
+                        Some(slot) => *slot = id,
+                        None => {
+                            children.insert(name.clone(), id);
+                        }
+                    }
+                }
+                *attrs = *a;
+            }
+            (this, source) => *this = source.clone(),
+        }
+    }
 }
 
 /// How to open a file. A small builder mirroring the union of `open(2)`
@@ -337,6 +391,65 @@ impl FsOp {
 /// Recording past the cap is dropped (the log is marked truncated).
 pub const MAX_OPLOG: usize = 256;
 
+/// Longest path component folded on the stack: a Windows name's longest
+/// component (255 bytes) fits.
+const NAME_BUF: usize = 256;
+
+/// A path's normalized components, streamed and borrowed from the path:
+/// empty and `.` components are dropped, and a `..` cancels the component
+/// before it (stopping at the root, as real kernels do).
+struct Components<'a> {
+    /// The path not yet walked, drive letter stripped.
+    rest: &'a str,
+    /// Whether the path may hold a `..`, so that a component has to look
+    /// ahead for the one that cancels it.
+    dotdot: bool,
+}
+
+/// `s` split at its first separator: the first component and the rest.
+fn split_first(s: &str) -> (&str, &str) {
+    match s.find(['/', '\\']) {
+        Some(i) => (&s[..i], &s[i + 1..]),
+        None => (s, ""),
+    }
+}
+
+/// Whether a `..` in `rest` cancels the component just before `rest`:
+/// scanning on, every later name pushes one level and every `..` pops
+/// one, and the component is cancelled by the first `..` that finds
+/// nothing of its own to pop.
+fn cancelled(mut rest: &str) -> bool {
+    let mut depth = 0usize;
+    while !rest.is_empty() {
+        let (raw, tail) = split_first(rest);
+        rest = tail;
+        match raw {
+            "" | "." => {}
+            ".." if depth == 0 => return true,
+            ".." => depth -= 1,
+            _ => depth += 1,
+        }
+    }
+    false
+}
+
+impl<'a> Iterator for Components<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        while !self.rest.is_empty() {
+            let (raw, rest) = split_first(self.rest);
+            self.rest = rest;
+            match raw {
+                "" | "." | ".." => {}
+                _ if self.dotdot && cancelled(rest) => {}
+                name => return Some(name),
+            }
+        }
+        None
+    }
+}
+
 /// The in-memory filesystem.
 ///
 /// See the [module documentation](self) for scope and an example on the
@@ -355,20 +468,27 @@ pub struct FileSystem {
     /// call and which the snapshot layer restores as a scalar. Two
     /// filesystems cloned from the same image with equal generations are
     /// structurally identical, which is what lets
-    /// `MachineSnapshot::restore_into` skip the deep clone. Defaults to 0 on
-    /// deserialization from older images, which is always safe (it only ever
-    /// forces a full clone it could otherwise have skipped).
+    /// `MachineSnapshot::restore_into` skip the node reset
+    /// ([`FileSystem::reset_from`]). Defaults to 0 on deserialization.
     #[serde(default)]
     gen: u64,
     /// Descriptor-table mutation counter: bumped by operations that touch
     /// only `open` / `next_ofd` (open, close, read's offset advance, seek,
     /// dup) and not the node tree. Restoring this dirt needs only
     /// [`FileSystem::reset_open_from`] — a clone of the (tiny) open table —
-    /// instead of deep-cloning every file's content, which is what makes
-    /// read-heavy test cases cheap to reset. Same deserialization default
-    /// rationale as `gen`.
+    /// and no node reset, which is what makes read-heavy test cases cheap
+    /// to reset. Defaults to 0 on deserialization.
     #[serde(default)]
     open_gen: u64,
+    /// Ids of the nodes changed since the last [`FileSystem::mark_clean`],
+    /// each once, in touch order: the dirty-node journal, the counterpart
+    /// of the address space's dirty-region journal. [`FileSystem::touch`]
+    /// notes a mutator's nodes *before* the mutation, and
+    /// [`FileSystem::reset_from`] copies exactly those back from the
+    /// baseline. A node appended since needs no note: the reset truncates
+    /// it. Restore bookkeeping like the generations, so not compared.
+    #[serde(default)]
+    dirty: Vec<u64>,
     /// Crash-op recording switch. Off by default; the crashcon engine turns
     /// it on per case and drains the log afterwards. Not compared by
     /// `PartialEq` and not part of the durable image — it is harness
@@ -414,6 +534,7 @@ impl FileSystem {
             open_limit: None,
             gen: 0,
             open_gen: 0,
+            dirty: Vec::new(),
             recording: false,
             oplog: Vec::new(),
             oplog_truncated: false,
@@ -469,11 +590,14 @@ impl FileSystem {
     /// validation anyway).
     #[must_use]
     pub fn normalize_path(&self, path: &str) -> Option<String> {
-        let parts = self.components(path).ok()?;
         let mut out = String::with_capacity(path.len() + 1);
-        for p in &parts {
+        for part in self.components(path).ok()? {
             out.push('/');
-            out.push_str(p);
+            let start = out.len();
+            out.push_str(part);
+            if self.case_insensitive {
+                out[start..].make_ascii_lowercase();
+            }
         }
         if out.is_empty() {
             out.push('/');
@@ -516,15 +640,60 @@ impl FileSystem {
         self.gen
     }
 
-    /// Marks the filesystem structurally dirty. Called by every mutator
-    /// *after* validation but *before* the first mutating statement, so an
-    /// operation interrupted by a panic still registers as dirty while a
-    /// call that fails validation leaves the generation — and therefore
-    /// the batched campaign's restore cost — untouched. (Most hostile
-    /// test cases fail validation; skipping the bump is what lets the
-    /// resident machine skip the filesystem clone when resetting them.)
-    fn touch(&mut self) {
+    /// Marks the filesystem structurally dirty and notes `nodes`, the
+    /// existing nodes the mutation is about to change, in the dirty-node
+    /// journal. Called by every mutator *after* validation but *before*
+    /// the first mutating statement, so an operation interrupted by a
+    /// panic still registers as dirty while a call that fails validation
+    /// leaves the generation — and therefore the batched campaign's
+    /// restore cost — untouched. (Most hostile test cases fail
+    /// validation; skipping the bump is what lets the resident machine
+    /// skip the filesystem reset entirely.) The nodes a mutator notes:
+    /// the parent directory on create and mkdir; the parent and the
+    /// removed node on rmdir and unlink; both parents on rename; the file
+    /// itself on write, truncating open and set-readonly.
+    fn touch(&mut self, nodes: &[u64]) {
         self.gen = self.gen.wrapping_add(1);
+        for &id in nodes {
+            if !self.dirty.contains(&id) {
+                self.dirty.push(id);
+            }
+        }
+    }
+
+    /// Declares the current state pristine: later mutations start a new
+    /// dirty-node journal. Called when a machine image is captured as a
+    /// restore baseline.
+    pub fn mark_clean(&mut self) {
+        self.dirty.clear();
+    }
+
+    /// Resets this filesystem to `baseline` node by node, in O(touched).
+    ///
+    /// `self` must have started as a clone of `baseline` (the resident
+    /// machine of a batched campaign, reset between test cases). The
+    /// nodes the dirty-node journal names are copied back in place with
+    /// `clone_from`, the nodes appended since are truncated away (node
+    /// ids are never reused, so the baseline's nodes are a prefix), and
+    /// the descriptor table, the scalars and the crash-op recorder are
+    /// restored whole.
+    pub fn reset_from(&mut self, baseline: &FileSystem) {
+        while let Some(id) = self.dirty.pop() {
+            if let (Some(live), Some(base)) = (
+                self.nodes.get_mut(id as usize),
+                baseline.nodes.get(id as usize),
+            ) {
+                live.clone_from(base);
+            }
+        }
+        self.nodes.truncate(baseline.nodes.len());
+        self.reset_open_from(baseline);
+        self.now_ms = baseline.now_ms;
+        self.open_limit = baseline.open_limit;
+        self.gen = baseline.gen;
+        self.recording = baseline.recording;
+        self.oplog.clone_from(&baseline.oplog);
+        self.oplog_truncated = baseline.oplog_truncated;
     }
 
     /// Current descriptor-table generation (see the field documentation).
@@ -543,9 +712,10 @@ impl FileSystem {
 
     /// Resets the descriptor table — `open`, `next_ofd` and the
     /// descriptor generation — to `baseline`'s, leaving the node tree
-    /// alone. Sound only when the node generations already match (i.e.
-    /// the only filesystem dirt is descriptor-table dirt); the snapshot
-    /// layer checks that before calling this instead of a full clone.
+    /// alone. On its own it is sound only when the node generations
+    /// already match (i.e. the only filesystem dirt is descriptor-table
+    /// dirt); the snapshot layer checks that before calling this instead
+    /// of [`FileSystem::reset_from`].
     pub fn reset_open_from(&mut self, baseline: &FileSystem) {
         self.open.clear();
         self.open
@@ -581,7 +751,7 @@ impl FileSystem {
     /// unlimited, the default). Used by the heavy-load testing extension
     /// to make descriptor exhaustion observable.
     pub fn set_open_limit(&mut self, limit: Option<usize>) {
-        self.touch();
+        self.touch(&[]);
         self.open_limit = limit;
     }
 
@@ -589,22 +759,31 @@ impl FileSystem {
         self.open_limit.is_some_and(|l| self.open.len() >= l)
     }
 
-    /// Case-folds one component, borrowing when folding is a no-op (the
-    /// common case: case-sensitive filesystems, and already-lowercase
-    /// names on case-insensitive ones). Resolution is the hottest
-    /// filesystem path in a campaign — a 330-component hostile path would
-    /// otherwise cost an allocation per component per lookup.
-    fn fold_case<'a>(&self, name: &'a str) -> Cow<'a, str> {
-        if self.case_insensitive && name.bytes().any(|b| b.is_ascii_uppercase()) {
-            Cow::Owned(name.to_ascii_lowercase())
-        } else {
-            Cow::Borrowed(name)
+    /// `name` case-folded for lookup: borrowed as is when folding changes
+    /// nothing (case-sensitive filesystems, and names without upper case
+    /// on case-insensitive ones), else folded into `buf`, and into a
+    /// `String` only when it is longer than `buf`. Resolution is the
+    /// hottest filesystem path in a campaign, and `C:\TEMP` or
+    /// `POOLFILE.TMP` would otherwise cost an allocation per component
+    /// per lookup.
+    fn fold<'b>(&self, name: &'b str, buf: &'b mut [u8; NAME_BUF]) -> Cow<'b, str> {
+        if !self.case_insensitive || !name.bytes().any(|b| b.is_ascii_uppercase()) {
+            return Cow::Borrowed(name);
+        }
+        match buf.get_mut(..name.len()) {
+            Some(slot) => {
+                slot.copy_from_slice(name.as_bytes());
+                slot.make_ascii_lowercase();
+                let slot: &'b [u8] = slot;
+                Cow::Borrowed(std::str::from_utf8(slot).expect("ASCII folding keeps UTF-8"))
+            }
+            None => Cow::Owned(name.to_ascii_lowercase()),
         }
     }
 
-    /// Splits a path into normalized components, borrowing from `path`
-    /// wherever case folding permits.
-    fn components<'a>(&self, path: &'a str) -> Result<Vec<Cow<'a, str>>, FsError> {
+    /// The normalized components of `path`, streamed and borrowed from
+    /// it, not yet case-folded.
+    fn components<'a>(&self, path: &'a str) -> Result<Components<'a>, FsError> {
         if path.is_empty() || path.contains('\0') {
             return Err(FsError::InvalidPath);
         }
@@ -615,17 +794,10 @@ impl FileSystem {
             }
             _ => path,
         };
-        let mut parts: Vec<Cow<'a, str>> = Vec::new();
-        for raw in body.split(['/', '\\']) {
-            match raw {
-                "" | "." => {}
-                ".." => {
-                    parts.pop();
-                }
-                name => parts.push(self.fold_case(name)),
-            }
-        }
-        Ok(parts)
+        Ok(Components {
+            rest: body,
+            dotdot: body.contains(".."),
+        })
     }
 
     /// Splits a path into normalized components. Accepts `/a/b`, `C:\a\b`,
@@ -636,74 +808,47 @@ impl FileSystem {
     ///
     /// [`FsError::InvalidPath`] for empty paths or embedded NULs.
     pub fn split_path(&self, path: &str) -> Result<Vec<String>, FsError> {
+        let mut buf = [0u8; NAME_BUF];
         Ok(self
             .components(path)?
-            .into_iter()
-            .map(Cow::into_owned)
+            .map(|raw| self.fold(raw, &mut buf).into_owned())
             .collect())
     }
 
-    fn lookup(&self, path: &str) -> Result<u64, FsError> {
-        // Fast path: without ".." there is no back-tracking, so components
-        // stream straight off the path — a hostile many-component path
-        // misses at its first component without collecting anything.
-        if !path.contains("..") {
-            if path.is_empty() || path.contains('\0') {
-                return Err(FsError::InvalidPath);
-            }
-            let body = match path.as_bytes() {
-                [d, b':', rest @ ..] if d.is_ascii_alphabetic() => {
-                    std::str::from_utf8(rest).expect("sliced at byte boundary")
-                }
-                _ => path,
-            };
-            let mut cur = 0u64;
-            for raw in body.split(['/', '\\']) {
-                if matches!(raw, "" | ".") {
-                    continue;
-                }
-                let part = self.fold_case(raw);
-                let node = self.nodes[cur as usize].as_ref().ok_or(FsError::NotFound)?;
-                match node {
-                    Node::Dir { children, .. } => {
-                        cur = *children.get(part.as_ref()).ok_or(FsError::NotFound)?;
-                    }
-                    Node::File { .. } => return Err(FsError::NotADirectory),
-                }
-            }
-            return Ok(cur);
+    /// The id of directory `dir`'s child `name` (already folded).
+    fn child(&self, dir: u64, name: &str) -> Result<u64, FsError> {
+        match self.nodes[dir as usize].as_ref().ok_or(FsError::NotFound)? {
+            Node::Dir { children, .. } => children.get(name).copied().ok_or(FsError::NotFound),
+            Node::File { .. } => Err(FsError::NotADirectory),
         }
-        let parts = self.components(path)?;
+    }
+
+    fn lookup(&self, path: &str) -> Result<u64, FsError> {
+        let mut buf = [0u8; NAME_BUF];
         let mut cur = 0u64;
-        for part in &parts {
-            let node = self.nodes[cur as usize].as_ref().ok_or(FsError::NotFound)?;
-            match node {
-                Node::Dir { children, .. } => {
-                    cur = *children.get(part.as_ref()).ok_or(FsError::NotFound)?;
-                }
-                Node::File { .. } => return Err(FsError::NotADirectory),
-            }
+        for raw in self.components(path)? {
+            cur = self.child(cur, &self.fold(raw, &mut buf))?;
         }
         Ok(cur)
     }
 
     /// Resolves the parent directory of `path`, returning `(parent_id,
-    /// final_component)`.
-    fn lookup_parent(&self, path: &str) -> Result<(u64, String), FsError> {
+    /// final_component)`, the final component case-folded into `buf`
+    /// when folding changes it.
+    fn lookup_parent<'p>(
+        &self,
+        path: &'p str,
+        buf: &'p mut [u8; NAME_BUF],
+    ) -> Result<(u64, Cow<'p, str>), FsError> {
         let mut parts = self.components(path)?;
-        let last = parts.pop().ok_or(FsError::InvalidPath)?.into_owned();
+        let mut last = parts.next().ok_or(FsError::InvalidPath)?;
         let mut cur = 0u64;
-        for part in &parts {
-            let node = self.nodes[cur as usize].as_ref().ok_or(FsError::NotFound)?;
-            match node {
-                Node::Dir { children, .. } => {
-                    cur = *children.get(part.as_ref()).ok_or(FsError::NotFound)?;
-                }
-                Node::File { .. } => return Err(FsError::NotADirectory),
-            }
+        for next in parts {
+            cur = self.child(cur, &self.fold(last, buf))?;
+            last = next;
         }
         match self.nodes[cur as usize] {
-            Some(Node::Dir { .. }) => Ok((cur, last)),
+            Some(Node::Dir { .. }) => Ok((cur, self.fold(last, buf))),
             _ => Err(FsError::NotADirectory),
         }
     }
@@ -727,7 +872,8 @@ impl FileSystem {
     /// [`FsError::Exists`] if the name is taken, plus path-resolution
     /// errors.
     pub fn create_file(&mut self, path: &str, content: Vec<u8>) -> Result<(), FsError> {
-        let (parent, name) = self.lookup_parent(path)?;
+        let mut buf = [0u8; NAME_BUF];
+        let (parent, name) = self.lookup_parent(path, &mut buf)?;
         let attrs = FileAttrs {
             readonly: false,
             created_ms: self.now_ms,
@@ -736,10 +882,10 @@ impl FileSystem {
         let Some(Node::Dir { children, .. }) = &self.nodes[parent as usize] else {
             return Err(FsError::NotADirectory);
         };
-        if children.contains_key(&name) {
+        if children.contains_key(name.as_ref()) {
             return Err(FsError::Exists);
         }
-        self.touch();
+        self.touch(&[parent]);
         self.record(|fs| {
             Some(FsOp::CreateFile {
                 path: fs.normalize_path(path)?,
@@ -751,7 +897,7 @@ impl FileSystem {
         let Some(Node::Dir { children, .. }) = &mut self.nodes[parent as usize] else {
             unreachable!("checked above");
         };
-        children.insert(name, id);
+        children.insert(name.into_owned(), id);
         Ok(())
     }
 
@@ -762,14 +908,15 @@ impl FileSystem {
     /// [`FsError::Exists`] if the name is taken, plus path-resolution
     /// errors.
     pub fn mkdir(&mut self, path: &str) -> Result<(), FsError> {
-        let (parent, name) = self.lookup_parent(path)?;
+        let mut buf = [0u8; NAME_BUF];
+        let (parent, name) = self.lookup_parent(path, &mut buf)?;
         let Some(Node::Dir { children, .. }) = &self.nodes[parent as usize] else {
             return Err(FsError::NotADirectory);
         };
-        if children.contains_key(&name) {
+        if children.contains_key(name.as_ref()) {
             return Err(FsError::Exists);
         }
-        self.touch();
+        self.touch(&[parent]);
         self.record(|fs| {
             Some(FsOp::Mkdir {
                 path: fs.normalize_path(path)?,
@@ -788,7 +935,7 @@ impl FileSystem {
         let Some(Node::Dir { children, .. }) = &mut self.nodes[parent as usize] else {
             unreachable!("checked above");
         };
-        children.insert(name, id);
+        children.insert(name.into_owned(), id);
         Ok(())
     }
 
@@ -799,17 +946,18 @@ impl FileSystem {
     /// [`FsError::NotEmpty`] for non-empty directories,
     /// [`FsError::NotADirectory`] for files, plus resolution errors.
     pub fn rmdir(&mut self, path: &str) -> Result<(), FsError> {
-        let (parent, name) = self.lookup_parent(path)?;
+        let mut buf = [0u8; NAME_BUF];
+        let (parent, name) = self.lookup_parent(path, &mut buf)?;
         let Some(Node::Dir { children, .. }) = &self.nodes[parent as usize] else {
             return Err(FsError::NotADirectory);
         };
-        let id = *children.get(&name).ok_or(FsError::NotFound)?;
+        let id = *children.get(name.as_ref()).ok_or(FsError::NotFound)?;
         match &self.nodes[id as usize] {
             Some(Node::Dir { children: c, .. }) if !c.is_empty() => return Err(FsError::NotEmpty),
             Some(Node::Dir { .. }) => {}
             _ => return Err(FsError::NotADirectory),
         }
-        self.touch();
+        self.touch(&[parent, id]);
         self.record(|fs| {
             Some(FsOp::Rmdir {
                 path: fs.normalize_path(path)?,
@@ -819,7 +967,7 @@ impl FileSystem {
         let Some(Node::Dir { children, .. }) = &mut self.nodes[parent as usize] else {
             unreachable!("checked above");
         };
-        children.remove(&name);
+        children.remove(name.as_ref());
         self.nodes[id as usize] = None;
         Ok(())
     }
@@ -832,11 +980,12 @@ impl FileSystem {
     /// [`FsError::AccessDenied`] for read-only files, plus resolution
     /// errors.
     pub fn unlink(&mut self, path: &str) -> Result<(), FsError> {
-        let (parent, name) = self.lookup_parent(path)?;
+        let mut buf = [0u8; NAME_BUF];
+        let (parent, name) = self.lookup_parent(path, &mut buf)?;
         let Some(Node::Dir { children, .. }) = &self.nodes[parent as usize] else {
             return Err(FsError::NotADirectory);
         };
-        let id = *children.get(&name).ok_or(FsError::NotFound)?;
+        let id = *children.get(name.as_ref()).ok_or(FsError::NotFound)?;
         match &self.nodes[id as usize] {
             Some(Node::File { attrs, .. }) => {
                 if attrs.readonly {
@@ -846,7 +995,7 @@ impl FileSystem {
             Some(Node::Dir { .. }) => return Err(FsError::IsADirectory),
             None => return Err(FsError::NotFound),
         }
-        self.touch();
+        self.touch(&[parent, id]);
         self.record(|fs| {
             Some(FsOp::Unlink {
                 path: fs.normalize_path(path)?,
@@ -856,7 +1005,7 @@ impl FileSystem {
         let Some(Node::Dir { children, .. }) = &mut self.nodes[parent as usize] else {
             unreachable!("checked above");
         };
-        children.remove(&name);
+        children.remove(name.as_ref());
         self.nodes[id as usize] = None;
         Ok(())
     }
@@ -868,16 +1017,17 @@ impl FileSystem {
     /// [`FsError::Exists`] when the destination is taken, plus resolution
     /// errors on either path.
     pub fn rename(&mut self, from: &str, to: &str) -> Result<(), FsError> {
-        let (from_parent, from_name) = self.lookup_parent(from)?;
-        let (to_parent, to_name) = self.lookup_parent(to)?;
+        let (mut from_buf, mut to_buf) = ([0u8; NAME_BUF], [0u8; NAME_BUF]);
+        let (from_parent, from_name) = self.lookup_parent(from, &mut from_buf)?;
+        let (to_parent, to_name) = self.lookup_parent(to, &mut to_buf)?;
         let Some(Node::Dir { children, .. }) = &self.nodes[from_parent as usize] else {
             return Err(FsError::NotADirectory);
         };
-        let id = *children.get(&from_name).ok_or(FsError::NotFound)?;
+        let id = *children.get(from_name.as_ref()).ok_or(FsError::NotFound)?;
         let Some(Node::Dir { children, .. }) = &self.nodes[to_parent as usize] else {
             return Err(FsError::NotADirectory);
         };
-        if children.contains_key(&to_name) {
+        if children.contains_key(to_name.as_ref()) {
             return Err(FsError::Exists);
         }
         // Renaming a directory into its own subtree (or onto itself) would
@@ -892,7 +1042,7 @@ impl FileSystem {
                 return Err(FsError::InvalidPath);
             }
         }
-        self.touch();
+        self.touch(&[from_parent, to_parent]);
         self.record(|fs| {
             Some(FsOp::Rename {
                 from: fs.normalize_path(from)?,
@@ -903,11 +1053,11 @@ impl FileSystem {
         let Some(Node::Dir { children, .. }) = &mut self.nodes[from_parent as usize] else {
             unreachable!("checked above");
         };
-        children.remove(&from_name);
+        children.remove(from_name.as_ref());
         let Some(Node::Dir { children, .. }) = &mut self.nodes[to_parent as usize] else {
             unreachable!("checked above");
         };
-        children.insert(to_name, id);
+        children.insert(to_name.into_owned(), id);
         Ok(())
     }
 
@@ -945,7 +1095,7 @@ impl FileSystem {
     /// Path-resolution errors.
     pub fn set_readonly(&mut self, path: &str, readonly: bool) -> Result<(), FsError> {
         let id = self.lookup(path)?;
-        self.touch();
+        self.touch(&[id]);
         self.record(|fs| {
             Some(FsOp::SetReadonly {
                 path: fs.normalize_path(path)?,
@@ -1009,7 +1159,7 @@ impl FileSystem {
             }
         }
         if opts.truncate && opts.write {
-            self.touch();
+            self.touch(&[node_id]);
             self.record(|fs| {
                 Some(FsOp::Truncate {
                     path: fs.normalize_path(path)?,
@@ -1113,10 +1263,11 @@ impl FileSystem {
         if !of.opts.write {
             return Err(FsError::BadAccessMode);
         }
-        if !matches!(self.nodes[of.node as usize], Some(Node::File { .. })) {
+        let node = of.node;
+        if !matches!(self.nodes[node as usize], Some(Node::File { .. })) {
             return Err(FsError::BadDescriptor);
         }
-        self.touch(); // file content and timestamps change...
+        self.touch(&[node]); // file content and timestamps change...
         self.touch_open(); // ...and the open-file offset advances
         let of = self.open.get_mut(&ofd).expect("checked above");
         let Some(Node::File { content, attrs }) = self.nodes[of.node as usize].as_mut() else {
@@ -1134,7 +1285,6 @@ impl FileSystem {
         content.extend_from_slice(&data[overlap..]);
         of.offset += data.len() as u64;
         attrs.modified_ms = now;
-        let node = of.node;
         self.record(|fs| {
             Some(FsOp::Write {
                 path: fs.path_of_node(node)?,
@@ -1364,6 +1514,71 @@ mod tests {
         let fs = FileSystem::new_posix();
         assert_eq!(fs.split_path("/../../etc").unwrap(), vec!["etc"]);
         assert_eq!(fs.split_path("a/./b/../c").unwrap(), vec!["a", "c"]);
+    }
+
+    #[test]
+    fn streamed_components_match_a_component_stack() {
+        // Every path of up to five components over these tokens, joined
+        // by either separator, against the stack the walk replaces: a
+        // name pushes, `..` pops (a no-op at the root).
+        let tokens = ["a", "B", "..", ".", ""];
+        let fs = FileSystem::new_windows();
+        let mut paths = vec![String::new()];
+        for _ in 0..5 {
+            let mut longer = Vec::new();
+            for p in &paths {
+                for (i, t) in tokens.iter().enumerate() {
+                    let sep = if i % 2 == 0 { "/" } else { "\\" };
+                    longer.push(format!("{p}{sep}{t}"));
+                }
+            }
+            paths.extend(longer);
+        }
+        for path in paths.iter().filter(|p| !p.is_empty()) {
+            let mut stack: Vec<String> = Vec::new();
+            for raw in path.split(['/', '\\']) {
+                match raw {
+                    "" | "." => {}
+                    ".." => {
+                        stack.pop();
+                    }
+                    name => stack.push(name.to_ascii_lowercase()),
+                }
+            }
+            assert_eq!(fs.split_path(path).unwrap(), stack, "{path:?}");
+        }
+    }
+
+    #[test]
+    fn dirty_node_journal_resets_exactly_what_changed() {
+        let mut base = FileSystem::new_windows();
+        base.mkdir("C:\\A").unwrap();
+        base.mkdir("C:\\B").unwrap();
+        base.create_file("C:\\A\\F.TXT", b"one".to_vec()).unwrap();
+        base.mark_clean();
+        let mut live = base.clone();
+        // Calls that fail validation note nothing.
+        assert_eq!(live.mkdir("C:\\A").unwrap_err(), FsError::Exists);
+        assert_eq!(live.unlink("C:\\NONE").unwrap_err(), FsError::NotFound);
+        assert!(live.dirty.is_empty());
+        // A rename notes both parents, a write the file.
+        live.rename("C:\\A\\F.TXT", "c:/b/g.txt").unwrap();
+        let (a, b) = (live.lookup("C:\\A").unwrap(), live.lookup("C:\\B").unwrap());
+        assert_eq!(live.dirty, vec![a, b]);
+        let ofd = live
+            .open("C:\\B\\G.TXT", OpenOptions::write_only())
+            .unwrap();
+        live.write(ofd, b"changed").unwrap();
+        let f = live.lookup("C:\\B\\G.TXT").unwrap();
+        assert_eq!(live.dirty, vec![a, b, f]);
+        live.create_file("C:\\B\\NEW", vec![1]).unwrap();
+        live.set_open_limit(Some(1));
+        live.reset_from(&base);
+        assert_eq!(live, base);
+        assert!(live.dirty.is_empty());
+        assert!(live.exists("C:\\A\\F.TXT"));
+        assert!(!live.exists("C:\\B\\NEW"));
+        assert_eq!(live.read_file("C:\\A\\F.TXT").unwrap(), b"one");
     }
 
     #[test]

@@ -232,12 +232,14 @@ impl Kernel {
     }
 
     /// Captures this machine as a reusable boot image. The image's dirty
-    /// journal is cleared: machines later reset against this snapshot track
-    /// their deltas relative to *this* state.
+    /// journals (memory regions and filesystem nodes) are cleared:
+    /// machines later reset against this snapshot track their deltas
+    /// relative to *this* state.
     #[must_use]
     pub fn snapshot(&self) -> MachineSnapshot {
         let mut image = self.clone();
         image.space.mark_clean();
+        image.fs.mark_clean();
         MachineSnapshot { image }
     }
 }
@@ -269,20 +271,23 @@ impl MachineSnapshot {
     /// (via [`MachineSnapshot::restore`] or an earlier `restore_into`) —
     /// back to the image state, undoing only what was touched.
     ///
-    /// The address space rolls back its dirty-region journal in O(touched);
-    /// each kernel subsystem is deep-cloned only when its generation stamp
-    /// says a structural mutator ran since the image was captured; the
-    /// scalar state (clock, fuel, attribution ledger, crash latch, residue,
-    /// handles, scratch) is restored unconditionally. The result is
-    /// indistinguishable from a fresh [`MachineSnapshot::restore`] — the
-    /// invariant the `reset_in_place_matches_fresh_restore` proptest and
-    /// the campaign engines' cross-engine bit-identity checks enforce.
+    /// The address space rolls back its dirty-region journal and the
+    /// filesystem its dirty-node journal, both in O(touched); every other
+    /// kernel subsystem is reset only when its generation stamp says a
+    /// structural mutator ran since the image was captured, the object
+    /// and process tables with `clone_from` so their buffers are reused;
+    /// the scalar state (clock, fuel, attribution ledger, crash latch,
+    /// residue, handles, scratch) is restored unconditionally. The result
+    /// equals a fresh [`MachineSnapshot::restore`]: the ballista suite
+    /// `restore_equivalence.rs` checks that state by state after every
+    /// case of every MuT's plan, and the campaign engines' cross-engine
+    /// bit-identity checks enforce it on the tallies.
     pub fn restore_into(&self, machine: &mut Kernel) {
         let img = &self.image;
         machine.space.reset_from(&img.space);
         if machine.fs.generation() != img.fs.generation() {
-            // Node-tree dirt: only a deep clone restores file contents.
-            machine.fs = img.fs.clone();
+            // Node-tree dirt: copy back the journaled nodes.
+            machine.fs.reset_from(&img.fs);
         } else {
             if machine.fs.open_generation() != img.fs.open_generation() {
                 // Descriptor-table dirt only (opens, closes, offset moves):
@@ -295,13 +300,13 @@ impl MachineSnapshot {
             machine.fs.set_now_ms(img.fs.now_ms());
         }
         if machine.objects.generation() != img.objects.generation() {
-            machine.objects = img.objects.clone();
+            machine.objects.clone_from(&img.objects);
         }
         if machine.heaps.generation() != img.heaps.generation() {
             machine.heaps = img.heaps.clone();
         }
         if machine.procs.generation() != img.procs.generation() {
-            machine.procs = img.procs.clone();
+            machine.procs.clone_from(&img.procs);
         }
         if machine.env.generation() != img.env.generation() {
             machine.env = img.env.clone();

@@ -179,7 +179,7 @@ struct Entry {
 /// table.close(h).unwrap();
 /// assert_eq!(table.get(h).unwrap_err(), HandleError::Closed);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Default, Serialize, Deserialize)]
 pub struct ObjectTable {
     slots: Vec<Slot>,
     /// Structural-mutation counter for the snapshot layer (see
@@ -188,6 +188,22 @@ pub struct ObjectTable {
     /// mutate through it.
     #[serde(default)]
     gen: u64,
+}
+
+impl Clone for ObjectTable {
+    fn clone(&self) -> Self {
+        ObjectTable {
+            slots: self.slots.clone(),
+            gen: self.gen,
+        }
+    }
+
+    /// Keeps `self`'s slot buffer, so resetting a machine's table to its
+    /// boot image reuses it and a later insert does not reallocate.
+    fn clone_from(&mut self, source: &Self) {
+        self.slots.clone_from(&source.slots);
+        self.gen = source.gen;
+    }
 }
 
 /// Equality covers the slots (including per-slot generations, which decide

@@ -108,7 +108,7 @@ pub struct Thread {
 }
 
 /// A simulated process.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Process {
     /// Process id.
     pub pid: u32,
@@ -122,6 +122,29 @@ pub struct Process {
     pub threads: Vec<u32>,
     /// Whether the parent has already waited on this (zombie reaping).
     pub reaped: bool,
+}
+
+impl Clone for Process {
+    fn clone(&self) -> Self {
+        Process {
+            pid: self.pid,
+            parent: self.parent,
+            image: self.image.clone(),
+            state: self.state,
+            threads: self.threads.clone(),
+            reaped: self.reaped,
+        }
+    }
+
+    /// Refills `self`'s image name and thread list in their own buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.pid = source.pid;
+        self.parent = source.parent;
+        self.image.clone_from(&source.image);
+        self.state = source.state;
+        self.threads.clone_from(&source.threads);
+        self.reaped = source.reaped;
+    }
 }
 
 /// Error vocabulary for process-table operations.
@@ -157,7 +180,7 @@ impl std::error::Error for ProcessError {}
 /// The process/thread table. One exists per [`Kernel`](crate::Kernel); the
 /// "current" process (pid from [`ProcessTable::current_pid`]) is the
 /// simulated program Ballista is driving.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct ProcessTable {
     processes: Vec<Process>,
     threads: Vec<Thread>,
@@ -170,6 +193,33 @@ pub struct ProcessTable {
     /// bumps conservatively — the caller holds `&mut Thread`.
     #[serde(default)]
     gen: u64,
+}
+
+impl Clone for ProcessTable {
+    fn clone(&self) -> Self {
+        ProcessTable {
+            processes: self.processes.clone(),
+            threads: self.threads.clone(),
+            next_pid: self.next_pid,
+            next_tid: self.next_tid,
+            current_pid: self.current_pid,
+            current_tid: self.current_tid,
+            gen: self.gen,
+        }
+    }
+
+    /// Keeps `self`'s process and thread buffers (and each surviving
+    /// process's own), so resetting a machine's table to its boot image
+    /// allocates nothing and a later spawn does not reallocate.
+    fn clone_from(&mut self, source: &Self) {
+        self.processes.clone_from(&source.processes);
+        self.threads.clone_from(&source.threads);
+        self.next_pid = source.next_pid;
+        self.next_tid = source.next_tid;
+        self.current_pid = source.current_pid;
+        self.current_tid = source.current_tid;
+        self.gen = source.gen;
+    }
 }
 
 /// Equality covers the tables and id cursors, not the mutation counter.
