@@ -56,24 +56,48 @@
 //! and two adaptive campaigns share a fingerprint iff they would pin
 //! the same plan. Journals, the result cache, and the fleet server all
 //! address adaptive campaigns by that fingerprint.
+//!
+//! # Exploring on the pool
+//!
+//! Explore is the serial part of every adaptive campaign, so [`explore`]
+//! runs its cases on up to `cfg.workers()` threads without changing a
+//! draw. One coordinator draws, folds and steps the generator in the
+//! serial order. Fixed MuTs (exhaustive, or taking no parameters) do not
+//! depend on feedback, so the pool runs each to its first crash before
+//! round 0 and the coordinator reads their outcomes in cursor order.
+//! Steerable cases run speculatively: the coordinator draws a window
+//! ahead, applying at draw time what does not depend on an outcome
+//! (touch counts, weights, the taken set), and commits outcomes in draw
+//! order. A commit that sets a value's rare flag for the first time
+//! changes weights later draws read, so they are undone, the generator
+//! is rewound to its state after the committed draw, and the cases are
+//! redrawn; a discarded crash adds a draw to its MuT's round, so the
+//! draws of later MuTs are redrawn. An outcome is a pure function of the
+//! MuT and the case, so a redrawn case the pool already ran reuses its
+//! outcome. The pinned plan, the ledger and the explore coverage are
+//! bit-identical at every parallelism, which is why `adaptive/1` stands.
 
 use crate::campaign::{self, prepare, CampaignConfig, CampaignFingerprint, CampaignReport, Mode};
 use crate::catalog;
 use crate::coverage::{class_index, Coverage, CLASS_LABELS};
 use crate::crash::FailureClass;
-use crate::exec::{CaseRunner, Session};
+use crate::exec::{CaseRunner, Session, MAX_ARITY};
 use crate::journal::PlanHasher;
 use crate::muts::Mut;
-use crate::sampling::{self, Combo, Plan};
+use crate::sampling::{self, LinearSet, Plan};
 use crate::telemetry;
 use crate::value::TestValue;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use sim_kernel::variant::OsVariant;
-use std::collections::{BTreeMap, HashSet};
+use sim_kernel::SubsystemFuel;
+use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::Thread;
 
 /// The mode tag folded into adaptive fingerprints, journal hashes, and
 /// cache keys (versioned like `crashcon/1`; bump on any change to the
@@ -259,19 +283,29 @@ impl PinnedPlan {
 struct TypeFeedback {
     /// Data-type name (the [`Coverage`] pool key).
     ty: &'static str,
-    /// Cases each value took part in.
+    /// Cases each value took part in, counted when a case is drawn.
     touches: Vec<u64>,
-    /// Values that took part in a Silent, Restart or Catastrophic case.
+    /// Values that took part in a Silent, Restart or Catastrophic case,
+    /// flagged when that case commits.
     rare: Vec<bool>,
     /// Each value's draw weight, kept equal to [`weight`] of its touch
-    /// count and rare flag on every touch, so a draw reads it as is.
+    /// count and rare flag on every change, so a draw reads it as is.
     weights: Vec<u64>,
+    /// The sum of `weights`, kept current with them, so a draw does not
+    /// sum the pool.
+    total: u64,
+    rare_bonus: u64,
 }
 
 impl TypeFeedback {
     /// The index of `ty`'s table in `tables`, appending a fresh table
     /// (every value untouched) the first time the type is seen.
-    fn id_of(tables: &mut Vec<TypeFeedback>, ty: &'static str, pool_len: usize) -> usize {
+    fn id_of(
+        tables: &mut Vec<TypeFeedback>,
+        ty: &'static str,
+        pool_len: usize,
+        rare_bonus: u64,
+    ) -> usize {
         if let Some(id) = tables.iter().position(|t| t.ty == ty) {
             assert_eq!(
                 tables[id].weights.len(),
@@ -280,24 +314,47 @@ impl TypeFeedback {
             );
             return id;
         }
+        let untouched = weight(0, false, rare_bonus);
         tables.push(TypeFeedback {
             ty,
             touches: vec![0; pool_len],
             rare: vec![false; pool_len],
-            weights: vec![weight(0, false, 0); pool_len],
+            weights: vec![untouched; pool_len],
+            total: untouched * pool_len as u64,
+            rare_bonus,
         });
         tables.len() - 1
     }
 
-    /// Records that value `idx` took part in one case (a `rare` one if
-    /// its outcome was Silent, Restart or Catastrophic) and refreshes
-    /// its weight. Returns `true` on the value's first touch.
-    fn touch(&mut self, idx: usize, rare: bool, rare_bonus: u64) -> bool {
-        let first = self.touches[idx] == 0;
+    /// Counts one more case for value `idx`. Returns `true` on the
+    /// value's first touch.
+    fn touch(&mut self, idx: usize) -> bool {
         self.touches[idx] += 1;
-        self.rare[idx] |= rare;
-        self.weights[idx] = weight(self.touches[idx], self.rare[idx], rare_bonus);
-        first
+        self.reweigh(idx);
+        self.touches[idx] == 1
+    }
+
+    /// Takes back a touch of a drawn case that was rolled back.
+    fn untouch(&mut self, idx: usize) {
+        self.touches[idx] -= 1;
+        self.reweigh(idx);
+    }
+
+    /// Flags value `idx` as a rare participant. Returns `true` if it was
+    /// not flagged yet.
+    fn mark_rare(&mut self, idx: usize) -> bool {
+        if self.rare[idx] {
+            return false;
+        }
+        self.rare[idx] = true;
+        self.reweigh(idx);
+        true
+    }
+
+    fn reweigh(&mut self, idx: usize) {
+        let w = weight(self.touches[idx], self.rare[idx], self.rare_bonus);
+        self.total = self.total - self.weights[idx] + w;
+        self.weights[idx] = w;
     }
 }
 
@@ -313,10 +370,21 @@ fn weight(touches: u64, rare: bool, rare_bonus: u64) -> u64 {
     }
 }
 
-/// Per-MuT explorer state.
-struct MutState<'a> {
+/// [`CLASS_LABELS`] index of Catastrophic.
+const CATASTROPHIC: usize = 0;
+
+/// Which [`CLASS_LABELS`] are rare outcomes: Silent, Restart and
+/// Catastrophic.
+const RARE_CLASS: [bool; CLASS_LABELS.len()] = [true, true, false, true, false, false];
+
+/// What a pool thread needs to run a MuT's cases.
+struct MutRun<'a> {
     mut_: &'a Mut,
     pools: Vec<Vec<TestValue>>,
+}
+
+/// Per-MuT explorer state, owned by the coordinator.
+struct MutState {
     /// Index into the explorer's [`TypeFeedback`] tables, per parameter.
     type_ids: Vec<usize>,
     dims: Vec<usize>,
@@ -325,21 +393,27 @@ struct MutState<'a> {
     /// `true` when the fixed plan is exhaustive (or the MuT takes no
     /// parameters): there is nothing to steer, the pin *is* the plan.
     fixed: bool,
+    /// For a `fixed` MuT, the class index of every case explore runs:
+    /// its plan in order, up to and including the first Catastrophic
+    /// one. Filled on the pool before round 0.
+    fixed_classes: Vec<u8>,
     /// Linear indices pinned so far, and the deferred crash case.
     pinned: Vec<u64>,
     deferred: Vec<u64>,
-    taken: HashSet<u64>,
+    /// Every linear index drawn, the cases still in the window included.
+    taken: Taken,
     /// Total combinations (pre-computed; steerable MuTs only need it).
     total: u64,
     /// Crash draws executed but re-drawn rather than pinned. Bounded by
     /// the budget (and by combination-space headroom), so exploration
     /// terminates even on crash-dense MuTs.
     discards: usize,
-    /// Progress cursor for `fixed` MuTs (case index into `fixed_plan`).
+    /// Progress cursor for `fixed` MuTs: the next case index into
+    /// `fixed_plan`, advanced when a case is drawn.
     cursor: usize,
-    /// `true` once a `fixed` MuT crashed at residue zero — remaining
-    /// cases are skipped (replay will stop at the same point anyway).
-    fixed_crashed: bool,
+    /// For a `fixed` MuT, case `cursor` of its lexicographic plan, stepped
+    /// to on each draw.
+    next_case: [usize; MAX_ARITY],
     /// Primary outcome classes observed so far, one bit per
     /// [`CLASS_LABELS`] index.
     classes_seen: u8,
@@ -347,7 +421,7 @@ struct MutState<'a> {
     new_class_last_round: bool,
 }
 
-impl MutState<'_> {
+impl MutState {
     fn budget(&self) -> usize {
         self.fixed_plan.len()
     }
@@ -360,20 +434,44 @@ impl MutState<'_> {
         }
     }
 
+    /// Cases left to explore. A `fixed` MuT that has run its first
+    /// Catastrophic case has none: replay stops there too.
     fn remaining(&self) -> usize {
-        if self.fixed && self.fixed_crashed {
+        if self.fixed && self.cursor == self.fixed_classes.len() {
             0
         } else {
             self.budget() - self.spent()
+        }
+    }
+
+    /// This round's quota: an even share of what's left, doubled while
+    /// the MuT's class distribution is still moving. The final round has
+    /// quota == remaining, so the budget always completes.
+    fn quota(&self, remaining_rounds: usize) -> usize {
+        let remaining = self.remaining();
+        let quota = remaining.div_ceil(remaining_rounds);
+        if self.new_class_last_round {
+            (quota * 2).min(remaining)
+        } else {
+            quota
         }
     }
 }
 
 /// Runs the explore phase and pins the result. Deterministic: same
 /// `(os, cfg.cap, cfg fuel budget, acfg)` ⇒ identical [`PinnedPlan`]
-/// (same digest, same order), on every host. Exploration executes
-/// `Σ planned` cases at residue zero — the same per-MuT budget the
-/// pinned plan will spend again at replay.
+/// (same digest, same order, same ledger and coverage), on every host
+/// and at every `cfg.parallelism`. Exploration executes `Σ planned`
+/// cases at residue zero — the same per-MuT budget the pinned plan will
+/// spend again at replay.
+///
+/// One coordinator draws, folds and steps the generator in exactly the
+/// serial order; case execution runs on up to `cfg.workers()` threads,
+/// the coordinator included, and never more than four. Fixed
+/// MuTs run to their first crash before round 0; steerable cases run
+/// speculatively in a window drawn ahead of the commit point and are
+/// committed in draw order, and a commit that changes what a later draw
+/// reads rolls the later draws back (DESIGN.md §15).
 ///
 /// Prefer [`pinned_plan_shared`], which memoizes per process.
 #[must_use]
@@ -382,161 +480,112 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
     let muts = catalog::catalog_for(os);
     let rounds_n = acfg.effective_rounds();
     let rare_bonus = acfg.effective_rare_bonus();
-    let fuel_budget = cfg.effective_fuel_budget();
 
     // One feedback table per parameter type, numbered in order of first
     // appearance in the catalog.
     let mut feedback: Vec<TypeFeedback> = Vec::new();
-    let mut states: Vec<MutState<'_>> = muts
-        .iter()
-        .map(|m| {
-            let prep = prepare(&registry, m, cfg);
-            let fixed = prep.plan.exhaustive();
-            let dims: Vec<usize> = prep.pools.iter().map(Vec::len).collect();
-            let total = sampling::combination_count(&dims);
-            let type_ids = m
-                .params
-                .iter()
-                .zip(&dims)
-                .map(|(&ty, &len)| TypeFeedback::id_of(&mut feedback, ty, len))
-                .collect();
-            MutState {
-                mut_: m,
-                pools: prep.pools,
-                type_ids,
-                dims,
-                fixed_plan: prep.plan,
-                fixed,
-                pinned: Vec::new(),
-                deferred: Vec::new(),
-                taken: HashSet::new(),
-                total,
-                discards: 0,
-                cursor: 0,
-                fixed_crashed: false,
-                classes_seen: 0,
-                new_class_this_round: false,
-                new_class_last_round: false,
-            }
-        })
-        .collect();
+    let mut runs = Vec::with_capacity(muts.len());
+    let mut states = Vec::with_capacity(muts.len());
+    for (mi, m) in muts.iter().enumerate() {
+        let prep = prepare(&registry, m, cfg);
+        let fixed = prep.plan.exhaustive();
+        let dims: Vec<usize> = prep.pools.iter().map(Vec::len).collect();
+        assert!(
+            mi <= usize::from(u16::MAX)
+                && dims.len() <= MAX_ARITY
+                && dims.iter().all(|&d| d <= 1 << 16),
+            "{}: a case must pack into 16-bit pool indices",
+            m.name
+        );
+        let type_ids = m
+            .params
+            .iter()
+            .zip(&dims)
+            .map(|(&ty, &len)| TypeFeedback::id_of(&mut feedback, ty, len, rare_bonus))
+            .collect();
+        let total = sampling::combination_count(&dims);
+        states.push(MutState {
+            type_ids,
+            total,
+            dims,
+            fixed_plan: prep.plan,
+            fixed,
+            fixed_classes: Vec::new(),
+            pinned: Vec::new(),
+            deferred: Vec::new(),
+            taken: Taken::new(if fixed { 0 } else { total }),
+            discards: 0,
+            cursor: 0,
+            next_case: [0; MAX_ARITY],
+            classes_seen: 0,
+            new_class_this_round: false,
+            new_class_last_round: false,
+        });
+        runs.push(MutRun {
+            mut_: m,
+            pools: prep.pools,
+        });
+    }
 
+    let threads = cfg.workers().clamp(1, MAX_EXPLORE_THREADS);
+    let pool = Pool::new(
+        &runs,
+        os,
+        cfg.effective_fuel_budget(),
+        1 + (threads - 1) * WINDOW_PER_HELPER,
+    );
+    let fixed = FixedRuns::new(&states);
     // One RNG stream for the whole explore: the draw sequence depends
     // only on (tag, variant, seed) and the deterministic outcomes that
     // shape the weights.
-    let mut rng = StdRng::seed_from_u64(sampling::seed_from_name(&format!(
+    let rng = StdRng::seed_from_u64(sampling::seed_from_name(&format!(
         "{MODE_TAG}/{}/{}",
         os.short_name(),
         acfg.seed
     )));
-    let rare_class = CLASS_LABELS.map(|l| matches!(l, "Silent" | "Restart" | "Catastrophic"));
-    // Case counts per class this round, folded into `cov` at its end.
-    let mut class_counts = [0u64; CLASS_LABELS.len()];
-    let mut cov = Coverage::default();
-    let mut session = Session::new();
-    let mut runner = CaseRunner::new();
-    let mut combo = Combo::new();
-    let mut rounds = Vec::with_capacity(rounds_n);
-    let mut explore_cases = 0u64;
+    let mut ex = Explorer {
+        states,
+        feedback,
+        rng,
+        window: VecDeque::with_capacity(pool.slots.len()),
+        reuse: Vec::new(),
+        cov: Coverage::default(),
+        class_counts: [0; CLASS_LABELS.len()],
+        explore_cases: 0,
+        rollbacks: 0,
+        reexecuted: 0,
+        next_ticket: 0,
+        exec: Executor::default(),
+    };
+    let rounds = std::thread::scope(|s| {
+        let (pool, fixed) = (&pool, &fixed);
+        let helpers: Vec<Thread> = (1..threads)
+            .map(|_| s.spawn(move || pool.help(fixed)).thread().clone())
+            .collect();
+        let _stop = StopOnDrop {
+            pool,
+            helpers: &helpers,
+        };
+        fixed.run(pool, &mut ex.exec);
+        for (mi, classes) in fixed.wait(pool) {
+            ex.states[mi].fixed_classes = classes;
+        }
+        (0..rounds_n)
+            .map(|round| {
+                pool.wake(&helpers);
+                let stats = ex.round(pool, round, rounds_n - round);
+                pool.live.store(false, Ordering::Release);
+                stats
+            })
+            .collect::<Vec<_>>()
+    });
+    telemetry::on_adaptive_speculation(ex.rollbacks, ex.reexecuted);
 
-    for round in 0..rounds_n {
-        let snapshot = cov.clone();
-        let remaining_rounds = rounds_n - round;
-        let mut explored_this_round = 0u64;
-        for st in &mut states {
-            let remaining = st.remaining();
-            if remaining == 0 {
-                continue;
-            }
-            // Quota: an even share of what's left, doubled while the
-            // MuT's class distribution is still moving. The final round
-            // has quota == remaining, so the budget always completes.
-            let mut quota = remaining.div_ceil(remaining_rounds);
-            if st.new_class_last_round {
-                quota = (quota * 2).min(remaining);
-            }
-            let mut progress = 0;
-            while progress < quota {
-                if st.fixed {
-                    st.fixed_plan.case(st.cursor, &mut combo);
-                    st.cursor += 1;
-                } else {
-                    draw_combo(&mut rng, st, &feedback, &mut combo);
-                }
-                session.residue = 0;
-                let result =
-                    runner.execute(os, st.mut_, &st.pools, &combo, &mut session, fuel_budget);
-                explore_cases += 1;
-                explored_this_round += 1;
-                let class = class_index(result.class, result.raw);
-                for ((&id, pool), &idx) in st.type_ids.iter().zip(&st.pools).zip(&combo) {
-                    let fb = &mut feedback[id];
-                    // Coverage only needs a value's first touch: later
-                    // touches of it change nothing there.
-                    if fb.touch(idx, rare_class[class], rare_bonus) {
-                        cov.touch_value(fb.ty, pool[idx].name, pool.len() as u64);
-                    }
-                }
-                class_counts[class] += 1;
-                if st.classes_seen & (1 << class) == 0 {
-                    st.classes_seen |= 1 << class;
-                    st.new_class_this_round = true;
-                }
-                if st.fixed {
-                    progress += 1;
-                    if result.class == FailureClass::Catastrophic {
-                        // Replay stops here too; skip the unreachable rest.
-                        st.fixed_crashed = true;
-                        break;
-                    }
-                } else {
-                    let linear = sampling::encode(&combo, &st.dims);
-                    st.taken.insert(linear);
-                    if result.class == FailureClass::Catastrophic {
-                        // Keep the first crash (pinned last, so replay
-                        // still reports the MuT Catastrophic); re-draw
-                        // later ones — anything pinned after the first
-                        // crash would never execute at replay. Guards:
-                        // the discard budget bounds exploration, and the
-                        // headroom check keeps enough free combinations
-                        // to fill the remaining pins.
-                        let free = st.total - st.taken.len() as u64;
-                        let remaining_pins = (st.budget() - st.spent()) as u64;
-                        if !st.deferred.is_empty()
-                            && st.discards < st.budget()
-                            && free >= remaining_pins
-                        {
-                            st.discards += 1;
-                            continue;
-                        }
-                        st.deferred.push(linear);
-                    } else {
-                        st.pinned.push(linear);
-                    }
-                    progress += 1;
-                }
-            }
-        }
-        for st in &mut states {
-            st.new_class_last_round = st.new_class_this_round;
-            st.new_class_this_round = false;
-        }
-        for (label, n) in CLASS_LABELS.iter().zip(&mut class_counts) {
-            cov.observe_class(label, std::mem::take(n));
-        }
-        let gain = cov.gain_since(&snapshot);
-        telemetry::on_adaptive_round(gain.new_values);
-        rounds.push(RoundStats {
-            round,
-            explored_cases: explored_this_round,
-            new_values: gain.new_values,
-            new_classes: gain.new_classes,
-        });
-    }
-
-    let muts_pinned: Vec<PinnedMut> = states
+    let muts_pinned: Vec<PinnedMut> = ex
+        .states
         .into_iter()
-        .map(|st| {
+        .zip(&runs)
+        .map(|(st, run)| {
             let plan = if st.fixed {
                 st.fixed_plan
             } else {
@@ -546,7 +595,7 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
                 Plan::pinned(&st.dims, &pins)
             };
             PinnedMut {
-                name: st.mut_.name.to_owned(),
+                name: run.mut_.name.to_owned(),
                 plan,
             }
         })
@@ -555,47 +604,831 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
         os,
         muts: muts_pinned,
         rounds,
-        explore_cases,
-        explore_coverage: cov,
+        explore_cases: ex.explore_cases,
+        explore_coverage: ex.cov,
     };
     telemetry::on_adaptive_pinned(plan.pinned_cases());
     plan
 }
 
-/// Draws one not-yet-taken combination for a steerable MuT into
-/// `combo`: per parameter, a draw by the current [`weight`]s of the
-/// parameter type's pool. Collisions with already-pinned cases retry a
-/// few times, then fall back to a linear probe. The probe always lands:
-/// combinations strictly exceed the budget for steerable MuTs (else the
-/// plan would be exhaustive), and the explorer's crash-discard guard
-/// never takes a combination unless enough free ones remain to fill
-/// every outstanding pin.
-fn draw_combo(rng: &mut StdRng, st: &MutState<'_>, feedback: &[TypeFeedback], combo: &mut Combo) {
-    for attempt in 0..=DRAW_RETRIES {
-        combo.clear();
-        combo.extend(
-            st.type_ids
+/// Most threads one explore runs on, the coordinator included: one
+/// coordinator's draw-and-commit loop cannot keep more executors busy,
+/// and `parallelism` may come from an outside campaign spec.
+const MAX_EXPLORE_THREADS: usize = 4;
+
+/// Drawn cases the window holds per pool thread beside the coordinator
+/// (plus one). A deeper window hides more hand-off jitter and throws
+/// away more draws on a rollback.
+const WINDOW_PER_HELPER: usize = 8;
+
+/// Busy-wait rounds before a waiting thread starts yielding its CPU.
+const SPINS: u32 = 64;
+
+/// Where the round's next draw goes: a MuT and the draws made in its
+/// block of the round so far.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    mi: usize,
+    drawn: usize,
+}
+
+impl Cursor {
+    /// This cursor, or the start of the first later block with draws
+    /// left; `mi` is `blocks.len()` once the round has drawn everything.
+    fn settled(mut self, blocks: &[usize]) -> Cursor {
+        while self.mi < blocks.len() && self.drawn >= blocks[self.mi] {
+            self.mi += 1;
+            self.drawn = 0;
+        }
+        self
+    }
+}
+
+/// What a commit changed that the draws after it read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Commit {
+    /// Nothing: every later draw stands.
+    Kept,
+    /// A crash the explorer discards: its MuT's block grows by one draw,
+    /// so the draws of later MuTs move behind it.
+    Discarded,
+    /// A value's first rare flag: its weight changes, so every later
+    /// draw may.
+    NewRare,
+}
+
+/// A steerable case's outcome as the coordinator commits it: its
+/// [`CLASS_LABELS`] index and its subsystem-fuel ledger (for the
+/// telemetry profile).
+#[derive(Debug, Clone, Copy)]
+struct Ran {
+    class: usize,
+    subsys: SubsystemFuel,
+}
+
+/// A drawn case's outcome, as far as the coordinator has it.
+#[derive(Debug)]
+enum Outcome {
+    /// A fixed MuT's case: its class index, from the run before round 0.
+    Fixed(u8),
+    /// A steerable case the pool already ran before a rollback.
+    Ran(Box<Ran>),
+    /// A steerable case posted to the pool under this ticket.
+    Posted(u64),
+}
+
+/// A drawn case waiting in the window for its commit: everything the
+/// commit folds, and everything a rollback must undo.
+#[derive(Debug)]
+struct Drawn {
+    /// The cursor the case was drawn at.
+    at: Cursor,
+    /// Pool index per parameter (the first `dims.len()` entries).
+    combo: [u16; MAX_ARITY],
+    /// Linear index (steerable MuTs only).
+    linear: u64,
+    /// Parameters whose value this case touched first, one bit each.
+    first: u8,
+    /// The generator state after the draw.
+    rng: StdRng,
+    /// `taken.len()` after the draw (steerable MuTs only).
+    taken: u64,
+    outcome: Outcome,
+}
+
+/// The coordinator: the one thread that draws, folds and steps the
+/// generator, in exactly the order of a serial explore.
+struct Explorer {
+    states: Vec<MutState>,
+    feedback: Vec<TypeFeedback>,
+    rng: StdRng,
+    /// Drawn cases not yet committed, oldest first.
+    window: VecDeque<Drawn>,
+    /// Outcomes of rolled-back cases the pool had already run, by MuT
+    /// and linear index, for a redraw of the same case to reuse.
+    reuse: Vec<(usize, u64, Ran)>,
+    cov: Coverage,
+    /// Case counts per class this round, folded into `cov` at its end.
+    class_counts: [u64; CLASS_LABELS.len()],
+    explore_cases: u64,
+    rollbacks: u64,
+    reexecuted: u64,
+    next_ticket: u64,
+    exec: Executor,
+}
+
+impl Explorer {
+    /// Runs one round: draws ahead up to the window, commits in draw
+    /// order, and drains the window before returning, because the next
+    /// round's quotas read what this round's commits observed.
+    fn round(&mut self, pool: &Pool<'_>, round: usize, remaining_rounds: usize) -> RoundStats {
+        let snapshot = self.cov.clone();
+        let explored_before = self.explore_cases;
+        // Draws per MuT this round: its quota, plus one per crash it
+        // discards.
+        let mut blocks: Vec<usize> = self
+            .states
+            .iter()
+            .map(|st| st.quota(remaining_rounds))
+            .collect();
+        let mut at = Cursor { mi: 0, drawn: 0 }.settled(&blocks);
+        loop {
+            while self.window.len() < pool.slots.len() && at.mi < blocks.len() {
+                at = self.draw(pool, at, &blocks);
+            }
+            let Some(d) = self.window.pop_front() else {
+                break;
+            };
+            let keep = match self.commit(pool, &d, &mut blocks) {
+                Commit::Kept => continue,
+                Commit::Discarded => self
+                    .window
+                    .iter()
+                    .take_while(|later| later.at.mi == d.at.mi)
+                    .count(),
+                Commit::NewRare => 0,
+            };
+            self.rollback(pool, keep);
+            // Draw on from the last case kept.
+            let last = self.window.back().unwrap_or(&d);
+            self.rng = last.rng.clone();
+            at = self.after(last.at, &blocks);
+        }
+        self.reexecuted += self.reuse.len() as u64;
+        self.reuse.clear();
+        for st in &mut self.states {
+            st.new_class_last_round = st.new_class_this_round;
+            st.new_class_this_round = false;
+        }
+        for (label, n) in CLASS_LABELS.iter().zip(&mut self.class_counts) {
+            self.cov.observe_class(label, std::mem::take(n));
+        }
+        let gain = self.cov.gain_since(&snapshot);
+        telemetry::on_adaptive_round(gain.new_values);
+        RoundStats {
+            round,
+            explored_cases: self.explore_cases - explored_before,
+            new_values: gain.new_values,
+            new_classes: gain.new_classes,
+        }
+    }
+
+    /// The cursor after a case drawn at `at`: the MuT's next case, or
+    /// the next MuT once a fixed MuT has run its last case.
+    fn after(&self, at: Cursor, blocks: &[usize]) -> Cursor {
+        let st = &self.states[at.mi];
+        let next = if st.fixed && st.cursor == st.fixed_classes.len() {
+            Cursor {
+                mi: at.mi + 1,
+                drawn: 0,
+            }
+        } else {
+            Cursor {
+                mi: at.mi,
+                drawn: at.drawn + 1,
+            }
+        };
+        next.settled(blocks)
+    }
+
+    /// Draws the case at `at` into the window, applies what does not
+    /// depend on its outcome (touch counts, weights, `taken`, a fixed
+    /// MuT's cursor) and posts a steerable case to the pool. Returns the
+    /// cursor after it.
+    fn draw(&mut self, pool: &Pool<'_>, at: Cursor, blocks: &[usize]) -> Cursor {
+        let st = &mut self.states[at.mi];
+        let k = st.dims.len();
+        let mut combo = [0; MAX_ARITY];
+        let (linear, taken, outcome) = if st.fixed {
+            combo = st.next_case;
+            sampling::step(&mut st.next_case[..k], &st.dims);
+            let class = st.fixed_classes[st.cursor];
+            st.cursor += 1;
+            (0, 0, Outcome::Fixed(class))
+        } else {
+            let linear = draw_combo(&mut self.rng, st, &self.feedback, &mut combo[..k]);
+            st.taken.insert(linear);
+            let reused = self
+                .reuse
                 .iter()
-                .map(|&id| sampling::weighted_index(rng, &feedback[id].weights)),
-        );
-        let linear = sampling::encode(combo, &st.dims);
-        if !st.taken.contains(&linear) {
+                .position(|&(mi, l, _)| mi == at.mi && l == linear);
+            let outcome = match reused {
+                Some(i) => Outcome::Ran(Box::new(self.reuse.swap_remove(i).2)),
+                None => {
+                    let ticket = self.next_ticket;
+                    self.next_ticket += 1;
+                    pool.post(ticket, at.mi, &combo[..k]);
+                    Outcome::Posted(ticket)
+                }
+            };
+            (linear, st.taken.len(), outcome)
+        };
+        let mut first = 0u8;
+        for (j, (&id, &idx)) in st.type_ids.iter().zip(&combo).enumerate() {
+            if self.feedback[id].touch(idx) {
+                first |= 1 << j;
+            }
+        }
+        self.window.push_back(Drawn {
+            at,
+            combo: combo.map(|c| c as u16),
+            linear,
+            first,
+            rng: self.rng.clone(),
+            taken,
+            outcome,
+        });
+        self.after(at, blocks)
+    }
+
+    /// Commits the oldest drawn case: rare flags, coverage first touches,
+    /// class counts, and the pin or deferred crash, or a discard, which
+    /// grows the MuT's block in `blocks`. Returns what that changed for
+    /// the draws after it.
+    fn commit(&mut self, pool: &Pool<'_>, d: &Drawn, blocks: &mut [usize]) -> Commit {
+        let (class, ran) = match d.outcome {
+            Outcome::Fixed(class) => (usize::from(class), None),
+            Outcome::Ran(ref ran) => (ran.class, Some(**ran)),
+            Outcome::Posted(ticket) => {
+                let ran = pool.take(ticket, self.next_ticket, &mut self.exec);
+                (ran.class, Some(ran))
+            }
+        };
+        let run = &pool.runs[d.at.mi];
+        if let Some(ran) = ran.filter(|_| pool.observed) {
+            // Profiled at commit, so a rolled-back execution never
+            // reaches the profile (fixed cases are profiled as they run).
+            telemetry::on_case_profile(pool.os, run.mut_.group.label(), &ran.subsys);
+        }
+        let st = &mut self.states[d.at.mi];
+        let mut new_rare = false;
+        for (j, (&id, &idx)) in st.type_ids.iter().zip(&d.combo).enumerate() {
+            let idx = usize::from(idx);
+            let fb = &mut self.feedback[id];
+            new_rare |= RARE_CLASS[class] && fb.mark_rare(idx);
+            // Coverage only needs a value's first touch: later touches
+            // of it change nothing there.
+            if d.first & (1 << j) != 0 {
+                let pool_j = &run.pools[j];
+                self.cov
+                    .touch_value(fb.ty, pool_j[idx].name, pool_j.len() as u64);
+            }
+        }
+        self.class_counts[class] += 1;
+        if st.classes_seen & (1 << class) == 0 {
+            st.classes_seen |= 1 << class;
+            st.new_class_this_round = true;
+        }
+        self.explore_cases += 1;
+        if !st.fixed {
+            if class == CATASTROPHIC {
+                // Keep the first crash (pinned last, so replay still
+                // reports the MuT Catastrophic); re-draw later ones —
+                // anything pinned after the first crash would never
+                // execute at replay. Guards: the discard budget bounds
+                // exploration, and the headroom check keeps enough free
+                // combinations to fill the remaining pins.
+                let free = st.total - d.taken;
+                let remaining_pins = (st.budget() - st.spent()) as u64;
+                if !st.deferred.is_empty() && st.discards < st.budget() && free >= remaining_pins {
+                    st.discards += 1;
+                    blocks[d.at.mi] += 1;
+                    return if new_rare {
+                        Commit::NewRare
+                    } else {
+                        Commit::Discarded
+                    };
+                }
+                st.deferred.push(d.linear);
+            } else {
+                st.pinned.push(d.linear);
+            }
+        }
+        if new_rare {
+            Commit::NewRare
+        } else {
+            Commit::Kept
+        }
+    }
+
+    /// Undoes the drawn cases in the window after its first `keep`,
+    /// newest first: touch counts, `taken` and fixed cursors. Outcomes
+    /// the pool already produced are kept for a redraw of the same case.
+    /// The withdrawn cases' tickets are posted again, so the tickets of
+    /// the cases in the window stay one run no longer than the ring.
+    fn rollback(&mut self, pool: &Pool<'_>, keep: usize) {
+        if self.window.len() == keep {
             return;
         }
-        if attempt == DRAW_RETRIES {
-            // Weighted retries keep colliding (the hot region is dense):
-            // walk linearly from the collision until a free slot.
-            let mut probe = linear;
-            loop {
-                probe = (probe + 1) % st.total;
-                if !st.taken.contains(&probe) {
-                    *combo = sampling::decode(probe, &st.dims);
-                    return;
+        self.rollbacks += 1;
+        while self.window.len() > keep {
+            let d = self.window.pop_back().expect("longer than keep");
+            let st = &mut self.states[d.at.mi];
+            for (&id, &idx) in st.type_ids.iter().zip(&d.combo) {
+                self.feedback[id].untouch(usize::from(idx));
+            }
+            let ran = match d.outcome {
+                Outcome::Fixed(_) => {
+                    st.cursor -= 1;
+                    let k = st.dims.len();
+                    sampling::decode_into(st.cursor as u64, &st.dims, &mut st.next_case[..k]);
+                    continue;
                 }
+                Outcome::Ran(ran) => Some(*ran),
+                Outcome::Posted(ticket) => {
+                    self.next_ticket = ticket;
+                    pool.abandon(ticket)
+                }
+            };
+            st.taken.remove(d.linear);
+            if let Some(ran) = ran {
+                self.reuse.push((d.at.mi, d.linear, ran));
             }
         }
     }
-    unreachable!("draw loop returns from its last attempt");
+}
+
+/// Draws one not-yet-taken combination for a steerable MuT into
+/// `combo` and returns its linear index: per parameter, a draw by the
+/// current [`weight`]s of the parameter type's pool. Collisions with
+/// already-taken cases retry a few times, then fall back to a linear
+/// probe. The probe always lands: combinations strictly exceed the
+/// budget for steerable MuTs (else the plan would be exhaustive), and
+/// the explorer's crash-discard guard never takes a combination unless
+/// enough free ones remain to fill every outstanding pin.
+fn draw_combo(
+    rng: &mut StdRng,
+    st: &MutState,
+    feedback: &[TypeFeedback],
+    combo: &mut [usize],
+) -> u64 {
+    let mut linear = 0;
+    for _ in 0..=DRAW_RETRIES {
+        for (slot, &id) in combo.iter_mut().zip(&st.type_ids) {
+            let fb = &feedback[id];
+            *slot = sampling::weighted_index_in(rng, &fb.weights, fb.total);
+        }
+        linear = sampling::encode(combo, &st.dims);
+        if !st.taken.contains(linear) {
+            return linear;
+        }
+    }
+    // Weighted retries keep colliding (the hot region is dense): walk
+    // linearly from the last collision until a free slot.
+    loop {
+        linear += 1;
+        if linear == st.total {
+            linear = 0;
+        }
+        if !st.taken.contains(linear) {
+            sampling::decode_into(linear, &st.dims, combo);
+            return linear;
+        }
+    }
+}
+
+/// Largest combination space [`Taken`] keeps as a bitmap: 2 MiB of bits.
+/// The largest product in any catalog is 262 656 cases (32 KiB).
+const TAKEN_BITMAP_MAX: u64 = 1 << 24;
+
+/// The linear indices a steerable MuT has drawn: a bitmap over its
+/// combination space, so a draw's lookup reads one word and a collision
+/// probe walks bits of the same word, or a [`LinearSet`] for a space
+/// above [`TAKEN_BITMAP_MAX`].
+enum Taken {
+    Bits { words: Vec<u64>, len: u64 },
+    Set(LinearSet),
+}
+
+impl Taken {
+    fn new(total: u64) -> Taken {
+        if total <= TAKEN_BITMAP_MAX {
+            Taken::Bits {
+                words: vec![0; total.div_ceil(64) as usize],
+                len: 0,
+            }
+        } else {
+            Taken::Set(LinearSet::default())
+        }
+    }
+
+    fn contains(&self, linear: u64) -> bool {
+        match self {
+            Taken::Bits { words, .. } => words[(linear / 64) as usize] >> (linear % 64) & 1 == 1,
+            Taken::Set(set) => set.contains(&linear),
+        }
+    }
+
+    /// Adds `linear`, which must not be taken yet.
+    fn insert(&mut self, linear: u64) {
+        debug_assert!(!self.contains(linear));
+        match self {
+            Taken::Bits { words, len } => {
+                words[(linear / 64) as usize] |= 1 << (linear % 64);
+                *len += 1;
+            }
+            Taken::Set(set) => {
+                set.insert(linear);
+            }
+        }
+    }
+
+    /// Drops `linear`, which must be taken.
+    fn remove(&mut self, linear: u64) {
+        debug_assert!(self.contains(linear));
+        match self {
+            Taken::Bits { words, len } => {
+                words[(linear / 64) as usize] &= !(1 << (linear % 64));
+                *len -= 1;
+            }
+            Taken::Set(set) => {
+                set.remove(&linear);
+            }
+        }
+    }
+
+    fn len(&self) -> u64 {
+        match self {
+            Taken::Bits { len, .. } => *len,
+            Taken::Set(set) => set.len() as u64,
+        }
+    }
+}
+
+/// One thread's case runner: a resident machine and a residue-zero
+/// session.
+#[derive(Default)]
+struct Executor {
+    runner: CaseRunner,
+    session: Session,
+}
+
+/// The fixed MuTs' runs before round 0: claimed one MuT at a time by
+/// every pool thread, each run in plan order up to and including its
+/// first Catastrophic case.
+struct FixedRuns {
+    /// `(MuT index, plan)` of every fixed MuT, in catalog order.
+    jobs: Vec<(usize, Plan)>,
+    next: AtomicUsize,
+    done: AtomicUsize,
+    classes: Vec<Mutex<Vec<u8>>>,
+}
+
+impl FixedRuns {
+    fn new(states: &[MutState]) -> FixedRuns {
+        let jobs: Vec<(usize, Plan)> = states
+            .iter()
+            .enumerate()
+            .filter(|(_, st)| st.fixed)
+            .map(|(mi, st)| (mi, st.fixed_plan.clone()))
+            .collect();
+        FixedRuns {
+            classes: jobs.iter().map(|_| Mutex::default()).collect(),
+            jobs,
+            next: AtomicUsize::new(0),
+            done: AtomicUsize::new(0),
+        }
+    }
+
+    /// Claims and runs fixed MuTs until none is left. Every case here
+    /// is kept, so it is profiled as it runs.
+    fn run(&self, pool: &Pool<'_>, exec: &mut Executor) {
+        loop {
+            let j = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some((mi, plan)) = self.jobs.get(j) else {
+                return;
+            };
+            let run = &pool.runs[*mi];
+            let mut classes = Vec::with_capacity(plan.len());
+            let mut cases = plan.cases();
+            for i in 0..plan.len() {
+                exec.session.residue = 0;
+                let r = exec.runner.execute(
+                    pool.os,
+                    run.mut_,
+                    &run.pools,
+                    cases.get(i),
+                    &mut exec.session,
+                    pool.fuel_budget,
+                );
+                classes.push(class_index(r.class, r.raw) as u8);
+                if r.class == FailureClass::Catastrophic {
+                    break;
+                }
+            }
+            *self.classes[j].lock().expect("fixed run slot poisoned") = classes;
+            self.done.fetch_add(1, Ordering::Release);
+        }
+    }
+
+    /// Waits until every fixed MuT has run, then hands out the class
+    /// lists by MuT index.
+    fn wait(&self, pool: &Pool<'_>) -> impl Iterator<Item = (usize, Vec<u8>)> + '_ {
+        let mut spins = 0;
+        while self.done.load(Ordering::Acquire) < self.jobs.len() {
+            pool.backoff(&mut spins);
+        }
+        self.jobs.iter().zip(&self.classes).map(|((mi, _), slot)| {
+            (
+                *mi,
+                std::mem::take(&mut *slot.lock().expect("fixed run slot poisoned")),
+            )
+        })
+    }
+}
+
+/// Slot state tags: the low three bits of a slot's state word. A slot
+/// not yet posted under a ticket holds an older ticket, or ticket 0
+/// `EMPTY`; a case withdrawn unrun is `DROPPED`.
+const EMPTY: u64 = 0;
+const READY: u64 = 1;
+const CLAIMED: u64 = 2;
+const DONE: u64 = 3;
+const DROPPED: u64 = 4;
+const TAG: u64 = 7;
+
+/// A value on cache lines of its own.
+#[repr(align(128))]
+struct Padded<T>(T);
+
+/// One case's place in the [`Pool`] ring, on cache lines of its own so
+/// the coordinator posting one case and a pool thread finishing the
+/// next do not contend.
+#[repr(align(128))]
+struct Slot {
+    /// `ticket << 8 | class << 3 | tag`: the ticket of the case the
+    /// slot holds, its class index once `DONE`, and its state.
+    state: AtomicU64,
+    /// The case: MuT index and pool indices, 16 bits each.
+    job: [AtomicU64; 2],
+    /// The case's subsystem-fuel ledger, written only while telemetry
+    /// is on.
+    subsys: Mutex<SubsystemFuel>,
+}
+
+/// The explore pool: a ring of case slots the coordinator posts drawn
+/// cases into, one ticket per case, and pool threads claim in ticket
+/// order, run and mark done. Its threads live for the whole explore,
+/// serving the fixed runs and then the ring, which the engines' one-shot
+/// `campaign::claim_each` cannot. A claim is a compare-exchange on the slot's
+/// state word, which carries the ticket and the state, so no one runs a
+/// withdrawn case or the wrong one. A rollback posts the withdrawn
+/// tickets again for the redrawn cases; a pool thread that has passed
+/// them leaves them to the coordinator, which runs any case it finds
+/// unclaimed. Pool threads spin on the ring while a round runs, because
+/// a blocking hand-off costs about forty cases, and park between rounds.
+struct Pool<'a> {
+    runs: &'a [MutRun<'a>],
+    os: OsVariant,
+    fuel_budget: u64,
+    /// Whether telemetry was on when explore began; outcomes then carry
+    /// their subsystem ledgers to the commit, which profiles them.
+    observed: bool,
+    slots: Box<[Slot]>,
+    /// The next ticket a pool thread tries to claim, on a cache line of
+    /// its own: pool threads write it on every claim, and the fields
+    /// above are read on every draw and commit.
+    next: Padded<AtomicU64>,
+    /// Set while a round runs; pool threads park while it is clear.
+    live: AtomicBool,
+    stop: AtomicBool,
+    /// Set when a pool thread panicked, so no one waits on it forever.
+    poisoned: AtomicBool,
+}
+
+impl<'a> Pool<'a> {
+    fn new(runs: &'a [MutRun<'a>], os: OsVariant, fuel_budget: u64, window: usize) -> Pool<'a> {
+        Pool {
+            runs,
+            os,
+            fuel_budget,
+            observed: telemetry::enabled(),
+            slots: (0..window)
+                .map(|_| Slot {
+                    state: AtomicU64::new(EMPTY),
+                    job: [AtomicU64::new(0), AtomicU64::new(0)],
+                    subsys: Mutex::default(),
+                })
+                .collect(),
+            next: Padded(AtomicU64::new(0)),
+            live: AtomicBool::new(false),
+            stop: AtomicBool::new(false),
+            poisoned: AtomicBool::new(false),
+        }
+    }
+
+    fn slot(&self, ticket: u64) -> &Slot {
+        &self.slots[(ticket % self.slots.len() as u64) as usize]
+    }
+
+    /// Posts case `combo` of MuT `mi` under `ticket`. The tickets of the
+    /// window's cases are one run no longer than the ring, so the slot's
+    /// previous case is committed or withdrawn.
+    fn post(&self, ticket: u64, mi: usize, combo: &[usize]) {
+        let mut digits = [0u64; MAX_ARITY];
+        for (d, &c) in digits.iter_mut().zip(combo) {
+            *d = c as u64;
+        }
+        let slot = self.slot(ticket);
+        slot.job[0].store(
+            mi as u64 | digits[0] << 16 | digits[1] << 32 | digits[2] << 48,
+            Ordering::Relaxed,
+        );
+        slot.job[1].store(digits[3] | digits[4] << 16, Ordering::Relaxed);
+        slot.state.store(ticket << 8 | READY, Ordering::Release);
+    }
+
+    /// Claims the posted case under `ticket` if no one has.
+    fn claim(&self, ticket: u64) -> bool {
+        let state = &self.slot(ticket).state;
+        state.load(Ordering::Relaxed) == ticket << 8 | READY
+            && state
+                .compare_exchange(
+                    ticket << 8 | READY,
+                    ticket << 8 | CLAIMED,
+                    Ordering::Acquire,
+                    Ordering::Relaxed,
+                )
+                .is_ok()
+    }
+
+    /// Runs the claimed case under `ticket` and marks it done.
+    fn run(&self, ticket: u64, exec: &mut Executor) -> Ran {
+        let slot = self.slot(ticket);
+        let lo = slot.job[0].load(Ordering::Relaxed);
+        let hi = slot.job[1].load(Ordering::Relaxed);
+        let digit = |word: u64, at: u32| (word >> at & 0xffff) as usize;
+        let run = &self.runs[digit(lo, 0)];
+        let combo = [
+            digit(lo, 16),
+            digit(lo, 32),
+            digit(lo, 48),
+            digit(hi, 0),
+            digit(hi, 16),
+        ];
+        exec.session.residue = 0;
+        let (r, subsys) = exec.runner.execute_unprofiled(
+            self.os,
+            run.mut_,
+            &run.pools,
+            &combo[..run.pools.len()],
+            &mut exec.session,
+            self.fuel_budget,
+        );
+        let ran = Ran {
+            class: class_index(r.class, r.raw),
+            subsys: *subsys,
+        };
+        if self.observed {
+            *slot.subsys.lock().expect("pool slot poisoned") = ran.subsys;
+        }
+        slot.state.store(
+            ticket << 8 | (ran.class as u64) << 3 | DONE,
+            Ordering::Release,
+        );
+        ran
+    }
+
+    /// A done slot's outcome.
+    fn done(&self, slot: &Slot, state: u64) -> Ran {
+        Ran {
+            class: (state >> 3 & 7) as usize,
+            subsys: if self.observed {
+                *slot.subsys.lock().expect("pool slot poisoned")
+            } else {
+                SubsystemFuel::default()
+            },
+        }
+    }
+
+    /// The outcome of the posted case under `ticket`, for its commit:
+    /// read when a pool thread has run it, run here when no one has
+    /// claimed it. While a pool thread runs it, the coordinator runs the
+    /// newest unclaimed case below `posted` instead of waiting idle.
+    fn take(&self, ticket: u64, posted: u64, exec: &mut Executor) -> Ran {
+        let slot = self.slot(ticket);
+        let mut spins = 0;
+        loop {
+            let state = slot.state.load(Ordering::Acquire);
+            match state & TAG {
+                DONE => return self.done(slot, state),
+                READY if self.claim(ticket) => return self.run(ticket, exec),
+                _ => {}
+            }
+            match (ticket + 1..posted).rev().find(|&t| self.claim(t)) {
+                Some(t) => {
+                    self.run(t, exec);
+                }
+                None => self.backoff(&mut spins),
+            }
+        }
+    }
+
+    /// Withdraws the posted case under `ticket` from a rolled-back draw:
+    /// unclaimed, it never runs; claimed, its outcome is waited for and
+    /// returned, for a redraw of the same case to reuse.
+    fn abandon(&self, ticket: u64) -> Option<Ran> {
+        let slot = self.slot(ticket);
+        let mut spins = 0;
+        loop {
+            let state = slot.state.load(Ordering::Acquire);
+            match state & TAG {
+                READY => {
+                    if slot
+                        .state
+                        .compare_exchange(
+                            state,
+                            ticket << 8 | DROPPED,
+                            Ordering::Relaxed,
+                            Ordering::Relaxed,
+                        )
+                        .is_ok()
+                    {
+                        return None;
+                    }
+                }
+                DONE => return Some(self.done(slot, state)),
+                _ => self.backoff(&mut spins),
+            }
+        }
+    }
+
+    /// Spins a while, then yields the CPU; panics when a pool thread has
+    /// died, since what it held will never be done.
+    fn backoff(&self, spins: &mut u32) {
+        assert!(
+            !self.poisoned.load(Ordering::Relaxed),
+            "an explore pool thread panicked"
+        );
+        if *spins < SPINS {
+            *spins += 1;
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Starts a round: pool threads stop parking.
+    fn wake(&self, helpers: &[Thread]) {
+        self.live.store(true, Ordering::Release);
+        for h in helpers {
+            h.unpark();
+        }
+    }
+
+    /// A pool thread's life: the fixed runs, then posted cases until
+    /// explore ends.
+    fn help(&self, fixed: &FixedRuns) {
+        let served = catch_unwind(AssertUnwindSafe(|| {
+            let mut exec = Executor::default();
+            fixed.run(self, &mut exec);
+            let mut spins = 0;
+            while !self.stop.load(Ordering::Acquire) {
+                // Wait on the slot of the next ticket: it is posted once
+                // the slot holds that ticket, and settled (run, taken by
+                // the coordinator or dropped) once it holds a later one or
+                // a state past `READY`.
+                let next = self.next.0.load(Ordering::Relaxed);
+                let state = self.slot(next).state.load(Ordering::Acquire);
+                let posted = state >> 8 > next || (state >> 8 == next && state & TAG != EMPTY);
+                if !posted {
+                    if self.live.load(Ordering::Acquire) {
+                        self.backoff(&mut spins);
+                    } else {
+                        std::thread::park();
+                    }
+                } else if self
+                    .next
+                    .0
+                    .compare_exchange_weak(next, next + 1, Ordering::Relaxed, Ordering::Relaxed)
+                    .is_ok()
+                    && self.claim(next)
+                {
+                    self.run(next, &mut exec);
+                    spins = 0;
+                }
+            }
+        }));
+        if served.is_err() {
+            self.poisoned.store(true, Ordering::Release);
+        }
+    }
+}
+
+/// Ends the pool threads when the coordinator leaves the scope, also by
+/// a panic, so the scope's join never waits on a spinning thread.
+struct StopOnDrop<'p, 'a> {
+    pool: &'p Pool<'a>,
+    helpers: &'p [Thread],
+}
+
+impl Drop for StopOnDrop<'_, '_> {
+    fn drop(&mut self) {
+        self.pool.stop.store(true, Ordering::Release);
+        for h in self.helpers {
+            h.unpark();
+        }
+    }
 }
 
 type PinKey = (String, usize, u64, usize, u64, u64);
@@ -713,6 +1546,7 @@ pub fn run_adaptive_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn cfg(cap: usize) -> CampaignConfig {
         CampaignConfig {
@@ -781,6 +1615,25 @@ mod tests {
         assert!(weight(0, true, MAX_RARE_BONUS)
             .checked_mul(1 << 31)
             .is_some());
+    }
+
+    #[test]
+    fn taken_sets_agree_as_bitmap_and_hash_set() {
+        // The catalog only builds bitmaps; the hash set serves
+        // combination spaces past `TAKEN_BITMAP_MAX`.
+        let mut bits = Taken::new(1000);
+        let mut set = Taken::new(TAKEN_BITMAP_MAX + 1);
+        assert!(matches!(bits, Taken::Bits { .. }) && matches!(set, Taken::Set(_)));
+        for linear in [0, 63, 64, 999, 500, 1] {
+            bits.insert(linear);
+            set.insert(linear);
+        }
+        bits.remove(500);
+        set.remove(500);
+        for linear in 0..1000 {
+            assert_eq!(bits.contains(linear), set.contains(linear), "{linear}");
+        }
+        assert_eq!((bits.len(), set.len()), (5, 5));
     }
 
     #[test]

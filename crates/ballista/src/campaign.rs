@@ -91,10 +91,11 @@ pub struct CampaignConfig {
     /// cannot fire — running a campaign both ways isolates exactly which
     /// crashes depend on harness residue.
     pub perfect_cleanup: bool,
-    /// Worker threads for the clean-outcome pass. `1` keeps the exact
-    /// legacy sequential control flow; `0` (the default, and what
-    /// deserializing old configs yields) picks the machine's available
-    /// parallelism. Tallies are bit-identical at every setting.
+    /// Worker threads for the clean-outcome pass and the adaptive
+    /// explore (at most four there). `1` keeps the exact legacy
+    /// sequential control flow; `0` (the default, and what deserializing
+    /// old configs yields) picks the machine's available parallelism.
+    /// Tallies and pinned plans are bit-identical at every setting.
     #[serde(default)]
     pub parallelism: usize,
     /// Per-case watchdog fuel budget in simulated work units. `0` (the

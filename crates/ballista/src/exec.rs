@@ -515,6 +515,27 @@ impl CaseRunner {
         session: &mut Session,
         fuel_budget: u64,
     ) -> CaseResult {
+        let (result, subsys) =
+            self.execute_unprofiled(os, mut_, pools, combo, session, fuel_budget);
+        if crate::telemetry::enabled() {
+            crate::telemetry::on_case_profile(os, mut_.group.label(), subsys);
+        }
+        result
+    }
+
+    /// [`CaseRunner::execute`] without its profile hook: the case's
+    /// result and subsystem-fuel ledger, for a caller that profiles the
+    /// case only if it keeps it (the adaptive explorer's speculative
+    /// cases). The case still counts as executed on this host.
+    pub(crate) fn execute_unprofiled(
+        &mut self,
+        os: OsVariant,
+        mut_: &Mut,
+        pools: &[Vec<TestValue>],
+        combo: &[usize],
+        session: &mut Session,
+        fuel_budget: u64,
+    ) -> (CaseResult, &sim_kernel::SubsystemFuel) {
         let kernel = self.provision(os.machine_flavor());
         kernel.fuel = sim_kernel::clock::FuelMeter::with_budget(fuel_budget);
         kernel.residue = session.residue;
@@ -522,15 +543,15 @@ impl CaseRunner {
         session.note(raw, any_exceptional);
         if crate::telemetry::enabled() {
             crate::telemetry::on_case_executed();
-            crate::telemetry::on_case_profile(os, mut_.group.label(), &kernel.subsys);
         }
-        CaseResult {
+        let result = CaseResult {
             raw,
             class: classify(raw, any_exceptional),
             any_exceptional,
             residue_probed: kernel.residue_probed,
             fuel_used: kernel.fuel.consumed(),
-        }
+        };
+        (result, &kernel.subsys)
     }
 
     /// [`CaseRunner::execute`] with the filesystem's crash-op recorder

@@ -33,6 +33,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The paper's per-MuT cap.
@@ -70,7 +71,7 @@ pub fn decode(linear: u64, dims: &[usize]) -> Combo {
 
 /// Mixed-radix decode of `linear` into `combo` (one slot per dimension),
 /// least-significant dimension last (lexicographic).
-fn decode_into(mut linear: u64, dims: &[usize], combo: &mut [usize]) {
+pub(crate) fn decode_into(mut linear: u64, dims: &[usize], combo: &mut [usize]) {
     for (slot, &d) in combo.iter_mut().zip(dims).rev() {
         *slot = (linear % d as u64) as usize;
         linear /= d as u64;
@@ -78,7 +79,7 @@ fn decode_into(mut linear: u64, dims: &[usize], combo: &mut [usize]) {
 }
 
 /// Advances `combo` to the next combination in lexicographic order.
-fn step(combo: &mut [usize], dims: &[usize]) {
+pub(crate) fn step(combo: &mut [usize], dims: &[usize]) {
     for (slot, &d) in combo.iter_mut().zip(dims).rev() {
         *slot += 1;
         if *slot < d {
@@ -121,19 +122,27 @@ pub fn encode(combo: &[usize], dims: &[usize]) -> u64 {
 ///
 /// Panics when `weights` is empty.
 pub fn weighted_index(rng: &mut impl RngExt, weights: &[u64]) -> usize {
+    weighted_index_in(rng, weights, weights.iter().sum())
+}
+
+/// [`weighted_index`] for a caller that keeps `total`, the sum of
+/// `weights`, current itself: the same draw, without summing the pool.
+pub(crate) fn weighted_index_in(rng: &mut impl RngExt, weights: &[u64], total: u64) -> usize {
     assert!(!weights.is_empty(), "weighted draw over an empty pool");
-    let total: u64 = weights.iter().sum();
+    debug_assert_eq!(total, weights.iter().sum::<u64>());
     if total == 0 {
         return rng.random_range(0..weights.len() as u64) as usize;
     }
-    let mut r = rng.random_range(0..total);
-    for (i, &w) in weights.iter().enumerate() {
-        if r < w {
-            return i;
-        }
-        r -= w;
+    let r = rng.random_range(0..total);
+    // The first index whose running sum passes `r` is the count of
+    // running sums at or below it: one pass, no branch per value.
+    let mut below = 0;
+    let mut sum = 0u64;
+    for &w in weights {
+        sum += w;
+        below += usize::from(sum <= r);
     }
-    weights.len() - 1
+    below
 }
 
 /// Deterministic FNV-1a over the seed name (stable across runs and
@@ -148,6 +157,36 @@ pub fn seed_from_name(name: &str) -> u64 {
     h
 }
 
+/// A set of linear indices, hashed by one multiply-xorshift instead of
+/// SipHash: the keys are the generator's own output or its neighbours,
+/// never chosen by an outsider, so the set needs no keyed hash. The
+/// sampler's dedup set and the adaptive explorer's `taken` set use it.
+pub(crate) type LinearSet = HashSet<u64, BuildHasherDefault<LinearHasher>>;
+
+/// The hasher behind [`LinearSet`]: folds the high half of the index
+/// into the low half, multiplies, and folds again, so the bucket bits
+/// and the tag bits both depend on every input bit.
+#[derive(Default)]
+pub(crate) struct LinearHasher(u64);
+
+impl Hasher for LinearHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, linear: u64) {
+        let x = self.0.rotate_left(5) ^ linear;
+        let h = (x ^ (x >> 32)).wrapping_mul(0xd6e8_feb8_6659_fd93);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The sampler's one draw loop: the linear indices below `total` that
 /// `rng` draws, in draw order, each yielded the first time it is drawn
 /// and not if `seen` already holds it. `seen` records every index
@@ -155,7 +194,7 @@ pub fn seed_from_name(name: &str) -> u64 {
 fn fresh<'a>(
     rng: &'a mut StdRng,
     total: u64,
-    seen: &'a mut HashSet<u64>,
+    seen: &'a mut LinearSet,
 ) -> impl Iterator<Item = u64> + 'a {
     std::iter::repeat_with(move || rng.random_range(0..total))
         .filter(move |&linear| seen.insert(linear))
@@ -191,7 +230,7 @@ pub fn enumerate(dims: &[usize], cap: usize, seed_name: &str) -> CaseSet {
         };
     }
     let mut rng = StdRng::seed_from_u64(seed_from_name(seed_name));
-    let mut seen = HashSet::with_capacity(cap);
+    let mut seen = LinearSet::with_capacity_and_hasher(cap, Default::default());
     let mut cases = Vec::with_capacity(cap);
     cases.extend(
         fresh(&mut rng, total, &mut seen)
@@ -472,7 +511,7 @@ pub fn plan(dims: &[usize], cap: usize, seed_name: &str) -> Plan {
     if drawn < cap {
         let mut rows = Vec::with_capacity(cap * k);
         rows.extend_from_slice(&stream.rows);
-        let mut seen = HashSet::with_capacity(cap);
+        let mut seen = LinearSet::with_capacity_and_hasher(cap, Default::default());
         seen.extend(rows.chunks_exact(k).map(|row| linear_of(row, dims)));
         let mut combo = vec![0; k];
         for linear in fresh(&mut stream.rng, total, &mut seen).take(cap - drawn) {

@@ -648,6 +648,19 @@ fn get_campaign(stream: &mut TcpStream, state: &State, request: &Request) -> io:
     }
 }
 
+/// An error response body, `{"error": <message>}`, serialized so the
+/// message's quotes and control characters are escaped.
+fn error_body(message: &str) -> Vec<u8> {
+    #[derive(Serialize)]
+    struct ErrorBody {
+        error: String,
+    }
+    let body = ErrorBody {
+        error: message.to_owned(),
+    };
+    serde_json::to_vec(&body).expect("an error body serializes")
+}
+
 /// Parses a `POST /campaign` body and bounds its cap
 /// ([`campaign::exhaustive_cap`]) and its adaptive knobs
 /// ([`AdaptiveConfig::check_bounds`]) before anything fingerprints or
@@ -675,15 +688,8 @@ fn post_campaign(stream: &mut TcpStream, state: &State, request: &Request) -> io
         Ok(spec) => spec,
         Err(e) => {
             state.rejected_specs.fetch_add(1, Ordering::Relaxed);
-            let body = format!(r#"{{"error":"bad campaign spec: {e}"}}"#);
-            return respond(
-                stream,
-                400,
-                "Bad Request",
-                &[],
-                body.as_bytes(),
-                request.keep_alive,
-            );
+            let body = error_body(&format!("bad campaign spec: {e}"));
+            return respond(stream, 400, "Bad Request", &[], &body, request.keep_alive);
         }
     };
     let fp = state.fingerprint_of(&spec);
@@ -790,13 +796,13 @@ fn post_campaign(stream: &mut TcpStream, state: &State, request: &Request) -> io
             request.keep_alive,
         ),
         Err(e) => {
-            let body = format!(r#"{{"error":"{e}"}}"#);
+            let body = error_body(&e);
             respond(
                 stream,
                 500,
                 "Internal Server Error",
                 &[],
-                body.as_bytes(),
+                &body,
                 request.keep_alive,
             )
         }

@@ -312,6 +312,13 @@ pub struct Metrics {
     pub adaptive_coverage_gain: AtomicU64,
     /// Cases frozen into adaptive pinned plans on this host.
     pub adaptive_pinned_cases: AtomicU64,
+    /// Explore commits that rolled back cases drawn after them (a first
+    /// rare flag, or a discarded crash, with later draws in the window).
+    pub adaptive_rollbacks: AtomicU64,
+    /// Speculative explore cases the pool ran whose outcome a rollback
+    /// threw away, each replaced by a redrawn case run again. They count
+    /// in `cases_executed` and `restores` but never reach the profile.
+    pub adaptive_reexecuted_cases: AtomicU64,
 }
 
 /// The slot in [`Metrics::classes`] for a CRASH class, in severity
@@ -432,6 +439,10 @@ pub struct HostMetrics {
     pub adaptive_coverage_gain: u64,
     /// Cases frozen into adaptive pinned plans on this host.
     pub adaptive_pinned_cases: u64,
+    /// Explore commits that rolled back later speculative draws.
+    pub adaptive_rollbacks: u64,
+    /// Speculative explore cases run and then thrown away by a rollback.
+    pub adaptive_reexecuted_cases: u64,
 }
 
 /// A point-in-time copy of the [`Metrics`] registry, split into the
@@ -690,6 +701,8 @@ impl Hub {
                 adaptive_rounds: ld(&m.adaptive_rounds),
                 adaptive_coverage_gain: ld(&m.adaptive_coverage_gain),
                 adaptive_pinned_cases: ld(&m.adaptive_pinned_cases),
+                adaptive_rollbacks: ld(&m.adaptive_rollbacks),
+                adaptive_reexecuted_cases: ld(&m.adaptive_reexecuted_cases),
             },
         }
     }
@@ -762,6 +775,20 @@ pub fn on_adaptive_pinned(cases: u64) {
         h.metrics
             .adaptive_pinned_cases
             .fetch_add(cases, Ordering::Relaxed);
+    });
+}
+
+/// An adaptive explore finished: `rollbacks` commits rolled back later
+/// speculative draws, and `reexecuted` cases the pool ran were thrown
+/// away by them (fired by [`crate::adaptive::explore`] once).
+pub fn on_adaptive_speculation(rollbacks: u64, reexecuted: u64) {
+    with_hub(|h| {
+        h.metrics
+            .adaptive_rollbacks
+            .fetch_add(rollbacks, Ordering::Relaxed);
+        h.metrics
+            .adaptive_reexecuted_cases
+            .fetch_add(reexecuted, Ordering::Relaxed);
     });
 }
 

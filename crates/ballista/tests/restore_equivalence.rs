@@ -7,15 +7,18 @@
 //! the tallies drift without any test comparing outcomes noticing. So
 //! this suite runs every case of every MuT's cap-200 plan on every
 //! variant on one machine, as the batched engines do, and compares the
-//! whole machine with a fresh restore after every reset.
+//! whole machine with a fresh restore after every reset. No planned case
+//! writes to a file of the boot image, so a second test writes to each
+//! of them directly.
 
 use ballista::campaign::resolve_pools;
 use ballista::exec::{self, Session, DEFAULT_FUEL_BUDGET};
 use ballista::{catalog, sampling};
 use sim_kernel::clock::FuelMeter;
+use sim_kernel::fs::{FileSystem, OpenOptions};
 use sim_kernel::kernel::MachineSnapshot;
 use sim_kernel::variant::OsVariant;
-use sim_kernel::Kernel;
+use sim_kernel::{Kernel, MachineFlavor};
 
 const CAP: usize = 200;
 
@@ -91,4 +94,45 @@ fn reset_in_place_matches_fresh_restore_after_every_planned_case() {
         mismatches.len(),
         mismatches[..mismatches.len().min(20)].join("\n")
     );
+}
+
+/// The regular files under `dir`, walked with `list_dir`.
+fn files_under(fs: &FileSystem, dir: &str, out: &mut Vec<String>) {
+    for name in fs.list_dir(dir).expect("a directory lists") {
+        let path = format!("{}/{name}", dir.trim_end_matches('/'));
+        if fs.stat(&path).expect("a listed name resolves").is_dir {
+            files_under(fs, &path, out);
+        } else {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn a_write_to_any_boot_image_file_resets_to_a_fresh_restore() {
+    for flavor in [
+        MachineFlavor::Posix,
+        MachineFlavor::Windows,
+        MachineFlavor::WindowsStrictAlign,
+    ] {
+        let snap = MachineSnapshot::boot(flavor);
+        let fresh = snap.restore();
+        let mut machine = snap.restore();
+        let mut files = Vec::new();
+        files_under(&fresh.fs, "/", &mut files);
+        assert!(!files.is_empty(), "{flavor:?}: the boot image holds a file");
+        for path in &files {
+            let ofd = machine
+                .fs
+                .open(path, OpenOptions::write_only())
+                .unwrap_or_else(|e| panic!("{flavor:?}: open {path} for writing: {e:?}"));
+            machine.fs.write(ofd, b"residue").expect("write");
+            snap.restore_into(&mut machine);
+            assert!(
+                machine == fresh,
+                "{flavor:?}: writing {path} leaks through the reset: {}",
+                differing(&machine, &fresh).join(", ")
+            );
+        }
+    }
 }

@@ -276,6 +276,32 @@ fn a_deeply_nested_spec_is_a_counted_400_and_the_server_keeps_serving() {
 }
 
 #[test]
+fn a_rejected_spec_answers_a_json_error_body() {
+    let addr = start("error-body");
+    // The parser's message quotes the offending `"`, which a body built
+    // by string formatting left unescaped.
+    let (status, reply) = request(addr, "POST", "/campaign", r#"{"os":"Win95" "cap":1}"#);
+    assert_eq!(status, 400);
+    let body: serde_json::Value = serde_json::from_slice(&reply).unwrap_or_else(|e| {
+        panic!(
+            "400 body is not JSON ({e}): {}",
+            String::from_utf8_lossy(&reply)
+        )
+    });
+    let serde_json::Value::Map(fields) = body else {
+        panic!("400 body is not an object: {body:?}");
+    };
+    match serde::content_get(&fields, "error") {
+        Some(serde_json::Value::Str(error)) => {
+            assert!(error.starts_with("bad campaign spec: "), "{error}");
+            assert!(error.contains('"'), "{error}");
+        }
+        other => panic!("`error` is not a string: {other:?}"),
+    }
+    assert_eq!(metrics(addr).rejected_specs, 1);
+}
+
+#[test]
 fn a_malformed_content_length_is_a_400_that_closes_the_connection() {
     let addr = start("bad-content-length");
     // Read as length 0, the body would stay in the stream and be served

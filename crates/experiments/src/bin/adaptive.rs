@@ -14,7 +14,9 @@
 //! ```
 //!
 //! Per variant it runs the fixed campaign and the adaptive campaign
-//! (explore → pin → replay) at the same cap, reconstructs both
+//! (explore → pin → replay) at the same cap, exploring on the machine's
+//! parallelism (the pooled explore pins the serial plan bit for bit, so
+//! the golden diff checks it too), reconstructs both
 //! coverages — the adaptive one against the **pinned** plans — and
 //! asserts the ISSUE's acceptance bar: adaptive pool-value coverage
 //! ≥ fixed, and adaptive distinct-CRASH-class count ≥ fixed. The
@@ -204,11 +206,18 @@ fn main() -> ExitCode {
     let mut failures = Vec::new();
     let mut rendered = String::new();
 
+    // Explore on the machine's parallelism; the pin it memoizes is the
+    // one `run_adaptive` replays (the pin key leaves parallelism out), so
+    // the golden diff below also checks the pooled explore.
+    let explore_cfg = CampaignConfig {
+        parallelism: 0,
+        ..run_cfg
+    };
     for os in selected {
         let name = os.short_name();
         let fixed = run_campaign(os, &run_cfg);
         let fixed_cov = Coverage::from_report(&fixed, &run_cfg);
-        let pin = pinned_plan_shared(os, &run_cfg, &acfg);
+        let pin = pinned_plan_shared(os, &explore_cfg, &acfg);
         let adaptive = run_adaptive(os, &run_cfg, &acfg);
         let adaptive_cov =
             Coverage::from_report_with_plans(&adaptive, &run_cfg, &pin.plans_by_name());

@@ -11,7 +11,9 @@
 
 use ballista::adaptive::{explore, AdaptiveConfig, RoundStats};
 use ballista::campaign::{run_campaign, CampaignConfig, MutTally};
+use ballista::coverage::Coverage;
 use ballista::crashcon::{run_crashcon, CrashTally};
+use ballista::telemetry::{Hub, TelemetryConfig};
 use serde::Deserialize;
 use sim_kernel::variant::OsVariant;
 use std::fs;
@@ -162,6 +164,11 @@ fn crashcon_tallies_match_golden_corpus_on_every_variant() {
     }
 }
 
+/// The pooled explore pins the same plan as the serial one: at
+/// parallelism 1, 2 and 3 every variant reproduces its golden ledger,
+/// explore case count and [`PINNED_DIGESTS`] value, and its explore
+/// coverage equals the serial explore's. The speculative half must
+/// really have rolled back draws, or the equality proves little.
 #[test]
 fn adaptive_explore_matches_golden_on_every_variant() {
     let cfg = CampaignConfig {
@@ -172,6 +179,12 @@ fn adaptive_explore_matches_golden_on_every_variant() {
         parallelism: 1,
         fuel_budget: 0,
     };
+    // Metrics only: traces and profiles stay off, so the other tests in
+    // this binary run exactly as without a hub.
+    let hub = Hub::install(TelemetryConfig {
+        trace: false,
+        profile: false,
+    });
     assert_eq!(PINNED_DIGESTS.len(), OsVariant::ALL.len());
     for (os, digest) in PINNED_DIGESTS {
         let name = os.short_name();
@@ -192,22 +205,45 @@ fn adaptive_explore_matches_golden_on_every_variant() {
             "{name}: golden blessed at a different cap"
         );
 
-        let pin = explore(os, &cfg, &AdaptiveConfig::default());
-        assert_eq!(pin.rounds, golden.rounds, "{name}: explore ledger drifted");
-        assert_eq!(
-            pin.explore_cases, golden.explore_cases,
-            "{name}: explore cases"
-        );
-        assert_eq!(
-            pin.pinned_cases(),
-            golden.pinned_cases,
-            "{name}: pinned cases"
-        );
-        assert_eq!(
-            pin.digest(),
-            digest,
-            "{name}: pinned plan digest {:#018x} drifted",
-            pin.digest()
-        );
+        let mut serial: Option<Coverage> = None;
+        for parallelism in [1, 2, 3] {
+            let pin = explore(
+                os,
+                &CampaignConfig { parallelism, ..cfg },
+                &AdaptiveConfig::default(),
+            );
+            assert_eq!(
+                pin.rounds, golden.rounds,
+                "{name} at parallelism {parallelism}: explore ledger drifted"
+            );
+            assert_eq!(
+                pin.explore_cases, golden.explore_cases,
+                "{name} at parallelism {parallelism}: explore cases"
+            );
+            assert_eq!(
+                pin.pinned_cases(),
+                golden.pinned_cases,
+                "{name} at parallelism {parallelism}: pinned cases"
+            );
+            assert_eq!(
+                pin.digest(),
+                digest,
+                "{name} at parallelism {parallelism}: pinned plan digest {:#018x} drifted",
+                pin.digest()
+            );
+            match &serial {
+                None => serial = Some(pin.explore_coverage),
+                Some(cov) => assert!(
+                    *cov == pin.explore_coverage,
+                    "{name} at parallelism {parallelism}: explore coverage differs from serial"
+                ),
+            }
+        }
     }
+    let host = hub.metrics_snapshot().host;
+    Hub::uninstall();
+    assert!(
+        host.adaptive_rollbacks > 0,
+        "no pooled explore rolled back a draw: {host:?}"
+    );
 }
