@@ -84,7 +84,7 @@ use crate::crash::FailureClass;
 use crate::exec::{CaseRunner, Session, MAX_ARITY};
 use crate::journal::PlanHasher;
 use crate::muts::Mut;
-use crate::sampling::{self, LinearSet, Plan};
+use crate::sampling::{self, Plan};
 use crate::telemetry;
 use crate::value::TestValue;
 use rand::rngs::StdRng;
@@ -411,9 +411,6 @@ struct MutState {
     /// Progress cursor for `fixed` MuTs: the next case index into
     /// `fixed_plan`, advanced when a case is drawn.
     cursor: usize,
-    /// For a `fixed` MuT, case `cursor` of its lexicographic plan, stepped
-    /// to on each draw.
-    next_case: [usize; MAX_ARITY],
     /// Primary outcome classes observed so far, one bit per
     /// [`CLASS_LABELS`] index.
     classes_seen: u8,
@@ -467,7 +464,7 @@ impl MutState {
 ///
 /// One coordinator draws, folds and steps the generator in exactly the
 /// serial order; case execution runs on up to `cfg.workers()` threads,
-/// the coordinator included, and never more than four. Fixed
+/// the coordinator included, and never more than two. Fixed
 /// MuTs run to their first crash before round 0; steerable cases run
 /// speculatively in a window drawn ahead of the commit point and are
 /// committed in draw order, and a commit that changes what a later draw
@@ -497,13 +494,18 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
             "{}: a case must pack into 16-bit pool indices",
             m.name
         );
+        let total = sampling::combination_count(&dims);
+        assert!(
+            total <= TAKEN_BITMAP_MAX,
+            "{}: {total} combinations overflow the taken bitmap",
+            m.name
+        );
         let type_ids = m
             .params
             .iter()
             .zip(&dims)
             .map(|(&ty, &len)| TypeFeedback::id_of(&mut feedback, ty, len, rare_bonus))
             .collect();
-        let total = sampling::combination_count(&dims);
         states.push(MutState {
             type_ids,
             total,
@@ -516,7 +518,6 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
             taken: Taken::new(if fixed { 0 } else { total }),
             discards: 0,
             cursor: 0,
-            next_case: [0; MAX_ARITY],
             classes_seen: 0,
             new_class_this_round: false,
             new_class_last_round: false,
@@ -611,10 +612,11 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
     plan
 }
 
-/// Most threads one explore runs on, the coordinator included: one
-/// coordinator's draw-and-commit loop cannot keep more executors busy,
-/// and `parallelism` may come from an outside campaign spec.
-const MAX_EXPLORE_THREADS: usize = 4;
+/// Most threads one explore runs on, the coordinator included. The
+/// coordinator's draw and commit take about as long as running a case,
+/// so it keeps about one pool thread busy; wider explores were never
+/// timed, and `parallelism` may come from an outside campaign spec.
+const MAX_EXPLORE_THREADS: usize = 2;
 
 /// Drawn cases the window holds per pool thread beside the coordinator
 /// (plus one). A deeper window hides more hand-off jitter and throws
@@ -800,8 +802,9 @@ impl Explorer {
         let k = st.dims.len();
         let mut combo = [0; MAX_ARITY];
         let (linear, taken, outcome) = if st.fixed {
-            combo = st.next_case;
-            sampling::step(&mut st.next_case[..k], &st.dims);
+            // A fixed MuT's plan is the lexicographic range: case
+            // `cursor` is the combination with that linear index.
+            sampling::decode_into(st.cursor as u64, &st.dims, &mut combo[..k]);
             let class = st.fixed_classes[st.cursor];
             st.cursor += 1;
             (0, 0, Outcome::Fixed(class))
@@ -930,8 +933,6 @@ impl Explorer {
             let ran = match d.outcome {
                 Outcome::Fixed(_) => {
                     st.cursor -= 1;
-                    let k = st.dims.len();
-                    sampling::decode_into(st.cursor as u64, &st.dims, &mut st.next_case[..k]);
                     continue;
                 }
                 Outcome::Ran(ran) => Some(*ran),
@@ -987,71 +988,45 @@ fn draw_combo(
     }
 }
 
-/// Largest combination space [`Taken`] keeps as a bitmap: 2 MiB of bits.
+/// Largest combination space a [`Taken`] bitmap covers: 2 MiB of bits.
 /// The largest product in any catalog is 262 656 cases (32 KiB).
 const TAKEN_BITMAP_MAX: u64 = 1 << 24;
 
 /// The linear indices a steerable MuT has drawn: a bitmap over its
-/// combination space, so a draw's lookup reads one word and a collision
-/// probe walks bits of the same word, or a [`LinearSet`] for a space
-/// above [`TAKEN_BITMAP_MAX`].
-enum Taken {
-    Bits { words: Vec<u64>, len: u64 },
-    Set(LinearSet),
+/// combination space, so a draw's lookup reads one word.
+struct Taken {
+    words: Vec<u64>,
+    len: u64,
 }
 
 impl Taken {
     fn new(total: u64) -> Taken {
-        if total <= TAKEN_BITMAP_MAX {
-            Taken::Bits {
-                words: vec![0; total.div_ceil(64) as usize],
-                len: 0,
-            }
-        } else {
-            Taken::Set(LinearSet::default())
+        Taken {
+            words: vec![0; total.div_ceil(64) as usize],
+            len: 0,
         }
     }
 
     fn contains(&self, linear: u64) -> bool {
-        match self {
-            Taken::Bits { words, .. } => words[(linear / 64) as usize] >> (linear % 64) & 1 == 1,
-            Taken::Set(set) => set.contains(&linear),
-        }
+        self.words[(linear / 64) as usize] >> (linear % 64) & 1 == 1
     }
 
     /// Adds `linear`, which must not be taken yet.
     fn insert(&mut self, linear: u64) {
         debug_assert!(!self.contains(linear));
-        match self {
-            Taken::Bits { words, len } => {
-                words[(linear / 64) as usize] |= 1 << (linear % 64);
-                *len += 1;
-            }
-            Taken::Set(set) => {
-                set.insert(linear);
-            }
-        }
+        self.words[(linear / 64) as usize] |= 1 << (linear % 64);
+        self.len += 1;
     }
 
     /// Drops `linear`, which must be taken.
     fn remove(&mut self, linear: u64) {
         debug_assert!(self.contains(linear));
-        match self {
-            Taken::Bits { words, len } => {
-                words[(linear / 64) as usize] &= !(1 << (linear % 64));
-                *len -= 1;
-            }
-            Taken::Set(set) => {
-                set.remove(&linear);
-            }
-        }
+        self.words[(linear / 64) as usize] &= !(1 << (linear % 64));
+        self.len -= 1;
     }
 
     fn len(&self) -> u64 {
-        match self {
-            Taken::Bits { len, .. } => *len,
-            Taken::Set(set) => set.len() as u64,
-        }
+        self.len
     }
 }
 
@@ -1267,7 +1242,7 @@ impl<'a> Pool<'a> {
             digit(hi, 16),
         ];
         exec.session.residue = 0;
-        let (r, subsys) = exec.runner.execute_unprofiled(
+        let r = exec.runner.execute_as::<false>(
             self.os,
             run.mut_,
             &run.pools,
@@ -1277,7 +1252,7 @@ impl<'a> Pool<'a> {
         );
         let ran = Ran {
             class: class_index(r.class, r.raw),
-            subsys: *subsys,
+            subsys: *exec.runner.ledger(),
         };
         if self.observed {
             *slot.subsys.lock().expect("pool slot poisoned") = ran.subsys;
@@ -1615,25 +1590,6 @@ mod tests {
         assert!(weight(0, true, MAX_RARE_BONUS)
             .checked_mul(1 << 31)
             .is_some());
-    }
-
-    #[test]
-    fn taken_sets_agree_as_bitmap_and_hash_set() {
-        // The catalog only builds bitmaps; the hash set serves
-        // combination spaces past `TAKEN_BITMAP_MAX`.
-        let mut bits = Taken::new(1000);
-        let mut set = Taken::new(TAKEN_BITMAP_MAX + 1);
-        assert!(matches!(bits, Taken::Bits { .. }) && matches!(set, Taken::Set(_)));
-        for linear in [0, 63, 64, 999, 500, 1] {
-            bits.insert(linear);
-            set.insert(linear);
-        }
-        bits.remove(500);
-        set.remove(500);
-        for linear in 0..1000 {
-            assert_eq!(bits.contains(linear), set.contains(linear), "{linear}");
-        }
-        assert_eq!((bits.len(), set.len()), (5, 5));
     }
 
     #[test]

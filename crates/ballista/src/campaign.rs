@@ -92,7 +92,7 @@ pub struct CampaignConfig {
     /// crashes depend on harness residue.
     pub perfect_cleanup: bool,
     /// Worker threads for the clean-outcome pass and the adaptive
-    /// explore (at most four there). `1` keeps the exact legacy
+    /// explore (at most two there). `1` keeps the exact legacy
     /// sequential control flow; `0` (the default, and what deserializing
     /// old configs yields) picks the machine's available parallelism.
     /// Tallies and pinned plans are bit-identical at every setting.

@@ -515,19 +515,16 @@ impl CaseRunner {
         session: &mut Session,
         fuel_budget: u64,
     ) -> CaseResult {
-        let (result, subsys) =
-            self.execute_unprofiled(os, mut_, pools, combo, session, fuel_budget);
-        if crate::telemetry::enabled() {
-            crate::telemetry::on_case_profile(os, mut_.group.label(), subsys);
-        }
-        result
+        self.execute_as::<true>(os, mut_, pools, combo, session, fuel_budget)
     }
 
-    /// [`CaseRunner::execute`] without its profile hook: the case's
-    /// result and subsystem-fuel ledger, for a caller that profiles the
-    /// case only if it keeps it (the adaptive explorer's speculative
-    /// cases). The case still counts as executed on this host.
-    pub(crate) fn execute_unprofiled(
+    /// [`CaseRunner::execute`], with its profile hook only when
+    /// `PROFILE`: the adaptive explorer runs a speculative case
+    /// unprofiled, keeps [`CaseRunner::ledger`], and profiles the case
+    /// only if it commits it. The case still counts as executed on this
+    /// host.
+    #[inline(always)]
+    pub(crate) fn execute_as<const PROFILE: bool>(
         &mut self,
         os: OsVariant,
         mut_: &Mut,
@@ -535,7 +532,7 @@ impl CaseRunner {
         combo: &[usize],
         session: &mut Session,
         fuel_budget: u64,
-    ) -> (CaseResult, &sim_kernel::SubsystemFuel) {
+    ) -> CaseResult {
         let kernel = self.provision(os.machine_flavor());
         kernel.fuel = sim_kernel::clock::FuelMeter::with_budget(fuel_budget);
         kernel.residue = session.residue;
@@ -543,15 +540,27 @@ impl CaseRunner {
         session.note(raw, any_exceptional);
         if crate::telemetry::enabled() {
             crate::telemetry::on_case_executed();
+            if PROFILE {
+                crate::telemetry::on_case_profile(os, mut_.group.label(), &kernel.subsys);
+            }
         }
-        let result = CaseResult {
+        CaseResult {
             raw,
             class: classify(raw, any_exceptional),
             any_exceptional,
             residue_probed: kernel.residue_probed,
             fuel_used: kernel.fuel.consumed(),
-        };
-        (result, &kernel.subsys)
+        }
+    }
+
+    /// The subsystem-fuel ledger of the last case this runner executed.
+    ///
+    /// # Panics
+    ///
+    /// Panics before the runner's first case.
+    pub(crate) fn ledger(&self) -> &sim_kernel::SubsystemFuel {
+        let (_, kernel) = self.resident.as_ref().expect("no case executed yet");
+        &kernel.subsys
     }
 
     /// [`CaseRunner::execute`] with the filesystem's crash-op recorder

@@ -79,7 +79,7 @@ pub(crate) fn decode_into(mut linear: u64, dims: &[usize], combo: &mut [usize]) 
 }
 
 /// Advances `combo` to the next combination in lexicographic order.
-pub(crate) fn step(combo: &mut [usize], dims: &[usize]) {
+fn step(combo: &mut [usize], dims: &[usize]) {
     for (slot, &d) in combo.iter_mut().zip(dims).rev() {
         *slot += 1;
         if *slot < d {
@@ -133,16 +133,14 @@ pub(crate) fn weighted_index_in(rng: &mut impl RngExt, weights: &[u64], total: u
     if total == 0 {
         return rng.random_range(0..weights.len() as u64) as usize;
     }
-    let r = rng.random_range(0..total);
-    // The first index whose running sum passes `r` is the count of
-    // running sums at or below it: one pass, no branch per value.
-    let mut below = 0;
-    let mut sum = 0u64;
-    for &w in weights {
-        sum += w;
-        below += usize::from(sum <= r);
+    let mut r = rng.random_range(0..total);
+    for (i, &w) in weights.iter().enumerate() {
+        if r < w {
+            return i;
+        }
+        r -= w;
     }
-    below
+    weights.len() - 1
 }
 
 /// Deterministic FNV-1a over the seed name (stable across runs and
@@ -160,14 +158,14 @@ pub fn seed_from_name(name: &str) -> u64 {
 /// A set of linear indices, hashed by one multiply-xorshift instead of
 /// SipHash: the keys are the generator's own output or its neighbours,
 /// never chosen by an outsider, so the set needs no keyed hash. The
-/// sampler's dedup set and the adaptive explorer's `taken` set use it.
-pub(crate) type LinearSet = HashSet<u64, BuildHasherDefault<LinearHasher>>;
+/// sampler's dedup set is one.
+type LinearSet = HashSet<u64, BuildHasherDefault<LinearHasher>>;
 
 /// The hasher behind [`LinearSet`]: folds the high half of the index
 /// into the low half, multiplies, and folds again, so the bucket bits
 /// and the tag bits both depend on every input bit.
 #[derive(Default)]
-pub(crate) struct LinearHasher(u64);
+struct LinearHasher(u64);
 
 impl Hasher for LinearHasher {
     fn write(&mut self, bytes: &[u8]) {

@@ -165,9 +165,10 @@ fn crashcon_tallies_match_golden_corpus_on_every_variant() {
 }
 
 /// The pooled explore pins the same plan as the serial one: at
-/// parallelism 1, 2 and 3 every variant reproduces its golden ledger,
-/// explore case count and [`PINNED_DIGESTS`] value, and its explore
-/// coverage equals the serial explore's. The speculative half must
+/// parallelism 1, 2 and 3 (explore runs the last on its two-thread
+/// limit) every variant reproduces its golden ledger, explore case
+/// count and [`PINNED_DIGESTS`] value, and its explore coverage equals
+/// the serial explore's. The speculative half must
 /// really have rolled back draws, or the equality proves little.
 #[test]
 fn adaptive_explore_matches_golden_on_every_variant() {
