@@ -85,7 +85,7 @@ use crate::exec::{CaseRunner, Session, MAX_ARITY};
 use crate::journal::PlanHasher;
 use crate::muts::Mut;
 use crate::sampling::{self, Plan};
-use crate::telemetry;
+use crate::telemetry::{self, Counter};
 use crate::value::TestValue;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -580,7 +580,10 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
             })
             .collect::<Vec<_>>()
     });
-    telemetry::on_adaptive_speculation(ex.rollbacks, ex.reexecuted);
+    telemetry::count_each(&[
+        (Counter::AdaptiveRollbacks, ex.rollbacks),
+        (Counter::AdaptiveReexecutedCases, ex.reexecuted),
+    ]);
 
     let muts_pinned: Vec<PinnedMut> = ex
         .states
@@ -608,7 +611,7 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
         explore_cases: ex.explore_cases,
         explore_coverage: ex.cov,
     };
-    telemetry::on_adaptive_pinned(plan.pinned_cases());
+    telemetry::count(Counter::AdaptivePinnedCases, plan.pinned_cases());
     plan
 }
 
@@ -766,7 +769,10 @@ impl Explorer {
             self.cov.observe_class(label, std::mem::take(n));
         }
         let gain = self.cov.gain_since(&snapshot);
-        telemetry::on_adaptive_round(gain.new_values);
+        telemetry::count_each(&[
+            (Counter::AdaptiveRounds, 1),
+            (Counter::AdaptiveCoverageGain, gain.new_values),
+        ]);
         RoundStats {
             round,
             explored_cases: self.explore_cases - explored_before,

@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::campaign::{CampaignFingerprint, CampaignReport};
 use crate::persist;
-use crate::telemetry;
+use crate::telemetry::{self, Counter};
 
 /// Magic prefix of a version-1 cache entry file.
 const MAGIC: &[u8; 8] = b"BLSTCCH1";
@@ -188,7 +188,7 @@ impl ResultCache {
                 .map(|(k, _)| k)
             {
                 front.map.remove(&oldest);
-                telemetry::on_cache_eviction();
+                telemetry::count(Counter::CacheEvictions, 1);
             }
         }
         front.map.insert(fp.as_u64(), (tick, bytes));
@@ -204,11 +204,11 @@ impl ResultCache {
     pub fn lookup(&self, fp: CampaignFingerprint) -> Option<Arc<Vec<u8>>> {
         match self.peek(fp) {
             Some(bytes) => {
-                telemetry::on_cache_hit();
+                telemetry::count(Counter::CacheHits, 1);
                 Some(bytes)
             }
             None => {
-                telemetry::on_cache_miss();
+                telemetry::count(Counter::CacheMisses, 1);
                 None
             }
         }

@@ -37,7 +37,7 @@ use crate::fleet::{Heartbeat, ShardResult, WireCleanMut};
 use crate::journal::{PlanHasher, Resume};
 use crate::muts::Mut;
 use crate::sampling::{self, Plan, PAPER_CAP};
-use crate::telemetry::{self, CaseTrace, TraceCollector};
+use crate::telemetry::{self, CaseTrace, Counter, Counters, CountingFor, TraceCollector};
 use crate::value::TestValue;
 use serde::{Content, Deserialize, Serialize};
 use sim_kernel::variant::OsVariant;
@@ -47,7 +47,7 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -711,24 +711,28 @@ impl Mode {
     }
 }
 
-/// One campaign's stats epoch. Opening it installs a fresh provisioning
-/// sink on this thread (the worker pool installs the same sink on its
-/// threads) and reports the campaign begun; [`Epoch::close`] uninstalls
-/// the sink, reports the campaign finished, and reads the sink into the
-/// campaign's [`CampaignStats`].
+/// One campaign's stats epoch: the campaign's [`Counters`], counted into
+/// by the thread that opens it until it drops (the worker pool and the
+/// fleet supervisor count into them on their threads too). Opening it
+/// counts the campaign begun; [`Epoch::close`] counts it finished and
+/// reads the counters into the campaign's [`CampaignStats`].
 pub(crate) struct Epoch {
     t0: Instant,
-    sink: Arc<exec::stats::Counters>,
+    pub(crate) counters: Arc<Counters>,
+    _counting: CountingFor,
 }
 
 impl Epoch {
-    pub(crate) fn open() -> Epoch {
-        let sink = Arc::new(exec::stats::Counters::default());
-        exec::stats::install_sink(Arc::clone(&sink));
-        telemetry::on_campaign_begin();
+    /// Opens an epoch over `watched`, a counter set the caller holds to
+    /// read the campaign while it runs, or over a fresh set.
+    pub(crate) fn open(watched: Option<&Arc<Counters>>) -> Epoch {
+        let counters = watched.map_or_else(Arc::default, Arc::clone);
+        let counting = CountingFor::new(&counters);
+        telemetry::count(Counter::CampaignsBegun, 1);
         Epoch {
             t0: Instant::now(),
-            sink,
+            counters,
+            _counting: counting,
         }
     }
 
@@ -741,38 +745,34 @@ impl Epoch {
         total_cases: usize,
         replayed_cases: usize,
         quarantine_retries: u64,
-        journal_fsyncs: u64,
     ) -> Option<CampaignStats> {
-        telemetry::on_campaign_end();
-        exec::stats::clear_sink();
+        telemetry::count(Counter::CampaignsFinished, 1);
         let wall = self.t0.elapsed().as_secs_f64();
-        let c = &*self.sink;
-        let (boots, restores, boot_ns, restore_ns) = c.snapshot();
-        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let c = self.counters.snapshot();
         Some(CampaignStats {
             parallelism,
             wall_ms: wall * 1e3,
             cases_per_sec: total_cases as f64 / wall.max(1e-9),
-            boots,
-            restores,
-            boot_ms: boot_ns as f64 / 1e6,
-            restore_ms: restore_ns as f64 / 1e6,
+            boots: c[Counter::Boots],
+            restores: c[Counter::Restores],
+            boot_ms: c[Counter::BootNanos] as f64 / 1e6,
+            restore_ms: c[Counter::RestoreNanos] as f64 / 1e6,
             replayed_cases,
             quarantine_retries,
-            journal_fsyncs,
-            restores_fast: load(&c.restores_fast),
-            restores_full: load(&c.restores_full),
-            probe_provisions: load(&c.probe_provisions),
-            crashcon_snapshots: load(&c.crashcon_snapshots),
-            crashcon_remounts: load(&c.crashcon_remounts),
+            journal_fsyncs: c[Counter::JournalFsyncs],
+            restores_fast: c[Counter::RestoresFast],
+            restores_full: c[Counter::RestoresFull],
+            probe_provisions: c[Counter::ProbeProvisions],
+            crashcon_snapshots: c[Counter::CrashconSnapshots],
+            crashcon_remounts: c[Counter::CrashconRemounts],
         })
     }
 }
 
 /// The engines' one worker pool: runs `job(i)` for every `i < n` on up
 /// to `workers` threads, each claiming the next unclaimed index, and
-/// returns the outputs in index order. Pool threads report provisioning
-/// into `epoch`'s sink; a single worker runs inline on the caller.
+/// returns the outputs in index order. Pool threads count into `epoch`'s
+/// counters; a single worker runs inline on the caller.
 pub(crate) fn claim_each<T: Send>(
     n: usize,
     workers: usize,
@@ -787,7 +787,7 @@ pub(crate) fn claim_each<T: Send>(
     crossbeam::thread::scope(|s| {
         for _ in 0..workers.min(n) {
             s.spawn(|_| {
-                exec::stats::install_sink(Arc::clone(&epoch.sink));
+                let _counting = CountingFor::new(&epoch.counters);
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
@@ -836,14 +836,14 @@ pub(crate) fn fenced<T>(
         exec::invalidate_templates();
         faults += 1;
         if faults > MAX_MUT_RETRIES {
-            telemetry::on_mut_quarantined();
+            telemetry::count(Counter::QuarantinedMuts, 1);
             warnings.push(format!(
                 "quarantined {name}: {MAX_MUT_RETRIES} retry exhausted; its tally is empty and this report is partial"
             ));
             return None;
         }
         *retries += 1;
-        telemetry::on_quarantine_retry();
+        telemetry::count(Counter::QuarantineRetries, 1);
         warnings.push(format!(
             "contained worker panic while testing {name}; retrying on fresh templates (attempt {faults})"
         ));
@@ -900,7 +900,7 @@ pub(crate) fn clean_range(
     };
     let mut cases_done = 0u64;
     for prep in preps {
-        telemetry::on_mut_begin(prep.plan.len() as u64);
+        telemetry::count(Counter::CasesPlanned, prep.plan.len() as u64);
         let clean = fenced(
             prep.mut_.name,
             &mut out.warnings,
@@ -1143,7 +1143,7 @@ pub(crate) fn replay_report(
     let degraded = pass.muts.iter().any(Option::is_none);
     let (tallies, replayed) = replay_pass(os, cfg, preps, &pass.muts, &mut tc);
     classic_report(os, tallies, pass.warnings, degraded, tc, |total| {
-        epoch.close(workers, total, replayed, pass.quarantine_retries, 0)
+        epoch.close(workers, total, replayed, pass.quarantine_retries)
     })
 }
 
@@ -1163,7 +1163,7 @@ pub fn run_campaign(os: OsVariant, cfg: &CampaignConfig) -> CampaignReport {
 pub(crate) fn run_mode(mode: Mode, os: OsVariant, cfg: &CampaignConfig) -> CampaignReport {
     let muts = catalog::catalog_for(os);
     let preps = mode.preps(os, cfg, &muts, 0..muts.len());
-    let epoch = Epoch::open();
+    let epoch = Epoch::open(None);
     let mut tc = TraceCollector::begin(os, cfg.cap as u64);
     let workers = cfg.workers().min(preps.len().max(1));
     if workers > 1 {
@@ -1177,7 +1177,7 @@ pub(crate) fn run_mode(mode: Mode, os: OsVariant, cfg: &CampaignConfig) -> Campa
     let mut tallies = Vec::with_capacity(preps.len());
     for prep in &preps {
         let planned = prep.plan.len();
-        telemetry::on_mut_begin(planned as u64);
+        telemetry::count(Counter::CasesPlanned, planned as u64);
         // Each attempt walks a copy of the session, committed only on
         // success, so a mid-MuT panic leaves no half-advanced session.
         // Once an attempt has opened the MuT's trace span, a retry
@@ -1205,7 +1205,7 @@ pub(crate) fn run_mode(mode: Mode, os: OsVariant, cfg: &CampaignConfig) -> Campa
         });
     }
     classic_report(os, tallies, warnings, degraded, tc, |total| {
-        epoch.close(1, total, 0, retries, 0)
+        epoch.close(1, total, 0, retries)
     })
 }
 
@@ -1272,7 +1272,7 @@ pub(crate) fn run_journaled(
     let muts = catalog::catalog_for(os);
     let preps = mode.preps(os, cfg, &muts, 0..muts.len());
     let hash = mode.fingerprint(os, cfg).as_u64();
-    let epoch = Epoch::open();
+    let epoch = Epoch::open(None);
     let mut tc = TraceCollector::begin(os, cfg.cap as u64);
     let mut cursor = Resume::open(journal_path, hash, resume)?;
     let fuel_budget = cfg.effective_fuel_budget();
@@ -1282,7 +1282,7 @@ pub(crate) fn run_journaled(
     for (m_idx, prep) in preps.iter().enumerate() {
         let planned = prep.plan.len();
         let mut cases = prep.plan.cases();
-        telemetry::on_mut_begin(planned as u64);
+        telemetry::count(Counter::CasesPlanned, planned as u64);
         open_span(&mut tc, prep, false);
         tallies.push(fold_mut::<std::io::Error>(
             os,
@@ -1308,9 +1308,9 @@ pub(crate) fn run_journaled(
         )?);
     }
     drop(runner);
-    let (replayed, fsyncs, warnings) = cursor.finish()?;
+    let (replayed, warnings) = cursor.finish()?;
     Ok(classic_report(os, tallies, warnings, false, tc, |total| {
-        epoch.close(1, total, replayed, 0, fsyncs)
+        epoch.close(1, total, replayed, 0)
     }))
 }
 

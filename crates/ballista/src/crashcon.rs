@@ -48,8 +48,8 @@
 //!
 //! Machine accounting: a crash-point image clone is **not** a machine
 //! restore. Snapshots and remounts count under the dedicated
-//! `crashcon_snapshots` / `crashcon_remounts` metrics
-//! (`exec::stats::record_crashcon`), leaving the
+//! `crashcon_snapshots` / `crashcon_remounts` counters
+//! ([`Counter::CrashconSnapshots`]), leaving the
 //! `restores == executed cases` invariant of the classic engines intact.
 //! They count the images actually materialized — one per *judged* crash
 //! point — so a run's snapshots fall short of its enumerated
@@ -57,11 +57,11 @@
 
 use crate::campaign::{self, CampaignConfig, CampaignStats, Epoch, Mode, PreparedMut};
 use crate::catalog;
-use crate::exec::{self, fault, CaseRunner, Session};
+use crate::exec::{fault, CaseRunner, Session};
 use crate::fleet::{ShardResult, WireCleanMut};
 use crate::journal::Resume;
 use crate::muts::FunctionGroup;
-use crate::telemetry;
+use crate::telemetry::{self, Counter};
 use serde::{Deserialize, Serialize};
 use sim_kernel::crashfs::{self, CrashPoint, SpecNode, SpecTree};
 use sim_kernel::fs::{FileSystem, FsOp, MAX_OPLOG};
@@ -449,7 +449,10 @@ impl Verifier {
             verdict.viol_rename |= ren;
         }
         let n = indices.len() as u64;
-        exec::stats::record_crashcon(n, n);
+        telemetry::count_each(&[
+            (Counter::CrashconSnapshots, n),
+            (Counter::CrashconRemounts, n),
+        ]);
         assert_eq!(
             self.kernel.space.dirty_bases().len(),
             self.baseline_dirty,
@@ -658,7 +661,7 @@ pub(crate) fn pass_report(
         })
         .collect();
     crash_report(os, tallies, pass.warnings, degraded, |total| {
-        epoch.close(workers, total, 0, pass.quarantine_retries, 0)
+        epoch.close(workers, total, 0, pass.quarantine_retries)
     })
 }
 
@@ -687,7 +690,7 @@ pub(crate) fn pass_report(
 pub fn run_crashcon(os: OsVariant, cfg: &CampaignConfig) -> CrashconReport {
     let muts = catalog::catalog_for(os);
     let preps = Mode::Crashcon.preps(os, cfg, &muts, 0..muts.len());
-    let epoch = Epoch::open();
+    let epoch = Epoch::open(None);
     let workers = cfg.workers().min(preps.len().max(1));
     let pass = campaign::clean_pass(Mode::Crashcon, os, cfg, &preps, workers, true, &epoch);
     pass_report(os, &preps, pass, epoch, workers)
@@ -713,12 +716,12 @@ pub fn run_crashcon_journaled(
     let muts = catalog::catalog_for(os);
     let preps = Mode::Crashcon.preps(os, cfg, &muts, 0..muts.len());
     let hash = Mode::Crashcon.fingerprint(os, cfg).as_u64();
-    let epoch = Epoch::open();
+    let epoch = Epoch::open(None);
     let mut cursor = Resume::open(journal_path, hash, resume)?;
     let fuel_budget = cfg.effective_fuel_budget();
     let mut tallies = Vec::with_capacity(preps.len());
     for (m_idx, prep) in preps.iter().enumerate() {
-        telemetry::on_mut_begin(prep.plan.len() as u64);
+        telemetry::count(Counter::CasesPlanned, prep.plan.len() as u64);
         let mut tally = CrashTally::new(prep.mut_.name, prep.mut_.group);
         // One rig (and so one verdict memo) per MuT, as in the clean
         // pass; a MuT replayed whole never boots one.
@@ -740,9 +743,9 @@ pub fn run_crashcon_journaled(
         }
         tallies.push(tally);
     }
-    let (replayed, fsyncs, warnings) = cursor.finish()?;
+    let (replayed, warnings) = cursor.finish()?;
     Ok(crash_report(os, tallies, warnings, false, |total| {
-        epoch.close(1, total, replayed, 0, fsyncs)
+        epoch.close(1, total, replayed, 0)
     }))
 }
 
@@ -869,15 +872,14 @@ mod tests {
             },
             FsOp::Barrier { at_ms: 2 },
         ];
-        let sink = std::sync::Arc::new(exec::stats::Counters::default());
+        let set = std::sync::Arc::new(telemetry::Counters::default());
         let images = || {
-            use std::sync::atomic::Ordering::Relaxed;
             (
-                sink.crashcon_snapshots.load(Relaxed),
-                sink.crashcon_remounts.load(Relaxed),
+                set.get(Counter::CrashconSnapshots),
+                set.get(Counter::CrashconRemounts),
             )
         };
-        exec::stats::install_sink(std::sync::Arc::clone(&sink));
+        let counting = telemetry::CountingFor::new(&set);
         let mut verifier = Verifier::new(MachineFlavor::Windows);
         let first = verifier.memoized(&ops, false, false);
         let judged = u64::from(first.points);
@@ -903,7 +905,7 @@ mod tests {
             (3 * judged, 3 * judged),
             "an explicit evaluation bypasses the memo"
         );
-        exec::stats::clear_sink();
+        drop(counting);
     }
 
     #[test]

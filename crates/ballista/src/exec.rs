@@ -25,6 +25,7 @@
 
 use crate::crash::{classify, FailureClass, RawOutcome};
 use crate::muts::Mut;
+use crate::telemetry::{self, Counter};
 use crate::value::TestValue;
 use sim_kernel::outcome::ApiAbort;
 use sim_kernel::variant::OsVariant;
@@ -32,140 +33,6 @@ use sim_kernel::{Kernel, MachineFlavor, MachineSnapshot};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Machine-provisioning counters, routed into per-campaign sinks.
-///
-/// A campaign installs one [`stats::Counters`] sink on every thread it
-/// runs on (the engines' stats epoch and worker pool do this) and reads
-/// it back into `CampaignStats` when it closes. Provisioning outside any
-/// sink reaches only the telemetry hub.
-pub mod stats {
-    use std::cell::RefCell;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    /// Cached boot templates dropped because a restore produced a
-    /// corrupted (already-dead) machine.
-    pub static TEMPLATE_INVALIDATIONS: AtomicU64 = AtomicU64::new(0);
-
-    /// A private provisioning-counter set one campaign installs on its
-    /// threads (via [`install_sink`]) to get **exact** per-campaign
-    /// numbers, even when several campaigns run in one process at once.
-    #[derive(Debug, Default)]
-    pub struct Counters {
-        /// Machines created by a full boot while this sink was installed.
-        pub boots: AtomicU64,
-        /// Machines created by a template clone while installed.
-        pub restores: AtomicU64,
-        /// Restores served by an in-place reset (subset of `restores`).
-        pub restores_fast: AtomicU64,
-        /// Restores that deep-cloned the template (subset of `restores`).
-        pub restores_full: AtomicU64,
-        /// Machines provisioned for isolation probes
-        /// ([`super::reproduce_in_isolation`]). Counted apart from
-        /// `restores` so `restores` equals cases executed.
-        pub probe_provisions: AtomicU64,
-        /// Nanoseconds spent booting while installed.
-        pub boot_nanos: AtomicU64,
-        /// Nanoseconds spent restoring while installed.
-        pub restore_nanos: AtomicU64,
-        /// Filesystem crash images materialized by the crashcon engine
-        /// (one clone of the pristine tree per judged crash point). Never
-        /// part of `restores`: a crash-point snapshot is not a machine
-        /// restore.
-        pub crashcon_snapshots: AtomicU64,
-        /// Crash images "remounted" into the crashcon engine's resident
-        /// verification kernel (one per judged crash point).
-        pub crashcon_remounts: AtomicU64,
-    }
-
-    impl Counters {
-        /// `(boots, restores, boot_nanos, restore_nanos)` recorded so far.
-        #[must_use]
-        pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-            (
-                self.boots.load(Ordering::Relaxed),
-                self.restores.load(Ordering::Relaxed),
-                self.boot_nanos.load(Ordering::Relaxed),
-                self.restore_nanos.load(Ordering::Relaxed),
-            )
-        }
-    }
-
-    thread_local! {
-        static SINK: RefCell<Option<Arc<Counters>>> = const { RefCell::new(None) };
-    }
-
-    /// Routes this thread's provisioning events into `counters` until
-    /// [`clear_sink`].
-    pub fn install_sink(counters: Arc<Counters>) {
-        SINK.with(|s| *s.borrow_mut() = Some(counters));
-    }
-
-    /// Stops routing this thread's provisioning events into a sink.
-    pub fn clear_sink() {
-        SINK.with(|s| *s.borrow_mut() = None);
-    }
-
-    fn with_sink(f: impl FnOnce(&Counters)) {
-        SINK.with(|s| {
-            if let Some(c) = s.borrow().as_deref() {
-                f(c);
-            }
-        });
-    }
-
-    pub(super) fn record_boot(nanos: u64) {
-        crate::telemetry::on_boot(nanos);
-        with_sink(|c| {
-            c.boots.fetch_add(1, Ordering::Relaxed);
-            c.boot_nanos.fetch_add(nanos, Ordering::Relaxed);
-        });
-    }
-
-    pub(super) fn record_restore(nanos: u64, fast: bool) {
-        crate::telemetry::on_restore(nanos, fast);
-        with_sink(|c| {
-            c.restores.fetch_add(1, Ordering::Relaxed);
-            c.restore_nanos.fetch_add(nanos, Ordering::Relaxed);
-            if fast {
-                c.restores_fast.fetch_add(1, Ordering::Relaxed);
-            } else {
-                c.restores_full.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-    }
-
-    /// Flushes a batch of `count` in-place resets a [`super::CaseRunner`]
-    /// accumulated locally (with `nanos` of sampled host time attributed
-    /// to them). The batch path only runs while telemetry is disabled, so
-    /// no hub hook fires here — the hub's histograms never see estimated
-    /// samples.
-    pub(super) fn record_fast_restores(count: u64, nanos: u64) {
-        with_sink(|c| {
-            c.restores.fetch_add(count, Ordering::Relaxed);
-            c.restores_fast.fetch_add(count, Ordering::Relaxed);
-            c.restore_nanos.fetch_add(nanos, Ordering::Relaxed);
-        });
-    }
-
-    /// Records a batch of crashcon crash-point snapshots and remounts
-    /// (one pair per judged crash point, flushed per judged log). Kept out of
-    /// `restores` entirely — see [`Counters::crashcon_snapshots`].
-    pub(crate) fn record_crashcon(snapshots: u64, remounts: u64) {
-        crate::telemetry::on_crashcon(snapshots, remounts);
-        with_sink(|c| {
-            c.crashcon_snapshots.fetch_add(snapshots, Ordering::Relaxed);
-            c.crashcon_remounts.fetch_add(remounts, Ordering::Relaxed);
-        });
-    }
-
-    pub(super) fn record_probe() {
-        with_sink(|c| {
-            c.probe_provisions.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-}
 
 /// Harness-level fault injection, used by the robustness tests to prove
 /// the campaign engine contains its *own* failures (worker panics) the
@@ -259,7 +126,7 @@ pub fn fresh_machine(flavor: MachineFlavor) -> Kernel {
         let start = std::time::Instant::now();
         let mut kernel = Kernel::with_flavor(flavor);
         kernel.space.set_eager_zero(true);
-        stats::record_boot(elapsed_ns(start));
+        telemetry::on_boot(elapsed_ns(start));
         return kernel;
     }
     TEMPLATES.with(|cache| {
@@ -272,16 +139,16 @@ pub fn fresh_machine(flavor: MachineFlavor) -> Kernel {
             // through to a clean boot rather than poisoning every later
             // case on this thread.
             if kernel.is_alive() {
-                stats::record_restore(elapsed_ns(start), false);
+                telemetry::on_restore(elapsed_ns(start), false);
                 return kernel;
             }
             cache.remove(pos);
-            stats::TEMPLATE_INVALIDATIONS.fetch_add(1, Ordering::Relaxed);
+            telemetry::count(Counter::TemplateInvalidations, 1);
         }
         let snap = Rc::new(MachineSnapshot::boot(flavor));
         let kernel = snap.restore();
         cache.push((flavor, snap));
-        stats::record_boot(elapsed_ns(start));
+        telemetry::on_boot(elapsed_ns(start));
         kernel
     })
 }
@@ -294,7 +161,7 @@ pub fn fresh_machine(flavor: MachineFlavor) -> Kernel {
 /// campaign artifacts.
 fn probe_machine(flavor: MachineFlavor) -> Kernel {
     use std::sync::atomic::Ordering;
-    stats::record_probe();
+    telemetry::count(Counter::ProbeProvisions, 1);
     if LEGACY_PROVISIONING.load(Ordering::Relaxed) {
         let mut kernel = Kernel::with_flavor(flavor);
         kernel.space.set_eager_zero(true);
@@ -308,7 +175,7 @@ fn probe_machine(flavor: MachineFlavor) -> Kernel {
                 return kernel;
             }
             cache.remove(pos);
-            stats::TEMPLATE_INVALIDATIONS.fetch_add(1, Ordering::Relaxed);
+            telemetry::count(Counter::TemplateInvalidations, 1);
         }
         let snap = Rc::new(MachineSnapshot::boot(flavor));
         let kernel = snap.restore();
@@ -357,10 +224,10 @@ pub struct CaseRunner {
     /// (`None` under legacy provisioning). Holding the `Rc` here lets the
     /// per-case reset skip the thread-local template cache entirely.
     template: Option<Rc<MachineSnapshot>>,
-    /// In-place resets performed but not yet flushed to [`stats`]. The
-    /// hot path batches counter updates locally (only while telemetry is
-    /// off) and flushes on drop, so per-case cost is one increment
-    /// instead of five atomics plus a thread-local borrow.
+    /// In-place resets performed but not yet counted. The hot path
+    /// batches counter updates locally (only while telemetry is off) and
+    /// flushes on drop, so per-case cost is one increment instead of
+    /// three atomics plus a thread-local borrow.
     fast_pending: u64,
     /// Sampled host nanoseconds attributed to the pending resets: one
     /// reset in [`TIMING_SAMPLE`] is timed and scaled up, keeping the
@@ -370,16 +237,33 @@ pub struct CaseRunner {
 }
 
 /// One in-place reset per this many is wall-clock timed on the batched
-/// stats path; the measured value stands in for the whole stride.
+/// path; the measured value stands in for the whole stride.
 const TIMING_SAMPLE: u64 = 64;
 
-/// Pending in-place resets are flushed to the global counters at least
-/// this often, bounding how far mid-campaign readers can lag.
-const STATS_FLUSH_EVERY: u64 = 4096;
+/// Pending in-place resets are counted at least this often, bounding
+/// how far mid-campaign readers can lag.
+const FLUSH_EVERY: u64 = 4096;
+
+/// Counts a batch of in-place resets, with `nanos` of sampled host time,
+/// and empties it. Resets batch only while no hub is installed, so the
+/// hub's restore histogram never sees an estimated sample.
+fn flush_fast_restores(pending: &mut u64, nanos: &mut u64) {
+    if *pending > 0 {
+        telemetry::count_each(&[
+            (Counter::Restores, *pending),
+            (Counter::RestoresFast, *pending),
+            (Counter::RestoreNanos, *nanos),
+        ]);
+        *pending = 0;
+        *nanos = 0;
+    }
+}
 
 impl Drop for CaseRunner {
+    /// Counts the pending resets: a runner lives for one MuT's case loop,
+    /// so campaign-level accounting stays exact.
     fn drop(&mut self) {
-        self.flush_stats();
+        flush_fast_restores(&mut self.fast_pending, &mut self.fast_nanos);
     }
 }
 
@@ -391,18 +275,6 @@ impl CaseRunner {
         CaseRunner::default()
     }
 
-    /// Flushes locally batched in-place-reset counters to [`stats`].
-    /// Runs on drop (a runner lives for exactly one MuT's case loop, so
-    /// campaign-level accounting stays exact) and before any slow-path
-    /// provisioning.
-    fn flush_stats(&mut self) {
-        if self.fast_pending > 0 {
-            stats::record_fast_restores(self.fast_pending, self.fast_nanos);
-            self.fast_pending = 0;
-            self.fast_nanos = 0;
-        }
-    }
-
     /// Provisions the resident machine for the next case: in-place reset
     /// when possible, template clone or legacy boot otherwise.
     fn provision(&mut self, flavor: MachineFlavor) -> &mut Kernel {
@@ -411,7 +283,7 @@ impl CaseRunner {
             let start = std::time::Instant::now();
             let mut kernel = Kernel::with_flavor(flavor);
             kernel.space.set_eager_zero(true);
-            stats::record_boot(elapsed_ns(start));
+            telemetry::on_boot(elapsed_ns(start));
             self.template = None;
             return &mut self.resident.insert((flavor, kernel)).1;
         }
@@ -428,13 +300,13 @@ impl CaseRunner {
         let CaseRunner { resident, template, fast_pending, fast_nanos } = self;
         let fast = match (resident.as_mut(), template.as_deref()) {
             (Some((f, machine)), Some(snap)) if *f == flavor => {
-                if crate::telemetry::enabled() {
+                if telemetry::enabled() {
                     // Precise per-reset timing and hub hooks when the
                     // observability layer is watching.
                     let start = std::time::Instant::now();
                     snap.restore_into(machine);
                     if machine.is_alive() {
-                        stats::record_restore(elapsed_ns(start), true);
+                        telemetry::on_restore(elapsed_ns(start), true);
                         FastReset::Alive
                     } else {
                         FastReset::Dead
@@ -448,10 +320,8 @@ impl CaseRunner {
                             *fast_nanos += elapsed_ns(s) * TIMING_SAMPLE;
                         }
                         *fast_pending += 1;
-                        if *fast_pending >= STATS_FLUSH_EVERY {
-                            stats::record_fast_restores(*fast_pending, *fast_nanos);
-                            *fast_pending = 0;
-                            *fast_nanos = 0;
+                        if *fast_pending >= FLUSH_EVERY {
+                            flush_fast_restores(fast_pending, fast_nanos);
                         }
                         FastReset::Alive
                     } else {
@@ -464,12 +334,12 @@ impl CaseRunner {
         match fast {
             FastReset::Alive => return &mut self.resident.as_mut().expect("reset above").1,
             FastReset::Dead => {
-                self.flush_stats();
+                flush_fast_restores(&mut self.fast_pending, &mut self.fast_nanos);
                 // Restoring produced a dead machine: the template itself
                 // is corrupted (e.g. snapshotted after a crash latch).
                 // Drop it everywhere and re-provision from a clean boot.
                 TEMPLATES.with(|cache| cache.borrow_mut().retain(|(cf, _)| *cf != flavor));
-                stats::TEMPLATE_INVALIDATIONS.fetch_add(1, Ordering::Relaxed);
+                telemetry::count(Counter::TemplateInvalidations, 1);
                 self.resident = None;
                 self.template = None;
             }
@@ -481,7 +351,7 @@ impl CaseRunner {
                 let Some(pos) = cache.iter().position(|(f, _)| *f == flavor) else {
                     let start = std::time::Instant::now();
                     cache.push((flavor, Rc::new(MachineSnapshot::boot(flavor))));
-                    stats::record_boot(elapsed_ns(start));
+                    telemetry::on_boot(elapsed_ns(start));
                     continue;
                 };
                 let snap = &cache[pos].1;
@@ -490,13 +360,13 @@ impl CaseRunner {
                 if machine.is_alive() {
                     self.template = Some(Rc::clone(snap));
                     self.resident = Some((flavor, machine));
-                    stats::record_restore(elapsed_ns(start), false);
+                    telemetry::on_restore(elapsed_ns(start), false);
                     break;
                 }
                 // Corrupted template: drop it and boot a replacement on
                 // the next pass.
                 cache.remove(pos);
-                stats::TEMPLATE_INVALIDATIONS.fetch_add(1, Ordering::Relaxed);
+                telemetry::count(Counter::TemplateInvalidations, 1);
             }
         });
         &mut self.resident.as_mut().expect("provisioned above").1
@@ -538,10 +408,10 @@ impl CaseRunner {
         kernel.residue = session.residue;
         let (raw, any_exceptional) = run_on(kernel, os, mut_, pools, combo);
         session.note(raw, any_exceptional);
-        if crate::telemetry::enabled() {
-            crate::telemetry::on_case_executed();
+        if telemetry::enabled() {
+            telemetry::on_case_executed();
             if PROFILE {
-                crate::telemetry::on_case_profile(os, mut_.group.label(), &kernel.subsys);
+                telemetry::on_case_profile(os, mut_.group.label(), &kernel.subsys);
             }
         }
         CaseResult {
@@ -588,9 +458,9 @@ impl CaseRunner {
         let (ops, truncated) = kernel.fs.take_oplog();
         kernel.fs.set_crash_recording(false);
         session.note(raw, any_exceptional);
-        if crate::telemetry::enabled() {
-            crate::telemetry::on_case_executed();
-            crate::telemetry::on_case_profile(os, mut_.group.label(), &kernel.subsys);
+        if telemetry::enabled() {
+            telemetry::on_case_executed();
+            telemetry::on_case_profile(os, mut_.group.label(), &kernel.subsys);
         }
         let result = CaseResult {
             raw,
@@ -700,9 +570,9 @@ pub fn execute_case_budgeted(
     kernel.residue = session.residue;
     let raw_and_exc = run_on(&mut kernel, os, mut_, pools, combo);
     session.note(raw_and_exc.0, raw_and_exc.1);
-    if crate::telemetry::enabled() {
-        crate::telemetry::on_case_executed();
-        crate::telemetry::on_case_profile(os, mut_.group.label(), &kernel.subsys);
+    if telemetry::enabled() {
+        telemetry::on_case_executed();
+        telemetry::on_case_profile(os, mut_.group.label(), &kernel.subsys);
     }
     CaseResult {
         raw: raw_and_exc.0,
@@ -714,8 +584,8 @@ pub fn execute_case_budgeted(
 }
 
 /// The most parameters a MuT may take: the length of the stack array
-/// [`run_on`] builds each case's arguments in, so a case allocates no
-/// argument vector. The catalog's largest arity is 5 (`CreateFile`,
+/// each case's arguments are built in, so a case allocates no argument
+/// vector. The catalog's largest arity is 5 (`CreateFile`,
 /// `ReadFileEx`, `mmap`, `select`, …); a tier-1 test checks that every
 /// catalog MuT fits.
 pub const MAX_ARITY: usize = 5;
@@ -827,6 +697,7 @@ pub fn reproduce_in_isolation(
 mod tests {
     use super::*;
     use crate::muts::{arg, FunctionGroup};
+    use crate::telemetry::{Counters, CountingFor};
     use std::sync::Arc;
 
     fn null_and_valid_ctx_pools() -> Vec<Vec<TestValue>> {
@@ -995,9 +866,15 @@ mod tests {
         assert_eq!(r.class, FailureClass::Pass);
     }
 
+    /// A counter set this thread counts into until the guard drops.
+    fn counting() -> (Arc<Counters>, CountingFor) {
+        let set = Arc::new(Counters::default());
+        let guard = CountingFor::new(&set);
+        (set, guard)
+    }
+
     #[test]
     fn corrupted_template_is_invalidated_not_propagated() {
-        use std::sync::atomic::Ordering;
         // Plant a template that restores to a dead machine, as a worker
         // panic mid-snapshot could leave behind.
         let flavor = MachineFlavor::WindowsStrictAlign;
@@ -1006,27 +883,30 @@ mod tests {
         poisoned.crash.panic("test", "planted corruption", None);
         let snap = poisoned.snapshot();
         TEMPLATES.with(|cache| cache.borrow_mut().push((flavor, Rc::new(snap))));
-        let before = stats::TEMPLATE_INVALIDATIONS.load(Ordering::Relaxed);
+        let (set, guard) = counting();
         let k = fresh_machine(flavor);
+        drop(guard);
         assert!(k.is_alive(), "fresh_machine must never hand out a dead machine");
-        assert!(stats::TEMPLATE_INVALIDATIONS.load(Ordering::Relaxed) > before);
+        assert_eq!(set.get(Counter::TemplateInvalidations), 1);
         // The replacement template is healthy from here on.
         assert!(fresh_machine(flavor).is_alive());
         invalidate_templates();
     }
 
     #[test]
-    fn stats_sink_records_only_while_installed() {
-        let sink = Arc::new(stats::Counters::default());
+    fn counter_set_records_only_while_installed() {
         invalidate_templates();
-        stats::install_sink(Arc::clone(&sink));
+        let (set, guard) = counting();
         let _ = fresh_machine(MachineFlavor::Posix); // boot
         let _ = fresh_machine(MachineFlavor::Posix); // restore
-        stats::clear_sink();
+        drop(guard);
         let _ = fresh_machine(MachineFlavor::Posix);
-        let (boots, restores, _, _) = sink.snapshot();
-        assert_eq!(boots, 1);
-        assert_eq!(restores, 1, "post-clear provisioning must not reach the sink");
+        assert_eq!(set.get(Counter::Boots), 1);
+        assert_eq!(
+            set.get(Counter::Restores),
+            1,
+            "provisioning after the guard drops must not reach the set"
+        );
         invalidate_templates();
     }
 
@@ -1053,10 +933,8 @@ mod tests {
 
     #[test]
     fn case_runner_counts_one_restore_per_case_mostly_fast() {
-        use std::sync::atomic::Ordering;
-        let sink = Arc::new(stats::Counters::default());
         invalidate_templates();
-        stats::install_sink(Arc::clone(&sink));
+        let (set, guard) = counting();
         let m = get_thread_context_mut();
         let pools = null_and_valid_ctx_pools();
         let mut session = Session::new();
@@ -1071,32 +949,37 @@ mod tests {
                 DEFAULT_FUEL_BUDGET,
             );
         }
-        // Batched fast-reset counters flush when the runner drops (the
+        // Batched fast-reset counts flush when the runner drops (the
         // campaign engines drop theirs at the end of each MuT's loop,
-        // before any sink is read).
+        // before any counter set is read).
         drop(runner);
-        stats::clear_sink();
-        let (boots, restores, _, _) = sink.snapshot();
-        assert_eq!(boots, 1, "one template boot for a cold cache");
-        assert_eq!(restores, 5, "exactly one restore per executed case");
-        assert_eq!(sink.restores_full.load(Ordering::Relaxed), 1, "first case clones");
-        assert_eq!(sink.restores_fast.load(Ordering::Relaxed), 4, "the rest reset in place");
+        drop(guard);
+        let c = set.snapshot();
+        assert_eq!(c[Counter::Boots], 1, "one template boot for a cold cache");
+        assert_eq!(
+            c[Counter::Restores],
+            5,
+            "exactly one restore per executed case"
+        );
+        assert_eq!(c[Counter::RestoresFull], 1, "first case clones");
+        assert_eq!(c[Counter::RestoresFast], 4, "the rest reset in place");
         invalidate_templates();
     }
 
     #[test]
     fn isolation_probes_not_billed_as_restores() {
-        use std::sync::atomic::Ordering;
-        let sink = Arc::new(stats::Counters::default());
         invalidate_templates();
-        stats::install_sink(Arc::clone(&sink));
+        let (set, guard) = counting();
         let m = get_thread_context_mut();
         let pools = null_and_valid_ctx_pools();
         assert!(reproduce_in_isolation(OsVariant::Win98, &m, &pools, &[0, 0]));
-        stats::clear_sink();
-        let (_, restores, _, _) = sink.snapshot();
-        assert_eq!(restores, 0, "probe machines must not count as restores");
-        assert_eq!(sink.probe_provisions.load(Ordering::Relaxed), 1);
+        drop(guard);
+        assert_eq!(
+            set.get(Counter::Restores),
+            0,
+            "probe machines must not count as restores"
+        );
+        assert_eq!(set.get(Counter::ProbeProvisions), 1);
         invalidate_templates();
     }
 

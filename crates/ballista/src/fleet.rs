@@ -58,9 +58,8 @@
 
 use std::io::{BufReader, Read, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use sim_kernel::variant::OsVariant;
@@ -73,7 +72,7 @@ use crate::campaign::{
 use crate::catalog;
 use crate::crash::{self, RawOutcome};
 use crate::crashcon::{self, CrashconReport};
-use crate::telemetry::{self, TraceCollector};
+use crate::telemetry::{self, Counter, Counters, CountingFor, TraceCollector};
 use serde::{Deserialize, Serialize};
 
 /// How a campaign is sharded and executed by [`run_campaign_fleet`].
@@ -482,7 +481,7 @@ pub fn execute_shard_observed(
         spec.capture_fuel,
         on_progress,
     );
-    telemetry::on_shard_executed();
+    telemetry::count(Counter::ShardsExecuted, 1);
     result
 }
 
@@ -547,29 +546,9 @@ pub fn worker_loop(input: impl Read, output: impl Write) -> std::io::Result<()> 
 // Live progress
 // ---------------------------------------------------------------------
 
-/// Wait-free live progress of one fleet campaign, updated by the
-/// supervisor (or the thread pool) and read by `GET /campaign/<fp>`
-/// while the campaign is in flight.
-#[derive(Debug, Default)]
-pub struct FleetProgress {
-    /// Total shards in the campaign.
-    pub shards_total: AtomicU64,
-    /// Shards merged so far.
-    pub shards_done: AtomicU64,
-    /// Clean-pass cases executed so far (heartbeat-granular for process
-    /// workers, shard-granular for threads).
-    pub cases_done: AtomicU64,
-    /// Worker processes that died, hung, or replied with garbage.
-    pub worker_deaths: AtomicU64,
-    /// Shard re-executions after worker failures.
-    pub shard_retries: AtomicU64,
-    /// Worker processes currently alive.
-    pub workers_live: AtomicU64,
-    /// Whether the campaign has degraded below full process execution.
-    pub degraded: AtomicBool,
-}
-
-/// Point-in-time serializable copy of a [`FleetProgress`].
+/// Point-in-time copy of a fleet campaign's in-flight progress, read
+/// off its counter set: the `GET /campaign/<fp>` body while the
+/// campaign runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct FleetProgressSnapshot {
     /// Total shards in the campaign.
@@ -588,25 +567,18 @@ pub struct FleetProgressSnapshot {
     pub degraded: bool,
 }
 
-impl FleetProgress {
-    /// A point-in-time copy of the counters.
+impl FleetProgressSnapshot {
+    /// The progress `counters`, a fleet campaign's set, hold now.
     #[must_use]
-    pub fn snapshot(&self) -> FleetProgressSnapshot {
+    pub fn of(counters: &Counters) -> Self {
         FleetProgressSnapshot {
-            shards_total: self.shards_total.load(Ordering::Relaxed),
-            shards_done: self.shards_done.load(Ordering::Relaxed),
-            cases_done: self.cases_done.load(Ordering::Relaxed),
-            worker_deaths: self.worker_deaths.load(Ordering::Relaxed),
-            shard_retries: self.shard_retries.load(Ordering::Relaxed),
-            workers_live: self.workers_live.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Latches the degraded flag and counts the degradation (once).
-    fn degrade(&self) {
-        if !self.degraded.swap(true, Ordering::Relaxed) {
-            telemetry::on_fleet_degraded();
+            shards_total: counters.get(Counter::ShardsTotal),
+            shards_done: counters.get(Counter::ShardsDone),
+            cases_done: counters.get(Counter::CasesDone),
+            worker_deaths: counters.get(Counter::WorkerDeaths),
+            shard_retries: counters.get(Counter::ShardRetries),
+            workers_live: counters.get(Counter::WorkersLive),
+            degraded: counters.get(Counter::FleetDegradations) > 0,
         }
     }
 }
@@ -851,7 +823,6 @@ struct Supervisor<'a> {
     planned: &'a [usize],
     slots: &'a [Mutex<Option<ShardResult>>],
     queue: ShardQueue,
-    progress: &'a FleetProgress,
     warnings: &'a Mutex<Vec<String>>,
     cmd: Vec<String>,
     deadline: Duration,
@@ -869,18 +840,15 @@ impl Supervisor<'_> {
 
     /// Stores a completed shard and advances the campaign.
     fn store(&self, idx: usize, result: ShardResult, hb_cases_seen: u64) {
-        let cases = result.case_count();
-        self.progress
-            .cases_done
-            .fetch_add(cases.saturating_sub(hb_cases_seen), Ordering::Relaxed);
-        self.progress.shards_done.fetch_add(1, Ordering::Relaxed);
+        let cases = result.case_count().saturating_sub(hb_cases_seen);
+        telemetry::count_each(&[(Counter::CasesDone, cases), (Counter::ShardsDone, 1)]);
         *self.slots[idx].lock().expect("shard slot poisoned") = Some(result);
         self.queue.complete();
     }
 
     /// Waits for the current shard's result, crediting heartbeats
-    /// against the deadline. Returns the raw result payload and the
-    /// heartbeat case count already credited to progress.
+    /// against the deadline. Returns the raw result payload; `hb_cases`
+    /// holds the heartbeat case count already counted as done.
     fn await_result(
         &self,
         worker: &WorkerHandle,
@@ -892,7 +860,7 @@ impl Supervisor<'_> {
                     if let Ok(hb) = serde_json::from_slice::<Heartbeat>(&payload) {
                         let delta = hb.cases_done.saturating_sub(*hb_cases);
                         *hb_cases = hb.cases_done;
-                        self.progress.cases_done.fetch_add(delta, Ordering::Relaxed);
+                        telemetry::count(Counter::CasesDone, delta);
                     }
                 }
                 Ok(Ok((FRAME_RESULT, payload))) => return Ok(payload),
@@ -922,20 +890,20 @@ impl Supervisor<'_> {
             if worker.is_none() {
                 match WorkerHandle::spawn(&self.cmd) {
                     Ok(h) => {
-                        if spawned_before {
-                            telemetry::on_worker_respawn();
-                        }
+                        telemetry::count_each(&[
+                            (Counter::WorkersLive, 1),
+                            (Counter::WorkerRespawns, u64::from(spawned_before)),
+                        ]);
                         spawned_before = true;
-                        self.progress.workers_live.fetch_add(1, Ordering::Relaxed);
                         worker = Some(h);
                     }
                     Err(e) => {
                         consecutive += 1;
                         self.warn(format!("fleet supervisor could not spawn a worker: {e}"));
-                        telemetry::on_shard_requeue();
+                        telemetry::count(Counter::ShardRequeues, 1);
                         self.queue.push(job);
                         if consecutive >= self.quarantine_after {
-                            telemetry::on_worker_quarantined();
+                            telemetry::count(Counter::WorkersQuarantined, 1);
                             return;
                         }
                         std::thread::sleep(backoff_delay(consecutive));
@@ -961,13 +929,13 @@ impl Supervisor<'_> {
                     Ok(result)
                 }) {
                     Ok(result) => {
-                        telemetry::on_shard_executed();
+                        telemetry::count(Counter::ShardsExecuted, 1);
                         self.store(job.idx, result, hb_cases);
                         consecutive = 0;
                         continue;
                     }
                     Err(e) => {
-                        telemetry::on_wire_protocol_fault();
+                        telemetry::count(Counter::WireProtocolFaults, 1);
                         WorkerFailure::Malformed(e)
                     }
                 },
@@ -975,15 +943,12 @@ impl Supervisor<'_> {
             };
             // The worker failed this shard: count the death, roll back
             // its partial progress, and decide the shard's future.
-            self.progress
-                .cases_done
-                .fetch_sub(hb_cases, Ordering::Relaxed);
+            telemetry::uncount(Counter::CasesDone, hb_cases);
             if let Some(h) = worker.take() {
                 h.reap(false);
-                self.progress.workers_live.fetch_sub(1, Ordering::Relaxed);
+                telemetry::uncount(Counter::WorkersLive, 1);
             }
-            telemetry::on_worker_death();
-            self.progress.worker_deaths.fetch_add(1, Ordering::Relaxed);
+            telemetry::count(Counter::WorkerDeaths, 1);
             consecutive += 1;
             job.attempts += 1;
             let what = match &failure {
@@ -1003,7 +968,7 @@ impl Supervisor<'_> {
                      executing in-process",
                     job.idx
                 ));
-                self.progress.degrade();
+                telemetry::count_once(Counter::FleetDegradations);
                 let result = execute_shard(&self.specs[job.idx]);
                 self.store(job.idx, result, 0);
             } else {
@@ -1017,8 +982,6 @@ impl Supervisor<'_> {
                     self.max_retries,
                 ));
                 telemetry::on_shard_retry(backoff.as_millis() as u64);
-                telemetry::on_shard_requeue();
-                self.progress.shard_retries.fetch_add(1, Ordering::Relaxed);
                 job.ready_at = Instant::now() + backoff;
                 self.queue.push(job);
             }
@@ -1027,13 +990,13 @@ impl Supervisor<'_> {
                     "fleet supervisor quarantined a worker slot after {consecutive} \
                      consecutive failures"
                 ));
-                telemetry::on_worker_quarantined();
+                telemetry::count(Counter::WorkersQuarantined, 1);
                 return;
             }
         }
         if let Some(h) = worker.take() {
             h.reap(true);
-            self.progress.workers_live.fetch_sub(1, Ordering::Relaxed);
+            telemetry::uncount(Counter::WorkersLive, 1);
         }
     }
 }
@@ -1085,25 +1048,25 @@ pub fn run_crashcon_fleet(
 ) -> CrashconReport {
     let muts = catalog::catalog_for(os);
     let preps = Mode::Crashcon.preps(os, cfg, &muts, 0..muts.len());
-    let epoch = Epoch::open();
+    let epoch = Epoch::open(None);
     let template = ShardSpec::template(Mode::Crashcon, os, *cfg, true);
-    let progress = FleetProgress::default();
-    let (pass, workers) = fleet_pass(&template, fleet, &preps, &progress, &epoch);
+    let (pass, workers) = fleet_pass(&template, fleet, &preps, &epoch);
     crashcon::pass_report(os, &preps, pass, epoch, workers)
 }
 
-/// [`run_campaign_fleet`] with live progress: the supervisor (or the
-/// thread pool) updates `progress` as shards complete, so the serving
-/// layer can answer in-flight `GET /campaign/<fp>` requests with real
-/// shard/case counts.
+/// [`run_campaign_fleet`] counting into `counters`, a set the caller
+/// holds: the supervisor (or the thread pool) counts into it as shards
+/// complete, so the serving layer can answer in-flight
+/// `GET /campaign/<fp>` requests with real shard/case counts
+/// ([`FleetProgressSnapshot::of`]).
 #[must_use]
 pub fn run_campaign_fleet_observed(
     os: OsVariant,
     cfg: &CampaignConfig,
     fleet: &FleetConfig,
-    progress: Option<&FleetProgress>,
+    counters: Option<&Arc<Counters>>,
 ) -> CampaignReport {
-    run_fleet_engine(Mode::Classic, os, cfg, fleet, progress)
+    run_fleet_engine(Mode::Classic, os, cfg, fleet, counters)
 }
 
 /// The fleet engine behind the classic and adaptive campaigns: the
@@ -1117,18 +1080,17 @@ pub(crate) fn run_fleet_engine(
     os: OsVariant,
     cfg: &CampaignConfig,
     fleet: &FleetConfig,
-    progress: Option<&FleetProgress>,
+    counters: Option<&Arc<Counters>>,
 ) -> CampaignReport {
-    let own_progress = FleetProgress::default();
-    let progress = progress.unwrap_or(&own_progress);
     let muts = catalog::catalog_for(os);
     let preps = mode.preps(os, cfg, &muts, 0..muts.len());
-    let epoch = Epoch::open();
+    let epoch = Epoch::open(counters);
     let tc = TraceCollector::begin(os, cfg.cap as u64);
     let template = ShardSpec::template(mode, os, *cfg, tc.is_some());
-    let (pass, workers) = fleet_pass(&template, fleet, &preps, progress, &epoch);
+    let (pass, workers) = fleet_pass(&template, fleet, &preps, &epoch);
+    let fleet_degraded = epoch.counters.get(Counter::FleetDegradations) > 0;
     let mut report = replay_report(os, cfg, &preps, pass, tc, epoch, workers);
-    report.fleet_degraded = progress.degraded.load(Ordering::Relaxed);
+    report.fleet_degraded = fleet_degraded;
     report
 }
 
@@ -1142,15 +1104,12 @@ fn fleet_pass(
     template: &ShardSpec,
     fleet: &FleetConfig,
     preps: &[PreparedMut<'_>],
-    progress: &FleetProgress,
     epoch: &Epoch,
 ) -> (ShardResult, usize) {
     let n = preps.len();
     let shard_count = fleet.effective_shards(n);
     let workers = fleet.effective_workers().min(shard_count);
-    progress
-        .shards_total
-        .store(shard_count as u64, Ordering::Relaxed);
+    telemetry::count(Counter::ShardsTotal, shard_count as u64);
     let specs: Vec<ShardSpec> = (0..shard_count)
         .map(|s| ShardSpec {
             mut_start: s * n / shard_count,
@@ -1172,7 +1131,6 @@ fn fleet_pass(
                     planned: &planned,
                     slots: &slots,
                     queue: ShardQueue::new(shard_count),
-                    progress,
                     warnings: &warnings,
                     cmd,
                     deadline: heartbeat_deadline(&template.cfg),
@@ -1181,7 +1139,10 @@ fn fleet_pass(
                 };
                 std::thread::scope(|s| {
                     for _ in 0..workers {
-                        s.spawn(|| sup.slot_loop());
+                        s.spawn(|| {
+                            let _counting = CountingFor::new(&epoch.counters);
+                            sup.slot_loop();
+                        });
                     }
                 });
                 // Every slot retired (quarantine or spawn failure) with
@@ -1208,15 +1169,15 @@ fn fleet_pass(
                 .lock()
                 .expect("fleet warnings poisoned")
                 .push(warning);
-            progress.degrade();
+            telemetry::count_once(Counter::FleetDegradations);
         }
     }
     let ran = claim_each(todo.len(), workers, epoch, |t| {
         let result = execute_shard(&specs[todo[t]]);
-        progress
-            .cases_done
-            .fetch_add(result.case_count(), Ordering::Relaxed);
-        progress.shards_done.fetch_add(1, Ordering::Relaxed);
+        telemetry::count_each(&[
+            (Counter::CasesDone, result.case_count()),
+            (Counter::ShardsDone, 1),
+        ]);
         result
     });
     let mut results: Vec<Option<ShardResult>> = slots

@@ -35,6 +35,7 @@
 //! and are treated like any other foreign journal: the campaign
 //! restarts fresh with a warning instead of misreading them.
 
+use crate::telemetry::{self, Counter};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -298,7 +299,7 @@ impl Journal {
         self.file.write_all(&rec.encode())?;
         self.records += 1;
         self.unsynced += 1;
-        crate::telemetry::on_journal_append();
+        telemetry::count(Counter::JournalAppends, 1);
         if self.unsynced >= SYNC_INTERVAL {
             self.sync()?;
         }
@@ -316,9 +317,7 @@ impl Journal {
         self.file.sync_data()?;
         self.unsynced = 0;
         self.fsyncs += 1;
-        crate::telemetry::on_journal_fsync(
-            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        );
+        telemetry::on_journal_fsync(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
         Ok(())
     }
 
@@ -459,14 +458,14 @@ impl Resume {
     }
 
     /// Ends the walk: drops recovered records the completed plan never
-    /// reached and syncs. Returns the replayed case count, the fsyncs
-    /// issued and the warnings.
-    pub(crate) fn finish(mut self) -> io::Result<(usize, u64, Vec<String>)> {
+    /// reached and syncs. Returns the replayed case count and the
+    /// warnings.
+    pub(crate) fn finish(mut self) -> io::Result<(usize, Vec<String>)> {
         self.discard_rest(|n, _| {
             format!("journal held {n} record(s) beyond the completed plan; discarded")
         })?;
         self.journal.sync()?;
-        Ok((self.accepted, self.journal.fsyncs(), self.warnings))
+        Ok((self.accepted, self.warnings))
     }
 
     /// Truncates unaccepted recovered records, if any, with a warning.

@@ -394,6 +394,7 @@ pub fn check_gtc_null_context() -> Check {
 pub mod selfcheck {
     use super::check_tally;
     use crate::campaign::MutTally;
+    use crate::telemetry::{self, Counter};
     use sim_kernel::variant::OsVariant;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Mutex;
@@ -419,7 +420,7 @@ pub mod selfcheck {
         }
         let found = check_tally(tally);
         if !found.is_empty() {
-            crate::telemetry::on_selfcheck_violations(found.len() as u64);
+            telemetry::count(Counter::SelfcheckFailures, found.len() as u64);
             let mut sink = VIOLATIONS.lock().expect("selfcheck sink poisoned");
             sink.extend(
                 found

@@ -60,8 +60,8 @@ use sim_kernel::variant::OsVariant;
 use crate::adaptive::AdaptiveConfig;
 use crate::cache::ResultCache;
 use crate::campaign::{self, CampaignConfig, CampaignFingerprint, Mode};
-use crate::fleet::{run_fleet_engine, FleetConfig, FleetProgress};
-use crate::telemetry;
+use crate::fleet::{run_fleet_engine, FleetConfig, FleetProgressSnapshot};
+use crate::telemetry::{self, Counter, Counters};
 use serde::{Deserialize, Serialize};
 
 /// Hard cap on an accepted request body (a campaign spec is tiny).
@@ -250,13 +250,13 @@ pub struct ServerMetrics {
 }
 
 /// One in-flight campaign: the leader publishes the serialized report
-/// (or its panic) and wakes every coalesced follower. The supervisor
-/// feeds `progress` while the campaign runs, so `GET /campaign/<fp>`
-/// can answer with live shard/case counts instead of a bare `running`.
+/// (or its panic) and wakes every coalesced follower. The campaign
+/// counts into `counters` while it runs, so `GET /campaign/<fp>` can
+/// answer with live shard/case counts instead of a bare `running`.
 struct InFlight {
     done: Mutex<Option<Result<Arc<Vec<u8>>, String>>>,
     cv: Condvar,
-    progress: Arc<FleetProgress>,
+    counters: Arc<Counters>,
 }
 
 impl InFlight {
@@ -428,6 +428,9 @@ enum Incoming {
     /// ends is unknown, so nothing after it on the connection is a
     /// request: the connection answers 400 and closes.
     BadLength,
+    /// A request whose `Content-Length` exceeds [`MAX_BODY`]. The body is
+    /// never read: the connection answers 413 and closes.
+    TooLarge(usize),
 }
 
 /// Reads one request off the connection. `Ok(None)` = clean EOF
@@ -465,10 +468,7 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Incoming
         return Ok(Some(Incoming::BadLength));
     };
     if content_length > MAX_BODY {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "request body too large",
-        ));
+        return Ok(Some(Incoming::TooLarge(content_length)));
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
@@ -525,6 +525,14 @@ fn handle_connection(stream: TcpStream, state: &State) {
             Ok(Some(Incoming::BadLength)) => {
                 let body = br#"{"error":"malformed Content-Length"}"#;
                 let _ = respond(&mut stream, 400, "Bad Request", &[], body, false);
+                linger_close(&stream, reader);
+                return;
+            }
+            Ok(Some(Incoming::TooLarge(length))) => {
+                let body = error_body(&format!(
+                    "request body of {length} bytes exceeds the {MAX_BODY}-byte limit"
+                ));
+                let _ = respond(&mut stream, 413, "Payload Too Large", &[], &body, false);
                 linger_close(&stream, reader);
                 return;
             }
@@ -613,11 +621,11 @@ fn get_campaign(stream: &mut TcpStream, state: &State, request: &Request) -> io:
         .lock()
         .expect("inflight table poisoned")
         .get(&fp.as_u64())
-        .map(|flight| Arc::clone(&flight.progress));
-    if let Some(progress) = running {
-        // Live progress for the in-flight campaign, fed by the fleet
+        .map(|flight| Arc::clone(&flight.counters));
+    if let Some(counters) = running {
+        // Live progress for the in-flight campaign, counted by the fleet
         // supervisor (or the thread pool) as shards complete.
-        let p = progress.snapshot();
+        let p = FleetProgressSnapshot::of(&counters);
         let body = format!(
             r#"{{"status":"running","shards_done":{},"shards_total":{},"cases_done":{},"worker_deaths":{},"shard_retries":{},"workers_live":{},"degraded":{}}}"#,
             p.shards_done,
@@ -732,7 +740,7 @@ fn post_campaign(stream: &mut TcpStream, state: &State, request: &Request) -> io
                 let flight = Arc::new(InFlight {
                     done: Mutex::new(None),
                     cv: Condvar::new(),
-                    progress: Arc::new(FleetProgress::default()),
+                    counters: Arc::default(),
                 });
                 inflight.insert(fp.as_u64(), Arc::clone(&flight));
                 (flight, true)
@@ -752,7 +760,7 @@ fn post_campaign(stream: &mut TcpStream, state: &State, request: &Request) -> io
                 spec.os,
                 &spec.config(),
                 &spec.fleet(),
-                Some(&flight.progress),
+                Some(&flight.counters),
             )
         }));
         let result = match ran {
@@ -780,7 +788,7 @@ fn post_campaign(stream: &mut TcpStream, state: &State, request: &Request) -> io
         result
     } else {
         state.requests_coalesced.fetch_add(1, Ordering::Relaxed);
-        telemetry::on_request_coalesced();
+        telemetry::count(Counter::RequestsCoalesced, 1);
         flight.wait()
     };
     match result {

@@ -13,11 +13,15 @@
 //!    [`write_chrome_trace`] renders the trace as line-oriented JSON in
 //!    the Chrome Trace Event format, directly loadable in
 //!    `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
-//! 2. **A metrics registry** — monotonic counters and log₂
-//!    [`Histogram`]s (cases applied, CRASH-class counts, snapshot
-//!    boot/restore latency, journal fsync latency, quarantine retries,
-//!    oracle selfcheck failures) snapshotted by
-//!    [`Hub::metrics_snapshot`] into `results/metrics.json`.
+//! 2. **A metrics registry** — the host [`Counter`]s, declared once and
+//!    counted once per event by [`count`] into the set of the campaign
+//!    the thread works for and into the hub's, beside deterministic
+//!    counters (cases applied, CRASH-class counts) and log₂
+//!    [`Histogram`]s (boot/restore latency, journal fsync latency,
+//!    retry backoff), snapshotted by [`Hub::metrics_snapshot`] into
+//!    `results/metrics.json`. A campaign's `CampaignStats`, a fleet
+//!    campaign's in-flight progress and the live ticker read the same
+//!    counter sets.
 //! 3. **Profiling hooks** — when [`TelemetryConfig::profile`] is set,
 //!    every executed case's per-subsystem fuel ledger
 //!    ([`sim_kernel::SubsystemFuel`]) is folded into a per-MuT-family
@@ -45,11 +49,13 @@
 //! the count stays flat across a full campaign with telemetry off.
 
 use crate::crash::{FailureClass, RawOutcome};
-use serde::Serialize;
+use serde::{Content, Serialize};
 use sim_kernel::subsystem::{Subsystem, SubsystemFuel};
 use sim_kernel::variant::OsVariant;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
+use std::ops::Index;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -132,6 +138,274 @@ impl TelemetryConfig {
         } else {
             None
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Host counters
+// ---------------------------------------------------------------------
+
+/// Declares the host counters: each one's doc, variant and JSON key.
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])+ $variant:ident => $key:literal,)+) => {
+        /// One host counter: an engine- and machine-dependent count,
+        /// outside every bit-identity contract. This list is the only
+        /// declaration of a host count. A [`Counters`] set keeps one
+        /// atomic per counter; `CampaignStats`, a fleet campaign's
+        /// in-flight progress, the host half of `metrics.json` and the
+        /// live ticker all read these sets.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Counter {
+            $($(#[doc = $doc])+ $variant,)+
+        }
+
+        impl Counter {
+            /// Every counter, in `metrics.json` order.
+            pub const ALL: &'static [Counter] = &[$(Counter::$variant),+];
+
+            /// The counter's key in `metrics.json`.
+            #[must_use]
+            pub const fn key(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => $key,)+
+                }
+            }
+        }
+    };
+}
+
+counters! {
+    /// Cases executed on this host (an engine that replays recorded
+    /// outcomes executes fewer than it applies). Counted in the hub only.
+    CasesExecuted => "cases_executed",
+    /// Cases planned for the MuTs that entered execution (every engine
+    /// reports each MuT once, so it converges on a campaign's case total).
+    CasesPlanned => "cases_planned",
+    /// Machines provisioned by a full boot.
+    Boots => "boots",
+    /// Host nanoseconds spent in full boots.
+    BootNanos => "boot_nanos",
+    /// Machines provisioned from a boot snapshot, one per executed case.
+    Restores => "restores",
+    /// Restores served by resetting a resident machine in place
+    /// (dirty-region rollback; subset of `restores`).
+    RestoresFast => "restores_fast",
+    /// Restores that deep-cloned the boot template (subset of
+    /// `restores`).
+    RestoresFull => "restores_full",
+    /// Host nanoseconds spent restoring; in-place resets outside a hub
+    /// are timed 1 in 64 and scaled up.
+    RestoreNanos => "restore_nanos",
+    /// Machines provisioned for isolation probes. Counted apart from
+    /// `restores`, so `restores` equals cases executed.
+    ProbeProvisions => "probe_provisions",
+    /// Cached boot templates dropped because they restored a dead
+    /// machine.
+    TemplateInvalidations => "template_invalidations",
+    /// Journal records appended.
+    JournalAppends => "journal_appends",
+    /// Journal `fsync`s issued.
+    JournalFsyncs => "journal_fsyncs",
+    /// Contained worker panics that earned a MuT a retry.
+    QuarantineRetries => "quarantine_retries",
+    /// MuTs quarantined after exhausting their retries.
+    QuarantinedMuts => "quarantined_muts",
+    /// Oracle selfcheck violations observed.
+    SelfcheckFailures => "selfcheck_failures",
+    /// Result-cache lookups served (from the memory front or disk).
+    CacheHits => "cache_hits",
+    /// Result-cache lookups that found no valid entry.
+    CacheMisses => "cache_misses",
+    /// Memory-front cache entries evicted by the LRU capacity.
+    CacheEvictions => "cache_evictions",
+    /// Campaign requests coalesced onto an identical in-flight campaign
+    /// instead of executing their own.
+    RequestsCoalesced => "requests_coalesced",
+    /// Campaigns begun.
+    CampaignsBegun => "campaigns_begun",
+    /// Campaigns finished.
+    CampaignsFinished => "campaigns_finished",
+    /// Catastrophic cases folded into tallies. Counted in the hub only.
+    Catastrophics => "catastrophics",
+    /// Shards fleet campaigns were cut into.
+    ShardsTotal => "shards_total",
+    /// Fleet shards merged into their campaign.
+    ShardsDone => "shards_done",
+    /// Fleet shards executed to completion.
+    ShardsExecuted => "shards_executed",
+    /// Clean-pass cases of fleet shards executed so far (heartbeat
+    /// granular for worker processes, shard granular for threads; a
+    /// failed attempt takes its cases back).
+    CasesDone => "cases_done",
+    /// Supervised fleet workers that died, hung past their heartbeat
+    /// deadline, or replied with garbage mid-campaign.
+    WorkerDeaths => "worker_deaths",
+    /// Replacement worker processes spawned into a slot after a death.
+    WorkerRespawns => "worker_respawns",
+    /// Worker processes alive now (a gauge: a reaped worker takes its
+    /// count back).
+    WorkersLive => "workers_live",
+    /// Worker slots quarantined after consecutive failures.
+    WorkersQuarantined => "workers_quarantined",
+    /// Shards re-executed after a worker failure.
+    ShardRetries => "shard_retries",
+    /// Shards pushed back onto the supervisor queue to wait for a
+    /// healthy worker.
+    ShardRequeues => "shard_requeues",
+    /// Malformed wire buffers (spec or result) rejected by the engine.
+    WireProtocolFaults => "wire_protocol_faults",
+    /// Fleet campaigns that degraded from process workers to the
+    /// in-process thread pool (at most one per campaign).
+    FleetDegradations => "fleet_degradations",
+    /// Crashcon filesystem crash images materialized (one pristine-tree
+    /// clone per judged crash point; never counted under `restores`).
+    CrashconSnapshots => "crashcon_snapshots",
+    /// Crashcon crash images remounted into the verification kernel.
+    CrashconRemounts => "crashcon_remounts",
+    /// Adaptive explore rounds completed on this host. Exploration is
+    /// memoized per process: an engine that reuses a pinned plan runs
+    /// zero rounds.
+    AdaptiveRounds => "adaptive_rounds",
+    /// Pool values first touched during adaptive exploration (summed
+    /// over rounds: the area under the coverage-gain curve).
+    AdaptiveCoverageGain => "adaptive_coverage_gain",
+    /// Cases frozen into adaptive pinned plans on this host.
+    AdaptivePinnedCases => "adaptive_pinned_cases",
+    /// Explore commits that rolled back cases drawn after them (a first
+    /// rare flag, or a discarded crash, with later draws in the window).
+    AdaptiveRollbacks => "adaptive_rollbacks",
+    /// Speculative explore cases the pool ran whose outcome a rollback
+    /// threw away, each replaced by a redrawn case run again. They count
+    /// in `cases_executed` and `restores` but never reach the profile.
+    AdaptiveReexecutedCases => "adaptive_reexecuted_cases",
+}
+
+/// A wait-free set of host counters, one atomic per [`Counter`]. The hub
+/// keeps one for the process, and every campaign keeps its own.
+#[derive(Debug)]
+pub struct Counters([AtomicU64; Counter::ALL.len()]);
+
+impl Default for Counters {
+    fn default() -> Self {
+        Counters([const { AtomicU64::new(0) }; Counter::ALL.len()])
+    }
+}
+
+impl Counters {
+    /// Adds `n` to `counter`, wrapping (so [`uncount`] can take counts
+    /// back).
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.0[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The current value of `counter`.
+    #[must_use]
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.0[counter as usize].load(Ordering::Relaxed)
+    }
+
+    /// A point-in-time copy of every counter.
+    #[must_use]
+    pub fn snapshot(&self) -> Counts {
+        Counts(std::array::from_fn(|i| self.0[i].load(Ordering::Relaxed)))
+    }
+}
+
+/// A point-in-time copy of a [`Counters`] set, indexed by [`Counter`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Counts([u64; Counter::ALL.len()]);
+
+impl Default for Counts {
+    fn default() -> Self {
+        Counts([0; Counter::ALL.len()])
+    }
+}
+
+impl Index<Counter> for Counts {
+    type Output = u64;
+
+    fn index(&self, counter: Counter) -> &u64 {
+        &self.0[counter as usize]
+    }
+}
+
+thread_local! {
+    /// The counter set of the campaign this thread works for, if any.
+    static CAMPAIGN: RefCell<Option<Arc<Counters>>> = const { RefCell::new(None) };
+}
+
+/// While alive, this thread's counts also go into one campaign's
+/// counter set; on drop the thread goes back to the set it counted into
+/// before. A campaign's stats epoch holds one on the thread that opened
+/// it, and its worker threads hold one each.
+#[derive(Debug)]
+pub(crate) struct CountingFor {
+    prev: Option<Arc<Counters>>,
+}
+
+impl CountingFor {
+    pub(crate) fn new(counters: &Arc<Counters>) -> CountingFor {
+        CountingFor {
+            prev: CAMPAIGN.with(|c| c.replace(Some(Arc::clone(counters)))),
+        }
+    }
+}
+
+impl Drop for CountingFor {
+    fn drop(&mut self) {
+        let prev = self.prev.take();
+        CAMPAIGN.with(|c| *c.borrow_mut() = prev);
+    }
+}
+
+/// Adds each `(counter, n)` to the counter set of the campaign this
+/// thread works for and, when a hub is installed, to the hub's; then
+/// hands the hub's registry to `hub_only` (a histogram sample).
+fn count_with(counts: &[(Counter, u64)], hub_only: impl FnOnce(&Metrics)) {
+    let add = |set: &Counters| {
+        for &(counter, n) in counts {
+            set.add(counter, n);
+        }
+    };
+    CAMPAIGN.with(|c| {
+        if let Some(set) = c.borrow().as_deref() {
+            add(set);
+        }
+    });
+    with_hub(|h| {
+        add(&h.metrics.counters);
+        hub_only(&h.metrics);
+    });
+}
+
+/// Counts `n` events of `counter`: in the counter set of the campaign
+/// this thread works for, and in the hub's when one is installed.
+pub fn count(counter: Counter, n: u64) {
+    count_with(&[(counter, n)], |_| {});
+}
+
+/// [`count`] for one event that moves several counters.
+pub fn count_each(counts: &[(Counter, u64)]) {
+    count_with(counts, |_| {});
+}
+
+/// Takes `n` back from `counter`: a gauge going down, or progress a
+/// failed attempt rolls back.
+pub fn uncount(counter: Counter, n: u64) {
+    count(counter, n.wrapping_neg());
+}
+
+/// Counts one `counter` event per campaign: the first call on a
+/// campaign's threads counts it, later ones do nothing. A thread that
+/// works for no campaign counts every call in the hub.
+pub fn count_once(counter: Counter) {
+    let first = CAMPAIGN.with(|c| {
+        c.borrow()
+            .as_deref()
+            .is_none_or(|set| set.0[counter as usize].swap(1, Ordering::Relaxed) == 0)
+    });
+    if first {
+        with_hub(|h| h.metrics.counters.add(counter, 1));
     }
 }
 
@@ -223,8 +497,9 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<HistogramBucket>,
 }
 
-/// The live metrics registry: monotonic counters and histograms, all
-/// wait-free atomics. One per [`Hub`].
+/// The live metrics registry: the deterministic counters, the host
+/// [`Counters`] and the host histograms, all wait-free atomics. One per
+/// [`Hub`].
 #[derive(Debug, Default)]
 pub struct Metrics {
     // -- deterministic half (engine-invariant by the tally contract) --
@@ -239,86 +514,16 @@ pub struct Metrics {
     /// Per-case fuel distribution (fed from submitted traces).
     pub case_fuel: Histogram,
     // -- host half (engine- and machine-dependent) --
-    /// Cases actually executed on this host (replays excluded — an
-    /// engine that reuses recorded outcomes executes fewer).
-    pub cases_executed: AtomicU64,
-    /// Machines provisioned by a full boot.
-    pub boots: AtomicU64,
-    /// Machines provisioned by cloning a boot snapshot.
-    pub restores: AtomicU64,
-    /// Restores served by resetting a resident machine in place
-    /// (dirty-region rollback; subset of `restores`).
-    pub restores_fast: AtomicU64,
-    /// Restores that deep-cloned the boot template (subset of
-    /// `restores`).
-    pub restores_full: AtomicU64,
+    /// Every host counter, over all campaigns of the process.
+    pub counters: Counters,
     /// Full-boot latency, nanoseconds.
     pub boot_ns: Histogram,
     /// Snapshot-restore latency, nanoseconds.
     pub restore_ns: Histogram,
-    /// Journal records appended.
-    pub journal_appends: AtomicU64,
-    /// Journal `fsync`s issued.
-    pub journal_fsyncs: AtomicU64,
     /// Journal `fsync` latency, nanoseconds.
     pub fsync_ns: Histogram,
-    /// Contained worker panics that earned a MuT a retry.
-    pub quarantine_retries: AtomicU64,
-    /// MuTs quarantined after exhausting their retries.
-    pub quarantined_muts: AtomicU64,
-    /// Oracle selfcheck violations observed.
-    pub selfcheck_failures: AtomicU64,
-    /// Result-cache lookups served (from the memory front or disk).
-    pub cache_hits: AtomicU64,
-    /// Result-cache lookups that found no valid entry.
-    pub cache_misses: AtomicU64,
-    /// Memory-front cache entries evicted by the LRU capacity.
-    pub cache_evictions: AtomicU64,
-    /// Campaign requests coalesced onto an identical in-flight campaign
-    /// instead of executing their own.
-    pub requests_coalesced: AtomicU64,
-    /// Fleet shards executed to completion.
-    pub shards_executed: AtomicU64,
-    /// Supervised fleet workers that died, hung past their heartbeat
-    /// deadline, or replied with garbage mid-campaign.
-    pub worker_deaths: AtomicU64,
-    /// Replacement worker processes spawned into a slot after a death.
-    pub worker_respawns: AtomicU64,
-    /// Worker slots quarantined after consecutive failures.
-    pub workers_quarantined: AtomicU64,
-    /// Shards re-executed after a worker failure.
-    pub shard_retries: AtomicU64,
-    /// Shards pushed back onto the supervisor queue to wait for a
-    /// healthy worker.
-    pub shard_requeues: AtomicU64,
-    /// Malformed wire buffers (spec or result) rejected by the engine.
-    pub wire_protocol_faults: AtomicU64,
-    /// Fleet campaigns that degraded from process workers to the
-    /// in-process thread pool.
-    pub fleet_degradations: AtomicU64,
     /// Shard-retry backoff delays, milliseconds.
     pub backoff_ms: Histogram,
-    /// Crashcon filesystem crash images materialized (one pristine-tree
-    /// clone per judged crash point; never counted under `restores`).
-    pub crashcon_snapshots: AtomicU64,
-    /// Crashcon crash images remounted into the verification kernel.
-    pub crashcon_remounts: AtomicU64,
-    /// Adaptive explore rounds completed on this host. Host-half
-    /// because exploration is memoized per process: an engine that
-    /// reuses a pinned plan runs zero rounds.
-    pub adaptive_rounds: AtomicU64,
-    /// Pool values first touched during adaptive exploration (summed
-    /// over rounds — the area under the coverage-gain curve).
-    pub adaptive_coverage_gain: AtomicU64,
-    /// Cases frozen into adaptive pinned plans on this host.
-    pub adaptive_pinned_cases: AtomicU64,
-    /// Explore commits that rolled back cases drawn after them (a first
-    /// rare flag, or a discarded crash, with later draws in the window).
-    pub adaptive_rollbacks: AtomicU64,
-    /// Speculative explore cases the pool ran whose outcome a rollback
-    /// threw away, each replaced by a redrawn case run again. They count
-    /// in `cases_executed` and `restores` but never reach the profile.
-    pub adaptive_reexecuted_cases: AtomicU64,
 }
 
 /// The slot in [`Metrics::classes`] for a CRASH class, in severity
@@ -369,80 +574,48 @@ pub struct DeterministicMetrics {
     pub case_fuel: HistogramSnapshot,
 }
 
-/// The host-dependent half of a [`MetricsSnapshot`]: wall-clock
-/// latencies and engine bookkeeping, never part of any bit-identity
-/// contract.
-#[derive(Debug, Clone, PartialEq, Serialize, Default)]
+/// The host-dependent half of a [`MetricsSnapshot`]: every host
+/// [`Counter`] plus the four latency histograms, never part of any
+/// bit-identity contract. Index it by [`Counter`]; it serializes as one
+/// flat object, the counters' keys first.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct HostMetrics {
-    /// Cases executed on this host (an engine that replays recorded
-    /// outcomes executes fewer than it applies).
-    pub cases_executed: u64,
-    /// Full machine boots.
-    pub boots: u64,
-    /// Snapshot restores.
-    pub restores: u64,
-    /// Restores served by an in-place reset (subset of `restores`).
-    pub restores_fast: u64,
-    /// Restores that deep-cloned the template (subset of `restores`).
-    pub restores_full: u64,
+    /// Every host counter.
+    pub counts: Counts,
     /// Boot latency histogram, nanoseconds.
     pub boot_ns: HistogramSnapshot,
     /// Restore latency histogram, nanoseconds.
     pub restore_ns: HistogramSnapshot,
-    /// Journal records appended.
-    pub journal_appends: u64,
-    /// Journal `fsync`s issued.
-    pub journal_fsyncs: u64,
     /// Journal `fsync` latency histogram, nanoseconds.
     pub fsync_ns: HistogramSnapshot,
-    /// Contained worker panics that earned a retry.
-    pub quarantine_retries: u64,
-    /// MuTs quarantined after retry exhaustion.
-    pub quarantined_muts: u64,
-    /// Oracle selfcheck violations.
-    pub selfcheck_failures: u64,
-    /// Result-cache hits (memory front or disk).
-    pub cache_hits: u64,
-    /// Result-cache misses.
-    pub cache_misses: u64,
-    /// Memory-front LRU evictions.
-    pub cache_evictions: u64,
-    /// Campaign requests coalesced onto an in-flight campaign.
-    pub requests_coalesced: u64,
-    /// Fleet shards executed.
-    pub shards_executed: u64,
-    /// Supervised fleet workers that died, hung, or replied with
-    /// garbage.
-    pub worker_deaths: u64,
-    /// Replacement workers spawned after a death.
-    pub worker_respawns: u64,
-    /// Worker slots quarantined after consecutive failures.
-    pub workers_quarantined: u64,
-    /// Shards re-executed after a worker failure.
-    pub shard_retries: u64,
-    /// Shards requeued to wait for a healthy worker.
-    pub shard_requeues: u64,
-    /// Malformed wire buffers rejected.
-    pub wire_protocol_faults: u64,
-    /// Fleet campaigns degraded to the in-process pool.
-    pub fleet_degradations: u64,
     /// Shard-retry backoff histogram, milliseconds.
     pub backoff_ms: HistogramSnapshot,
-    /// Crashcon crash-point snapshots (filesystem images, not machine
-    /// restores).
-    pub crashcon_snapshots: u64,
-    /// Crashcon crash-image remounts.
-    pub crashcon_remounts: u64,
-    /// Adaptive explore rounds completed on this host.
-    pub adaptive_rounds: u64,
-    /// Pool values first touched during adaptive exploration.
-    pub adaptive_coverage_gain: u64,
-    /// Cases frozen into adaptive pinned plans on this host.
-    pub adaptive_pinned_cases: u64,
-    /// Explore commits that rolled back later speculative draws.
-    pub adaptive_rollbacks: u64,
-    /// Speculative explore cases run and then thrown away by a rollback.
-    pub adaptive_reexecuted_cases: u64,
+}
+
+impl Index<Counter> for HostMetrics {
+    type Output = u64;
+
+    fn index(&self, counter: Counter) -> &u64 {
+        &self.counts[counter]
+    }
+}
+
+impl Serialize for HostMetrics {
+    fn to_content(&self) -> Content {
+        let mut map: Vec<(String, Content)> = Counter::ALL
+            .iter()
+            .map(|&c| (c.key().to_owned(), Content::U64(self[c])))
+            .collect();
+        for (key, h) in [
+            ("boot_ns", &self.boot_ns),
+            ("restore_ns", &self.restore_ns),
+            ("fsync_ns", &self.fsync_ns),
+            ("backoff_ms", &self.backoff_ms),
+        ] {
+            map.push((key.to_owned(), h.to_content()));
+        }
+        Content::Map(map)
+    }
 }
 
 /// A point-in-time copy of the [`Metrics`] registry, split into the
@@ -458,60 +631,6 @@ pub struct MetricsSnapshot {
 }
 
 // ---------------------------------------------------------------------
-// Live progress
-// ---------------------------------------------------------------------
-
-/// Wait-free campaign progress counters behind the single-line progress
-/// renderer in the `report` crate.
-#[derive(Debug, Default)]
-pub struct Progress {
-    /// Cases planned across campaigns begun so far.
-    pub planned: AtomicU64,
-    /// Cases executed so far.
-    pub executed: AtomicU64,
-    /// Campaigns begun.
-    pub begun: AtomicU64,
-    /// Campaigns finished.
-    pub finished: AtomicU64,
-    /// Catastrophic failures observed so far.
-    pub catastrophics: AtomicU64,
-    /// In-place (fast) machine restores so far.
-    pub restores_fast: AtomicU64,
-}
-
-/// A point-in-time copy of [`Progress`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ProgressSnapshot {
-    /// Cases planned across campaigns begun so far.
-    pub planned: u64,
-    /// Cases executed so far.
-    pub executed: u64,
-    /// Campaigns begun.
-    pub begun: u64,
-    /// Campaigns finished.
-    pub finished: u64,
-    /// Catastrophic failures observed so far.
-    pub catastrophics: u64,
-    /// In-place (fast) machine restores so far.
-    pub restores_fast: u64,
-}
-
-impl Progress {
-    /// A point-in-time copy.
-    #[must_use]
-    pub fn snapshot(&self) -> ProgressSnapshot {
-        ProgressSnapshot {
-            planned: self.planned.load(Ordering::Relaxed),
-            executed: self.executed.load(Ordering::Relaxed),
-            begun: self.begun.load(Ordering::Relaxed),
-            finished: self.finished.load(Ordering::Relaxed),
-            catastrophics: self.catastrophics.load(Ordering::Relaxed),
-            restores_fast: self.restores_fast.load(Ordering::Relaxed),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // The hub
 // ---------------------------------------------------------------------
 
@@ -520,17 +639,14 @@ impl Progress {
 /// collapsed-stack file — is deterministic.
 type ProfileBook = BTreeMap<(&'static str, &'static str), [u64; Subsystem::COUNT]>;
 
-/// The installed telemetry sink: metrics registry, progress counters,
-/// submitted campaign traces and the flamegraph profile. Install one
-/// with [`Hub::install`]; every campaign engine then reports into it
-/// until [`Hub::uninstall`].
+/// The installed telemetry sink: metrics registry, submitted campaign
+/// traces and the flamegraph profile. Install one with [`Hub::install`];
+/// every campaign engine then reports into it until [`Hub::uninstall`].
 #[derive(Debug)]
 pub struct Hub {
     cfg: TelemetryConfig,
     /// The live metrics registry.
     pub metrics: Metrics,
-    /// The live progress counters.
-    pub progress: Progress,
     traces: Mutex<Vec<CampaignTrace>>,
     profile: Mutex<ProfileBook>,
 }
@@ -543,7 +659,6 @@ impl Hub {
         let hub = Arc::new(Hub {
             cfg,
             metrics: Metrics::default(),
-            progress: Progress::default(),
             traces: Mutex::new(Vec::new()),
             profile: Mutex::new(BTreeMap::new()),
         });
@@ -670,39 +785,11 @@ impl Hub {
                 case_fuel: m.case_fuel.snapshot(),
             },
             host: HostMetrics {
-                cases_executed: ld(&m.cases_executed),
-                boots: ld(&m.boots),
-                restores: ld(&m.restores),
-                restores_fast: ld(&m.restores_fast),
-                restores_full: ld(&m.restores_full),
+                counts: m.counters.snapshot(),
                 boot_ns: m.boot_ns.snapshot(),
                 restore_ns: m.restore_ns.snapshot(),
-                journal_appends: ld(&m.journal_appends),
-                journal_fsyncs: ld(&m.journal_fsyncs),
                 fsync_ns: m.fsync_ns.snapshot(),
-                quarantine_retries: ld(&m.quarantine_retries),
-                quarantined_muts: ld(&m.quarantined_muts),
-                selfcheck_failures: ld(&m.selfcheck_failures),
-                cache_hits: ld(&m.cache_hits),
-                cache_misses: ld(&m.cache_misses),
-                cache_evictions: ld(&m.cache_evictions),
-                requests_coalesced: ld(&m.requests_coalesced),
-                shards_executed: ld(&m.shards_executed),
-                worker_deaths: ld(&m.worker_deaths),
-                worker_respawns: ld(&m.worker_respawns),
-                workers_quarantined: ld(&m.workers_quarantined),
-                shard_retries: ld(&m.shard_retries),
-                shard_requeues: ld(&m.shard_requeues),
-                wire_protocol_faults: ld(&m.wire_protocol_faults),
-                fleet_degradations: ld(&m.fleet_degradations),
                 backoff_ms: m.backoff_ms.snapshot(),
-                crashcon_snapshots: ld(&m.crashcon_snapshots),
-                crashcon_remounts: ld(&m.crashcon_remounts),
-                adaptive_rounds: ld(&m.adaptive_rounds),
-                adaptive_coverage_gain: ld(&m.adaptive_coverage_gain),
-                adaptive_pinned_cases: ld(&m.adaptive_pinned_cases),
-                adaptive_rollbacks: ld(&m.adaptive_rollbacks),
-                adaptive_reexecuted_cases: ld(&m.adaptive_reexecuted_cases),
             },
         }
     }
@@ -719,13 +806,12 @@ fn with_hub(f: impl FnOnce(&Hub)) {
     }
 }
 
-// -- hooks called from the engines, executor, journal and oracle ------
+// -- hooks: events that also feed a hub histogram, and the per-case ones
 
 /// Machine provisioned by a full boot (`nanos` of host time).
 pub fn on_boot(nanos: u64) {
-    with_hub(|h| {
-        h.metrics.boots.fetch_add(1, Ordering::Relaxed);
-        h.metrics.boot_ns.record(nanos);
+    count_with(&[(Counter::Boots, 1), (Counter::BootNanos, nanos)], |m| {
+        m.boot_ns.record(nanos);
     });
 }
 
@@ -733,71 +819,41 @@ pub fn on_boot(nanos: u64) {
 /// `fast` distinguishes an in-place resident-machine reset from a full
 /// template clone.
 pub fn on_restore(nanos: u64, fast: bool) {
-    with_hub(|h| {
-        h.metrics.restores.fetch_add(1, Ordering::Relaxed);
-        if fast {
-            h.metrics.restores_fast.fetch_add(1, Ordering::Relaxed);
-            h.progress.restores_fast.fetch_add(1, Ordering::Relaxed);
-        } else {
-            h.metrics.restores_full.fetch_add(1, Ordering::Relaxed);
-        }
-        h.metrics.restore_ns.record(nanos);
-    });
+    let kind = if fast {
+        Counter::RestoresFast
+    } else {
+        Counter::RestoresFull
+    };
+    count_with(
+        &[
+            (Counter::Restores, 1),
+            (kind, 1),
+            (Counter::RestoreNanos, nanos),
+        ],
+        |m| m.restore_ns.record(nanos),
+    );
 }
 
-/// A batch of crashcon crash-point snapshots and remounts (flushed per
-/// judged log by the crashcon verifier).
-pub fn on_crashcon(snapshots: u64, remounts: u64) {
-    with_hub(|h| {
-        h.metrics
-            .crashcon_snapshots
-            .fetch_add(snapshots, Ordering::Relaxed);
-        h.metrics
-            .crashcon_remounts
-            .fetch_add(remounts, Ordering::Relaxed);
-    });
+/// One journal `fsync` completed in `nanos` of host time.
+pub fn on_journal_fsync(nanos: u64) {
+    count_with(&[(Counter::JournalFsyncs, 1)], |m| m.fsync_ns.record(nanos));
 }
 
-/// One adaptive explore round completed, first-touching `new_values`
-/// pool values (fired by [`crate::adaptive::explore`] per round).
-pub fn on_adaptive_round(new_values: u64) {
-    with_hub(|h| {
-        h.metrics.adaptive_rounds.fetch_add(1, Ordering::Relaxed);
-        h.metrics
-            .adaptive_coverage_gain
-            .fetch_add(new_values, Ordering::Relaxed);
-    });
+/// A shard goes back on the supervisor queue for another attempt after
+/// a worker failure, `backoff_ms` milliseconds of exponential backoff
+/// after it.
+pub fn on_shard_retry(backoff_ms: u64) {
+    count_with(
+        &[(Counter::ShardRetries, 1), (Counter::ShardRequeues, 1)],
+        |m| m.backoff_ms.record(backoff_ms),
+    );
 }
 
-/// An adaptive explore phase pinned `cases` cases into a replay plan.
-pub fn on_adaptive_pinned(cases: u64) {
-    with_hub(|h| {
-        h.metrics
-            .adaptive_pinned_cases
-            .fetch_add(cases, Ordering::Relaxed);
-    });
-}
-
-/// An adaptive explore finished: `rollbacks` commits rolled back later
-/// speculative draws, and `reexecuted` cases the pool ran were thrown
-/// away by them (fired by [`crate::adaptive::explore`] once).
-pub fn on_adaptive_speculation(rollbacks: u64, reexecuted: u64) {
-    with_hub(|h| {
-        h.metrics
-            .adaptive_rollbacks
-            .fetch_add(rollbacks, Ordering::Relaxed);
-        h.metrics
-            .adaptive_reexecuted_cases
-            .fetch_add(reexecuted, Ordering::Relaxed);
-    });
-}
-
-/// One case was executed on this host (replays don't count).
+/// One case was executed on this host (replays don't count). Hub only,
+/// like every per-case hook: a campaign's own counters take no per-case
+/// work.
 pub fn on_case_executed() {
-    with_hub(|h| {
-        h.metrics.cases_executed.fetch_add(1, Ordering::Relaxed);
-        h.progress.executed.fetch_add(1, Ordering::Relaxed);
-    });
+    with_hub(|h| h.metrics.counters.add(Counter::CasesExecuted, 1));
 }
 
 /// One case (executed or replayed) was folded into a tally.
@@ -806,7 +862,7 @@ pub fn on_case_applied(class: FailureClass) {
         h.metrics.cases_applied.fetch_add(1, Ordering::Relaxed);
         h.metrics.classes[class_slot(class)].fetch_add(1, Ordering::Relaxed);
         if class == FailureClass::Catastrophic {
-            h.progress.catastrophics.fetch_add(1, Ordering::Relaxed);
+            h.metrics.counters.add(Counter::Catastrophics, 1);
         }
     });
 }
@@ -819,157 +875,6 @@ pub fn on_case_profile(os: OsVariant, family: &'static str, subsys: &SubsystemFu
         }
     });
 }
-
-/// A campaign began.
-pub fn on_campaign_begin() {
-    with_hub(|h| {
-        h.progress.begun.fetch_add(1, Ordering::Relaxed);
-    });
-}
-
-/// A MuT with `planned` cases entered execution (every engine reports
-/// each MuT exactly once, so [`Progress::planned`] converges on the
-/// campaign's true case total as it runs).
-pub fn on_mut_begin(planned: u64) {
-    with_hub(|h| {
-        h.progress.planned.fetch_add(planned, Ordering::Relaxed);
-    });
-}
-
-/// A campaign finished.
-pub fn on_campaign_end() {
-    with_hub(|h| {
-        h.progress.finished.fetch_add(1, Ordering::Relaxed);
-    });
-}
-
-/// One journal record was appended.
-pub fn on_journal_append() {
-    with_hub(|h| {
-        h.metrics.journal_appends.fetch_add(1, Ordering::Relaxed);
-    });
-}
-
-/// One journal `fsync` completed in `nanos` of host time.
-pub fn on_journal_fsync(nanos: u64) {
-    with_hub(|h| {
-        h.metrics.journal_fsyncs.fetch_add(1, Ordering::Relaxed);
-        h.metrics.fsync_ns.record(nanos);
-    });
-}
-
-/// A contained worker panic earned a MuT a retry.
-pub fn on_quarantine_retry() {
-    with_hub(|h| {
-        h.metrics.quarantine_retries.fetch_add(1, Ordering::Relaxed);
-    });
-}
-
-/// A MuT was quarantined after exhausting its retries.
-pub fn on_mut_quarantined() {
-    with_hub(|h| {
-        h.metrics.quarantined_muts.fetch_add(1, Ordering::Relaxed);
-    });
-}
-
-/// The conformance oracle's live selfcheck flagged `n` violations.
-pub fn on_selfcheck_violations(n: u64) {
-    with_hub(|h| {
-        h.metrics.selfcheck_failures.fetch_add(n, Ordering::Relaxed);
-    });
-}
-
-/// A result-cache lookup was served.
-pub fn on_cache_hit() {
-    with_hub(|h| {
-        h.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-    });
-}
-
-/// A result-cache lookup found no valid entry.
-pub fn on_cache_miss() {
-    with_hub(|h| {
-        h.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-    });
-}
-
-/// The memory front of the result cache evicted its least-recently-used
-/// entry (the on-disk entry survives).
-pub fn on_cache_eviction() {
-    with_hub(|h| {
-        h.metrics.cache_evictions.fetch_add(1, Ordering::Relaxed);
-    });
-}
-
-/// A campaign request was coalesced onto an identical in-flight
-/// campaign instead of executing its own.
-pub fn on_request_coalesced() {
-    with_hub(|h| {
-        h.metrics.requests_coalesced.fetch_add(1, Ordering::Relaxed);
-    });
-}
-
-/// One fleet shard ran to completion.
-pub fn on_shard_executed() {
-    with_hub(|h| {
-        h.metrics.shards_executed.fetch_add(1, Ordering::Relaxed);
-    });
-}
-
-/// A supervised fleet worker died, hung past its heartbeat deadline, or
-/// replied with garbage.
-pub fn on_worker_death() {
-    with_hub(|h| {
-        h.metrics.worker_deaths.fetch_add(1, Ordering::Relaxed);
-    });
-}
-
-/// A replacement worker process was spawned into a slot after a death.
-pub fn on_worker_respawn() {
-    with_hub(|h| {
-        h.metrics.worker_respawns.fetch_add(1, Ordering::Relaxed);
-    });
-}
-
-/// A worker slot was quarantined after consecutive failures.
-pub fn on_worker_quarantined() {
-    with_hub(|h| {
-        h.metrics.workers_quarantined.fetch_add(1, Ordering::Relaxed);
-    });
-}
-
-/// A shard is being re-executed after a worker failure, `backoff_ms`
-/// milliseconds of exponential backoff after the failure.
-pub fn on_shard_retry(backoff_ms: u64) {
-    with_hub(|h| {
-        h.metrics.shard_retries.fetch_add(1, Ordering::Relaxed);
-        h.metrics.backoff_ms.record(backoff_ms);
-    });
-}
-
-/// A shard was pushed back onto the supervisor queue to wait for a
-/// healthy worker.
-pub fn on_shard_requeue() {
-    with_hub(|h| {
-        h.metrics.shard_requeues.fetch_add(1, Ordering::Relaxed);
-    });
-}
-
-/// A malformed wire buffer (spec or result) was rejected by the engine.
-pub fn on_wire_protocol_fault() {
-    with_hub(|h| {
-        h.metrics.wire_protocol_faults.fetch_add(1, Ordering::Relaxed);
-    });
-}
-
-/// A fleet campaign degraded from process workers to the in-process
-/// thread pool.
-pub fn on_fleet_degraded() {
-    with_hub(|h| {
-        h.metrics.fleet_degradations.fetch_add(1, Ordering::Relaxed);
-    });
-}
-
 // ---------------------------------------------------------------------
 // Trace model + collector
 // ---------------------------------------------------------------------
@@ -1467,7 +1372,7 @@ mod tests {
         assert_eq!(snap.deterministic.classes.abort, 1);
         assert_eq!(snap.deterministic.total_fuel, 10);
         assert_eq!(snap.deterministic.case_fuel.count, 2);
-        assert_eq!(snap.host.cases_executed, 1);
+        assert_eq!(snap.host[Counter::CasesExecuted], 1);
         assert_eq!(hub.take_traces().len(), 1);
         assert!(hub.take_traces().is_empty(), "drained");
         Hub::uninstall();
@@ -1509,10 +1414,11 @@ mod tests {
         on_boot(5);
         on_restore(5, true);
         on_restore(5, false);
-        on_journal_append();
         on_journal_fsync(5);
-        on_quarantine_retry();
-        on_selfcheck_violations(3);
+        count(Counter::JournalAppends, 1);
+        count_each(&[(Counter::Restores, 2), (Counter::RestoresFast, 2)]);
+        count_once(Counter::FleetDegradations);
+        uncount(Counter::WorkersLive, 1);
         assert!(TraceCollector::begin(OsVariant::Linux, 10).is_none());
         assert_eq!(allocation_count(), before, "disabled telemetry allocated");
     }

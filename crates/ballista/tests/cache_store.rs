@@ -157,6 +157,37 @@ fn corrupted_entries_are_misses_not_crashes() {
     assert!(cache.lookup(fp).is_some());
 }
 
+/// A well-formed `BLSTCCH1` entry whose checksummed payload is 10 000
+/// `[`: the header passes, and the payload goes through the same JSON
+/// parser as specs and worker replies, which stops at its nesting limit
+/// instead of overflowing the stack. The entry is a miss.
+#[test]
+fn a_deeply_nested_payload_is_a_miss_not_a_stack_overflow() {
+    let cache = ResultCache::new(scratch("deep-nesting"), 0).expect("cache");
+    let fp = CampaignFingerprint::from_u64(0xdee9);
+    let payload = "[".repeat(10_000).into_bytes();
+    // The entry layout of `cache.rs`: magic, fingerprint, payload length
+    // and the payload's FNV-1a, each a little-endian u64, then the
+    // payload.
+    let fnv1a64 = payload.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    let mut entry = b"BLSTCCH1".to_vec();
+    for word in [fp.as_u64(), payload.len() as u64, fnv1a64] {
+        entry.extend_from_slice(&word.to_le_bytes());
+    }
+    entry.extend_from_slice(&payload);
+    fs::write(cache.entry_path(fp), &entry).expect("write entry");
+    assert!(
+        cache.lookup(fp).is_some(),
+        "the header and checksum are valid"
+    );
+    assert!(
+        cache.lookup_report(fp).is_none(),
+        "the payload must not parse"
+    );
+}
+
 #[test]
 fn lru_front_evicts_oldest_but_disk_still_serves() {
     let cache = ResultCache::new(scratch("lru"), 2).expect("cache");

@@ -334,3 +334,38 @@ fn a_malformed_content_length_is_a_400_that_closes_the_connection() {
     assert_eq!(m.campaign_posts, 0);
     assert_eq!(m.rejected_specs, 0);
 }
+
+#[test]
+fn an_oversized_body_is_a_413_that_closes_the_connection() {
+    let addr = start("oversized-body");
+    // One byte over the 1 MiB limit. The server answers from the header
+    // alone, so the client never sends the body.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(b"POST /campaign HTTP/1.1\r\nHost: test\r\nContent-Length: 1048577\r\n\r\n")
+        .expect("send head");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("set read timeout");
+    let mut response = Vec::new();
+    let eof = stream.read_to_end(&mut response);
+    let text = String::from_utf8_lossy(&response);
+    assert!(text.starts_with("HTTP/1.1 413 "), "{text}");
+    assert!(text.contains("Connection: close"), "{text}");
+    eof.expect("the server closes the connection after the 413");
+    let split = text.find("\r\n\r\n").expect("header terminator");
+    let body: serde_json::Value =
+        serde_json::from_str(&text[split + 4..]).expect("the 413 body is JSON");
+    let serde_json::Value::Map(fields) = body else {
+        panic!("413 body is not an object: {body:?}");
+    };
+    match serde::content_get(&fields, "error") {
+        Some(serde_json::Value::Str(error)) => assert!(error.contains("1048577"), "{error}"),
+        other => panic!("`error` is not a string: {other:?}"),
+    }
+
+    // Nothing reached the campaign path, and the server keeps serving.
+    let m = metrics(addr);
+    assert_eq!(m.campaign_posts, 0);
+    assert_eq!(m.rejected_specs, 0);
+}

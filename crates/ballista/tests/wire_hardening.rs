@@ -8,7 +8,7 @@
 use ballista::adaptive::AdaptiveConfig;
 use ballista::campaign::CampaignConfig;
 use ballista::fleet::{
-    read_frame, write_frame, ShardResult, ShardSpec, WireCleanMut, FRAME_SPEC,
+    read_frame, write_frame, Heartbeat, ShardResult, ShardSpec, WireCleanMut, FRAME_SPEC,
 };
 use proptest::prelude::*;
 use sim_kernel::variant::OsVariant;
@@ -187,4 +187,16 @@ fn deeply_nested_replies_are_rejected_not_overflowed() {
     assert!(err.contains("recursion limit exceeded"), "{err}");
     let err = ShardSpec::from_wire(deep.as_bytes()).unwrap_err();
     assert!(err.contains("recursion limit exceeded"), "{err}");
+}
+
+/// Heartbeat frames go through the same parser: 10 000 `[` is an error,
+/// which the supervisor skips, not a stack overflow in its reader.
+#[test]
+fn a_deeply_nested_heartbeat_is_rejected_not_overflowed() {
+    let deep = "[".repeat(10_000);
+    let err = serde_json::from_slice::<Heartbeat>(deep.as_bytes()).unwrap_err();
+    assert!(
+        err.to_string().contains("recursion limit exceeded"),
+        "{err}"
+    );
 }

@@ -283,7 +283,7 @@ impl Telemetry {
                 // the frame clock.
                 while rx.recv_timeout(Duration::from_millis(250)).is_err() {
                     let line = report::progress::render_progress(
-                        &hub.progress.snapshot(),
+                        &hub.metrics.counters.snapshot(),
                         started.elapsed().as_secs_f64(),
                     );
                     eprint!("\r\x1b[2K  {line}");

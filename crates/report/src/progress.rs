@@ -1,13 +1,14 @@
 //! Live progress and metrics renderers for the telemetry hub.
 //!
-//! [`render_progress`] turns a [`ProgressSnapshot`] into the single-line
-//! campaign ticker the `experiments` binaries redraw on stderr while a
-//! fleet runs; [`render_metrics`] turns a [`MetricsSnapshot`] into the
-//! human-readable table printed after `results/metrics.json` is written.
+//! [`render_progress`] turns a snapshot of the hub's host [`Counts`] into
+//! the single-line campaign ticker the `experiments` binaries redraw on
+//! stderr while a fleet runs; [`render_metrics`] turns a
+//! [`MetricsSnapshot`] into the human-readable table printed after
+//! `results/metrics.json` is written.
 //! Both are pure string builders — no I/O, no terminal control beyond the
 //! caller prefixing `\r` — so they stay trivially testable.
 
-use ballista::telemetry::{HistogramSnapshot, MetricsSnapshot, ProgressSnapshot};
+use ballista::telemetry::{Counter, Counts, HistogramSnapshot, MetricsSnapshot};
 use std::fmt::Write as _;
 
 /// Renders the single-line live ticker:
@@ -21,18 +22,24 @@ use std::fmt::Write as _;
 /// fixed-order and contains no escape codes, so it is safe to log as-is
 /// when stderr is not a terminal.
 #[must_use]
-pub fn render_progress(p: &ProgressSnapshot, elapsed_secs: f64) -> String {
-    let pct = (p.executed.min(p.planned) * 100).checked_div(p.planned).unwrap_or(0);
+pub fn render_progress(c: &Counts, elapsed_secs: f64) -> String {
+    let (executed, planned) = (c[Counter::CasesExecuted], c[Counter::CasesPlanned]);
+    let pct = (executed.min(planned) * 100)
+        .checked_div(planned)
+        .unwrap_or(0);
     let rate = if elapsed_secs > 0.0 {
-        (p.executed as f64 / elapsed_secs).round() as u64
+        (executed as f64 / elapsed_secs).round() as u64
     } else {
         0
     };
     let mut s = String::with_capacity(96);
     let _ = write!(
         s,
-        "[{}/{} campaigns] {}/{} cases ({pct}%) · {rate} cases/s · {} in-place · {} catastrophic",
-        p.finished, p.begun, p.executed, p.planned, p.restores_fast, p.catastrophics
+        "[{}/{} campaigns] {executed}/{planned} cases ({pct}%) · {rate} cases/s · {} in-place · {} catastrophic",
+        c[Counter::CampaignsFinished],
+        c[Counter::CampaignsBegun],
+        c[Counter::RestoresFast],
+        c[Counter::Catastrophics]
     );
     s
 }
@@ -90,44 +97,46 @@ pub fn render_metrics(m: &MetricsSnapshot) -> String {
     let _ = writeln!(s, "  total fuel       {}", d.total_fuel);
     let _ = writeln!(s, "  case fuel        {}", histogram_digest(&d.case_fuel, ""));
     s.push_str("metrics (host — not comparable across engines)\n");
-    let _ = writeln!(s, "  cases executed   {}", h.cases_executed);
-    let _ = writeln!(s, "  boots            {}", h.boots);
-    let _ = writeln!(s, "  restores         {}", h.restores);
-    let _ = writeln!(s, "  restores (fast)  {}", h.restores_fast);
-    let _ = writeln!(s, "  restores (full)  {}", h.restores_full);
+    let _ = writeln!(s, "  cases executed   {}", h[Counter::CasesExecuted]);
+    let _ = writeln!(s, "  boots            {}", h[Counter::Boots]);
+    let _ = writeln!(s, "  restores         {}", h[Counter::Restores]);
+    let _ = writeln!(s, "  restores (fast)  {}", h[Counter::RestoresFast]);
+    let _ = writeln!(s, "  restores (full)  {}", h[Counter::RestoresFull]);
     let _ = writeln!(s, "  boot latency     {}", histogram_digest(&h.boot_ns, "ns"));
     let _ = writeln!(s, "  restore latency  {}", histogram_digest(&h.restore_ns, "ns"));
-    let _ = writeln!(s, "  journal appends  {}", h.journal_appends);
-    let _ = writeln!(s, "  journal fsyncs   {}", h.journal_fsyncs);
+    let _ = writeln!(s, "  journal appends  {}", h[Counter::JournalAppends]);
+    let _ = writeln!(s, "  journal fsyncs   {}", h[Counter::JournalFsyncs]);
     let _ = writeln!(s, "  fsync latency    {}", histogram_digest(&h.fsync_ns, "ns"));
-    let _ = writeln!(s, "  quarantine retries {}", h.quarantine_retries);
-    let _ = writeln!(s, "  quarantined MuTs {}", h.quarantined_muts);
-    let _ = writeln!(s, "  selfcheck failures {}", h.selfcheck_failures);
+    let _ = writeln!(s, "  quarantine retries {}", h[Counter::QuarantineRetries]);
+    let _ = writeln!(s, "  quarantined MuTs {}", h[Counter::QuarantinedMuts]);
+    let _ = writeln!(s, "  selfcheck failures {}", h[Counter::SelfcheckFailures]);
     s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ballista::telemetry::HistogramBucket;
+    use ballista::telemetry::{Counters, HistogramBucket};
 
     #[test]
     fn progress_line_is_single_line_and_div_safe() {
-        let p = ProgressSnapshot::default();
-        let line = render_progress(&p, 0.0);
+        let set = Counters::default();
+        let line = render_progress(&set.snapshot(), 0.0);
         assert!(!line.contains('\n'));
         assert!(line.contains("[0/0 campaigns]"));
         assert!(line.contains("0 cases/s"));
 
-        let p = ProgressSnapshot {
-            planned: 400,
-            executed: 100,
-            begun: 2,
-            finished: 1,
-            catastrophics: 3,
-            restores_fast: 97,
-        };
-        let line = render_progress(&p, 2.0);
+        for (counter, n) in [
+            (Counter::CasesPlanned, 400),
+            (Counter::CasesExecuted, 100),
+            (Counter::CampaignsBegun, 2),
+            (Counter::CampaignsFinished, 1),
+            (Counter::Catastrophics, 3),
+            (Counter::RestoresFast, 97),
+        ] {
+            set.add(counter, n);
+        }
+        let line = render_progress(&set.snapshot(), 2.0);
         assert!(line.contains("100/400 cases (25%)"), "{line}");
         assert!(line.contains("50 cases/s"), "{line}");
         assert!(line.contains("97 in-place"), "{line}");
@@ -138,7 +147,16 @@ mod tests {
     fn metrics_table_covers_both_sections() {
         let mut m = MetricsSnapshot::default();
         m.deterministic.cases_applied = 7;
-        m.host.boots = 7;
+        let set = Counters::default();
+        for (counter, n) in [
+            (Counter::Boots, 7),
+            (Counter::Restores, 6),
+            (Counter::RestoresFast, 5),
+            (Counter::RestoresFull, 1),
+        ] {
+            set.add(counter, n);
+        }
+        m.host.counts = set.snapshot();
         m.host.boot_ns = HistogramSnapshot {
             count: 4,
             sum: 4000,
@@ -147,9 +165,6 @@ mod tests {
                 HistogramBucket { le: 2047, count: 1 },
             ],
         };
-        m.host.restores = 6;
-        m.host.restores_fast = 5;
-        m.host.restores_full = 1;
         let table = render_metrics(&m);
         assert!(table.contains("deterministic — engine-invariant"));
         assert!(table.contains("restores (fast)  5"), "{table}");

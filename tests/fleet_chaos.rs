@@ -13,14 +13,14 @@ use ballista::adaptive::{run_adaptive, run_adaptive_fleet, AdaptiveConfig};
 use ballista::campaign::{fingerprint, run_campaign, CampaignConfig};
 use ballista::crashcon::run_crashcon;
 use ballista::fleet::{
-    live_worker_pids, run_campaign_fleet_observed, run_crashcon_fleet, FleetConfig, FleetProgress,
+    live_worker_pids, run_campaign_fleet_observed, run_crashcon_fleet, FleetConfig,
 };
 use ballista::server::{CampaignSpec, Server, ServerConfig};
-use ballista::telemetry::{Hub, TelemetryConfig};
+use ballista::telemetry::{Counter, Counters, Hub, TelemetryConfig};
 use sim_kernel::variant::OsVariant;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 static ENV_GUARD: Mutex<()> = Mutex::new(());
 
@@ -110,7 +110,7 @@ fn seeded_worker_deaths_keep_tallies_bit_identical() {
             ("BALLISTA_FLEET_FAULT", &format!("die:{die_at}")),
         ]);
         let serial = run_campaign(os, &cfg(200));
-        let progress = FleetProgress::default();
+        let progress = Arc::new(Counters::default());
         let report =
             run_campaign_fleet_observed(os, &cfg(200), &fleet(12, 3), Some(&progress));
         drop(latch);
@@ -121,7 +121,7 @@ fn seeded_worker_deaths_keep_tallies_bit_identical() {
             "{}: tallies must be bit-identical to serial under worker deaths",
             os.short_name()
         );
-        let deaths = progress.worker_deaths.load(std::sync::atomic::Ordering::Relaxed);
+        let deaths = progress.get(Counter::WorkerDeaths);
         assert!(deaths >= 1, "{}: the latch must kill workers", os.short_name());
         assert_eq!(
             death_warnings(&report),
@@ -130,7 +130,7 @@ fn seeded_worker_deaths_keep_tallies_bit_identical() {
             os.short_name()
         );
         assert!(
-            progress.shard_retries.load(std::sync::atomic::Ordering::Relaxed) >= 1,
+            progress.get(Counter::ShardRetries) >= 1,
             "{}: dead workers' shards must be retried",
             os.short_name()
         );
@@ -196,7 +196,7 @@ fn garbled_reply_counts_a_protocol_fault_and_retries() {
     ]);
     let os = OsVariant::Win98;
     let serial = run_campaign(os, &cfg(120));
-    let progress = FleetProgress::default();
+    let progress = Arc::new(Counters::default());
     let report = run_campaign_fleet_observed(os, &cfg(120), &fleet(8, 2), Some(&progress));
     drop(latch);
     let metrics = hub.metrics_snapshot();
@@ -204,11 +204,11 @@ fn garbled_reply_counts_a_protocol_fault_and_retries() {
 
     assert_eq!(tally_json(&serial), tally_json(&report));
     assert!(
-        metrics.host.wire_protocol_faults >= 1,
+        metrics.host[Counter::WireProtocolFaults] >= 1,
         "garbled replies must count protocol faults"
     );
     assert!(
-        metrics.host.worker_deaths >= 1,
+        metrics.host[Counter::WorkerDeaths] >= 1,
         "a garbling worker is replaced like a dead one"
     );
     assert!(
@@ -231,13 +231,13 @@ fn hung_worker_hits_the_heartbeat_deadline_and_is_replaced() {
     ]);
     let os = OsVariant::Win95;
     let serial = run_campaign(os, &cfg(100));
-    let progress = FleetProgress::default();
+    let progress = Arc::new(Counters::default());
     let report = run_campaign_fleet_observed(os, &cfg(100), &fleet(6, 2), Some(&progress));
     drop(latch);
 
     assert_eq!(tally_json(&serial), tally_json(&report));
     assert!(
-        progress.worker_deaths.load(std::sync::atomic::Ordering::Relaxed) >= 1,
+        progress.get(Counter::WorkerDeaths) >= 1,
         "the hang must be detected"
     );
     assert!(
@@ -262,7 +262,7 @@ fn unspawnable_workers_degrade_to_the_thread_pool() {
     )]);
     let os = OsVariant::Win98Se;
     let serial = run_campaign(os, &cfg(120));
-    let progress = FleetProgress::default();
+    let progress = Arc::new(Counters::default());
     let report = run_campaign_fleet_observed(os, &cfg(120), &fleet(8, 2), Some(&progress));
     drop(latch);
 
@@ -292,7 +292,7 @@ fn real_sigkill_mid_campaign_recovers_bit_identically() {
     ]);
     let os = OsVariant::Win95;
     let serial = run_campaign(os, &cfg(150));
-    let progress = FleetProgress::default();
+    let progress = Arc::new(Counters::default());
     let mut kills = 0;
     let report = std::thread::scope(|s| {
         let progress = &progress;
@@ -333,7 +333,7 @@ fn real_sigkill_mid_campaign_recovers_bit_identically() {
         "real SIGKILLs must not move a tally bit"
     );
     assert!(
-        progress.worker_deaths.load(std::sync::atomic::Ordering::Relaxed) >= 1,
+        progress.get(Counter::WorkerDeaths) >= 1,
         "the SIGKILL must be observed as a worker death"
     );
 }

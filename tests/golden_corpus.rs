@@ -13,7 +13,7 @@ use ballista::adaptive::{explore, AdaptiveConfig, RoundStats};
 use ballista::campaign::{run_campaign, CampaignConfig, MutTally};
 use ballista::coverage::Coverage;
 use ballista::crashcon::{run_crashcon, CrashTally};
-use ballista::telemetry::{Hub, TelemetryConfig};
+use ballista::telemetry::{Counter, Hub, TelemetryConfig};
 use serde::Deserialize;
 use sim_kernel::variant::OsVariant;
 use std::fs;
@@ -244,7 +244,7 @@ fn adaptive_explore_matches_golden_on_every_variant() {
     let host = hub.metrics_snapshot().host;
     Hub::uninstall();
     assert!(
-        host.adaptive_rollbacks > 0,
+        host[Counter::AdaptiveRollbacks] > 0,
         "no pooled explore rolled back a draw: {host:?}"
     );
 }
