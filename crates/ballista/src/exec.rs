@@ -107,9 +107,10 @@ thread_local! {
 
 /// When set, [`fresh_machine`] bypasses the template cache and boots a
 /// machine per case with eagerly zero-filled regions — the cost model of
-/// the pre-snapshot harness. Observable behaviour is identical (the
-/// determinism tests pass either way); the benchmark driver flips this
-/// to measure the real speedup rather than estimating it.
+/// the pre-snapshot harness. Observable behaviour is identical: the
+/// equivalence tests (`engine_equivalence`, `parallel_determinism`) flip
+/// this to hold the batched loop's tallies to an independent reference,
+/// and `bench_parallel` times it (`win98_legacy_provisioning`).
 pub static LEGACY_PROVISIONING: std::sync::atomic::AtomicBool =
     std::sync::atomic::AtomicBool::new(false);
 
@@ -214,8 +215,8 @@ fn elapsed_ns(start: std::time::Instant) -> u64 {
 /// machine restored dead, which invalidates the template) deep-clones the
 /// template and is counted as a *full* restore; every later one is a
 /// *fast* in-place reset. Under [`LEGACY_PROVISIONING`] the runner boots
-/// a machine per case exactly like [`fresh_machine`] does, so the
-/// calibration benchmark still measures the real before/after.
+/// a machine per case exactly like [`fresh_machine`] does, so the legacy
+/// reference stays a real boot-per-case run.
 #[derive(Debug, Default)]
 pub struct CaseRunner {
     /// The resident machine and the flavour it was provisioned for.

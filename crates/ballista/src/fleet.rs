@@ -94,15 +94,6 @@ pub struct FleetConfig {
     /// worker can be spawned the campaign degrades to the thread pool.
     #[serde(default)]
     pub process: bool,
-    /// Per-shard retry budget after worker failures before the
-    /// supervisor executes the shard in-process. `0` (the default)
-    /// resolves to 3.
-    #[serde(default)]
-    pub max_shard_retries: u32,
-    /// Consecutive failures after which a worker slot is quarantined
-    /// (no further respawns into it). `0` (the default) resolves to 2.
-    #[serde(default)]
-    pub worker_quarantine_after: u32,
 }
 
 impl FleetConfig {
@@ -125,24 +116,6 @@ impl FleetConfig {
             n => n,
         };
         want.clamp(1, muts.max(1))
-    }
-
-    /// The effective per-shard retry budget (`0` → 3).
-    #[must_use]
-    pub fn effective_max_shard_retries(&self) -> u32 {
-        match self.max_shard_retries {
-            0 => 3,
-            n => n,
-        }
-    }
-
-    /// The effective consecutive-failure quarantine threshold (`0` → 2).
-    #[must_use]
-    pub fn effective_quarantine_after(&self) -> u32 {
-        match self.worker_quarantine_after {
-            0 => 2,
-            n => n,
-        }
     }
 }
 
@@ -815,6 +788,14 @@ enum WorkerFailure {
     Malformed(String),
 }
 
+/// Worker failures a shard survives before the supervisor executes it
+/// in-process.
+const MAX_SHARD_RETRIES: u32 = 3;
+
+/// Consecutive failures after which a worker slot is quarantined (no
+/// further respawns into it).
+const QUARANTINE_AFTER: u32 = 2;
+
 /// Shared context for the supervisor's slot threads.
 struct Supervisor<'a> {
     specs: &'a [ShardSpec],
@@ -826,8 +807,6 @@ struct Supervisor<'a> {
     warnings: &'a Mutex<Vec<String>>,
     cmd: Vec<String>,
     deadline: Duration,
-    max_retries: u32,
-    quarantine_after: u32,
 }
 
 impl Supervisor<'_> {
@@ -902,7 +881,7 @@ impl Supervisor<'_> {
                         self.warn(format!("fleet supervisor could not spawn a worker: {e}"));
                         telemetry::count(Counter::ShardRequeues, 1);
                         self.queue.push(job);
-                        if consecutive >= self.quarantine_after {
+                        if consecutive >= QUARANTINE_AFTER {
                             telemetry::count(Counter::WorkersQuarantined, 1);
                             return;
                         }
@@ -959,7 +938,7 @@ impl Supervisor<'_> {
                 ),
                 WorkerFailure::Malformed(e) => format!("returned a malformed reply ({e})"),
             };
-            if job.attempts > self.max_retries {
+            if job.attempts > MAX_SHARD_RETRIES {
                 // Retry budget exhausted: last resort is the supervisor
                 // executing the shard in-process — degraded, never
                 // aborted.
@@ -979,13 +958,13 @@ impl Supervisor<'_> {
                     job.idx,
                     backoff.as_millis(),
                     job.attempts,
-                    self.max_retries,
+                    MAX_SHARD_RETRIES,
                 ));
                 telemetry::on_shard_retry(backoff.as_millis() as u64);
                 job.ready_at = Instant::now() + backoff;
                 self.queue.push(job);
             }
-            if consecutive >= self.quarantine_after {
+            if consecutive >= QUARANTINE_AFTER {
                 self.warn(format!(
                     "fleet supervisor quarantined a worker slot after {consecutive} \
                      consecutive failures"
@@ -1134,8 +1113,6 @@ fn fleet_pass(
                     warnings: &warnings,
                     cmd,
                     deadline: heartbeat_deadline(&template.cfg),
-                    max_retries: fleet.effective_max_shard_retries(),
-                    quarantine_after: fleet.effective_quarantine_after(),
                 };
                 std::thread::scope(|s| {
                     for _ in 0..workers {

@@ -34,8 +34,14 @@
 //! count off a per-variant table — microseconds, about as long as the
 //! rest of a cache hit. The server memoizes spec → fingerprint in a hash
 //! map, so the steady-state cost of a hit is two hash probes and a
-//! socket write (the `fleet_bench` hit-path throughput target leans on
-//! this).
+//! socket write (`perfbench --workload serve` times it as `hit_p50_us`).
+//!
+//! # Request limits
+//!
+//! A head line over 8 KiB or more than 64 header lines is a `431`, a
+//! `Content-Length` over 1 MiB a `413` and a malformed one a `400`. Each
+//! answers without reading the rest of the request and closes the
+//! connection, so no client can make the server buffer more than that.
 //!
 //! # Spec validation
 //!
@@ -66,6 +72,13 @@ use serde::{Deserialize, Serialize};
 
 /// Hard cap on an accepted request body (a campaign spec is tiny).
 const MAX_BODY: usize = 1 << 20;
+
+/// Most bytes buffered for one line of a request head (the request line
+/// or one header line, with its line break).
+const MAX_HEAD_LINE: u64 = 8 << 10;
+
+/// Most header lines a request may carry.
+const MAX_HEADERS: usize = 64;
 
 /// A campaign request as posted to `POST /campaign`.
 ///
@@ -176,7 +189,6 @@ impl CampaignSpec {
             shards: self.shards,
             workers: self.workers,
             process: self.process,
-            ..FleetConfig::default()
         }
     }
 
@@ -431,13 +443,36 @@ enum Incoming {
     /// A request whose `Content-Length` exceeds [`MAX_BODY`]. The body is
     /// never read: the connection answers 413 and closes.
     TooLarge(usize),
+    /// A head line longer than [`MAX_HEAD_LINE`], or more than
+    /// [`MAX_HEADERS`] header lines. The rest of the head is never read:
+    /// the connection answers 431 and closes.
+    HeadTooLarge,
+}
+
+/// Reads one line of a request head, buffering at most
+/// [`MAX_HEAD_LINE`] bytes of it. `Ok(None)` is a line that runs past
+/// that bound; an empty line is EOF.
+fn read_head_line(reader: &mut BufReader<TcpStream>) -> io::Result<Option<String>> {
+    let mut line = Vec::new();
+    let n = reader
+        .by_ref()
+        .take(MAX_HEAD_LINE)
+        .read_until(b'\n', &mut line)?;
+    if n as u64 == MAX_HEAD_LINE && line.last() != Some(&b'\n') {
+        return Ok(None);
+    }
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// Reads one request off the connection. `Ok(None)` = clean EOF
 /// (client closed an idle keep-alive connection).
 fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Incoming>> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    let Some(line) = read_head_line(reader)? else {
+        return Ok(Some(Incoming::HeadTooLarge));
+    };
+    if line.is_empty() {
         return Ok(None);
     }
     let mut parts = line.split_whitespace();
@@ -446,14 +481,21 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Incoming
     let version = parts.next().unwrap_or_default().to_owned();
     let mut content_length = Some(0usize);
     let mut keep_alive = version != "HTTP/1.0";
+    let mut headers = 0;
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        let Some(header) = read_head_line(reader)? else {
+            return Ok(Some(Incoming::HeadTooLarge));
+        };
+        if header.is_empty() {
             return Ok(None);
         }
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Ok(Some(Incoming::HeadTooLarge));
         }
         if let Some((name, value)) = header.split_once(':') {
             let value = value.trim();
@@ -512,38 +554,49 @@ fn respond(
     stream.flush()
 }
 
-/// Serves one connection until EOF, error, or `Connection: close`.
+/// Serves one connection until EOF, error, or `Connection: close`. A
+/// request the server refuses unread answers its error and closes the
+/// connection.
 fn handle_connection(stream: TcpStream, state: &State) {
     let Ok(reader_stream) = stream.try_clone() else {
         return;
     };
     let mut reader = BufReader::new(reader_stream);
     let mut stream = stream;
-    loop {
-        let request = match read_request(&mut reader) {
-            Ok(Some(Incoming::Request(request))) => request,
+    let (status, reason, message) = loop {
+        match read_request(&mut reader) {
+            Ok(Some(Incoming::Request(request))) => {
+                let ok = handle_request(&mut stream, state, &request).is_ok();
+                if !ok || !request.keep_alive {
+                    return;
+                }
+            }
             Ok(Some(Incoming::BadLength)) => {
-                let body = br#"{"error":"malformed Content-Length"}"#;
-                let _ = respond(&mut stream, 400, "Bad Request", &[], body, false);
-                linger_close(&stream, reader);
-                return;
+                break (400, "Bad Request", "malformed Content-Length".to_owned())
             }
             Ok(Some(Incoming::TooLarge(length))) => {
-                let body = error_body(&format!(
-                    "request body of {length} bytes exceeds the {MAX_BODY}-byte limit"
-                ));
-                let _ = respond(&mut stream, 413, "Payload Too Large", &[], &body, false);
-                linger_close(&stream, reader);
-                return;
+                break (
+                    413,
+                    "Payload Too Large",
+                    format!("request body of {length} bytes exceeds the {MAX_BODY}-byte limit"),
+                )
+            }
+            Ok(Some(Incoming::HeadTooLarge)) => {
+                break (
+                    431,
+                    "Request Header Fields Too Large",
+                    format!(
+                        "request head exceeds {MAX_HEAD_LINE} bytes per line or {MAX_HEADERS} \
+                         header lines"
+                    ),
+                )
             }
             Ok(None) | Err(_) => return,
-        };
-        let keep_alive = request.keep_alive;
-        let ok = handle_request(&mut stream, state, &request).is_ok();
-        if !ok || !keep_alive {
-            return;
         }
-    }
+    };
+    let body = error_body(&message);
+    let _ = respond(&mut stream, status, reason, &[], &body, false);
+    linger_close(&stream, reader);
 }
 
 /// How long [`linger_close`] keeps reading from a client it has answered.

@@ -1,9 +1,8 @@
 //! Parallel-engine behaviour not covered by the cross-engine equivalence
 //! matrix (`engine_equivalence.rs`, which asserts serial/parallel/journaled
 //! bit-identity through the conformance oracle): the legacy provisioning
-//! cost model must remain behaviour-preserving, because the benchmark
-//! driver's before/after calibration is only meaningful if both modes
-//! compute the same results.
+//! cost model must remain behaviour-preserving, because it is the
+//! independent reference the batched loop's tallies are held to.
 
 use ballista::campaign::{run_campaign, CampaignConfig, CampaignReport};
 use sim_kernel::variant::OsVariant;

@@ -369,3 +369,70 @@ fn an_oversized_body_is_a_413_that_closes_the_connection() {
     assert_eq!(m.campaign_posts, 0);
     assert_eq!(m.rejected_specs, 0);
 }
+
+/// Sends `head`, and checks that the server answers 431 with a JSON
+/// error body and closes the connection.
+fn assert_head_rejected(addr: SocketAddr, head: &[u8]) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(head).expect("send head");
+    // A connection left open would block the read forever.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("set read timeout");
+    let mut response = Vec::new();
+    let eof = stream.read_to_end(&mut response);
+    let text = String::from_utf8_lossy(&response);
+    assert!(text.starts_with("HTTP/1.1 431 "), "{text}");
+    assert!(text.contains("Connection: close"), "{text}");
+    eof.expect("the server closes the connection after the 431");
+    let split = text.find("\r\n\r\n").expect("header terminator");
+    let body: serde_json::Value =
+        serde_json::from_str(&text[split + 4..]).expect("the 431 body is JSON");
+    let serde_json::Value::Map(fields) = body else {
+        panic!("431 body is not an object: {body:?}");
+    };
+    assert!(
+        matches!(
+            serde::content_get(&fields, "error"),
+            Some(serde_json::Value::Str(_))
+        ),
+        "{fields:?}"
+    );
+}
+
+#[test]
+fn a_header_line_over_the_bound_is_a_431_that_closes_the_connection() {
+    let addr = start("long-header-line");
+    // A 16 KiB header line, twice the bound. Served unbounded, the
+    // request would answer 200 and close on its `Connection: close`.
+    let mut head = b"GET /metrics HTTP/1.1\r\nHost: test\r\nX-Big: ".to_vec();
+    head.resize(head.len() + (16 << 10), b'a');
+    head.extend_from_slice(b"\r\nConnection: close\r\n\r\n");
+    assert_head_rejected(addr, &head);
+
+    // The server keeps serving.
+    assert_eq!(metrics(addr).campaign_posts, 0);
+}
+
+#[test]
+fn more_header_lines_than_the_bound_is_a_431_that_closes_the_connection() {
+    let addr = start("many-header-lines");
+    let mut head = b"GET /metrics HTTP/1.1\r\nConnection: close\r\n".to_vec();
+    for i in 0..64 {
+        head.extend_from_slice(format!("X-Pad-{i}: 1\r\n").as_bytes());
+    }
+    head.extend_from_slice(b"\r\n");
+    assert_head_rejected(addr, &head);
+
+    // Exactly 64 header lines are served.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut head = b"GET /metrics HTTP/1.1\r\nConnection: close\r\n".to_vec();
+    for i in 0..63 {
+        head.extend_from_slice(format!("X-Pad-{i}: 1\r\n").as_bytes());
+    }
+    head.extend_from_slice(b"\r\n");
+    stream.write_all(&head).expect("send head");
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response).expect("read response");
+    assert!(response.starts_with(b"HTTP/1.1 200 "));
+}

@@ -1,11 +1,10 @@
-//! Load driver for the campaign service: measures the cache-hit path
-//! against the cold path and records the result in the `serve` section
-//! of `results/BENCH_campaign.json`.
+//! Load driver for the campaign service: drives the cold path and the
+//! cache-hit path and prints one JSON line on stdout.
 //!
 //! ```text
 //! fleet_bench [--addr HOST:PORT] [--os win95] [--cap 200]
 //!             [--identical 1000] [--distinct 3] [--clients 8]
-//!             [--supervised] [--workers 4] [--dump-report PATH]
+//!             [--dump-report PATH]
 //! ```
 //!
 //! Without `--addr` an in-process server is spawned on a loopback port
@@ -15,15 +14,15 @@
 //! 1. **Cold**: each of the `--distinct` specs (cap, cap+1, …) is
 //!    POSTed once; every one must execute a real campaign.
 //! 2. **Hit**: `--identical` POSTs of the first spec, spread over
-//!    `--clients` persistent keep-alive connections; every one must be
-//!    served from the cache. Reports served requests/second.
+//!    `--clients` persistent keep-alive connections; every one must
+//!    serve the first response's bytes.
 //!
-//! With `--supervised` a third phase measures the process fleet: one
-//! cache-cold campaign at a fresh cap with `process: true` and
-//! `--workers` supervised worker processes (the sibling `fleet_worker`
-//! binary is used unless `BALLISTA_WORKER_CMD` is already set), then the
-//! identical spec re-POSTed over the persistent clients for the hit
-//! rate. Recorded in the `fleet` section of the artifact.
+//! The stdout line holds `identical_requests`, `distinct_specs`,
+//! `clients`, `cap`, `hit_requests_per_sec`, `cold_wall_ms`,
+//! `campaigns_executed`, `requests_coalesced` and `hit_rate` (cache hits
+//! plus coalesced requests over all `POST /campaign` requests), for a
+//! `jq` gate to read. The timings are raw wall clock; the benchmark that
+//! times the server is `perfbench --workload serve`.
 //!
 //! `--dump-report` writes the identical-spec response body to a file so
 //! CI can `jq`-diff the served tallies against a direct engine run.
@@ -31,7 +30,7 @@
 //! campaigns than distinct specs (a coalescing/caching regression).
 
 use ballista::server::{CampaignSpec, Server, ServerConfig, ServerMetrics};
-use experiments::bench;
+use serde::Serialize;
 use sim_kernel::variant::OsVariant;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -44,8 +43,6 @@ struct Args {
     identical: usize,
     distinct: usize,
     clients: usize,
-    supervised: bool,
-    workers: usize,
     dump_report: Option<std::path::PathBuf>,
 }
 
@@ -57,8 +54,6 @@ fn parse_args() -> Args {
         identical: 1000,
         distinct: 3,
         clients: 8,
-        supervised: false,
-        workers: 4,
         dump_report: None,
     };
     let mut it = std::env::args().skip(1);
@@ -90,19 +85,12 @@ fn parse_args() -> Args {
                     .parse()
                     .expect("--clients takes a number");
             }
-            "--supervised" => args.supervised = true,
-            "--workers" => {
-                args.workers = value("--workers")
-                    .parse()
-                    .expect("--workers takes a number");
-            }
             "--dump-report" => args.dump_report = Some(value("--dump-report").into()),
             other => {
                 eprintln!("unknown argument {other}");
                 eprintln!(
                     "usage: fleet_bench [--addr HOST:PORT] [--os short_name] [--cap N] \
-                     [--identical N] [--distinct M] [--clients C] [--supervised] \
-                     [--workers W] [--dump-report PATH]"
+                     [--identical N] [--distinct M] [--clients C] [--dump-report PATH]"
                 );
                 std::process::exit(2);
             }
@@ -183,82 +171,18 @@ fn metrics(addr: &str) -> ServerMetrics {
     serde_json::from_slice(&body).expect("metrics parse")
 }
 
-/// The supervised-fleet phase: one cache-cold campaign on process
-/// workers (fresh cap → fresh fingerprint, since process/worker knobs
-/// do not change the fingerprint), then the hit path for the same spec.
-fn run_supervised(args: &Args, addr: &str, cold_cap: usize) -> bench::SupervisedFleetBench {
-    // Point the supervisor at the sibling fleet_worker binary unless
-    // the caller already routed it elsewhere.
-    if std::env::var_os("BALLISTA_WORKER_CMD").is_none() {
-        let worker = std::env::current_exe()
-            .expect("current exe")
-            .with_file_name("fleet_worker");
-        assert!(
-            worker.exists(),
-            "{} not built — build it or set BALLISTA_WORKER_CMD",
-            worker.display()
-        );
-        std::env::set_var("BALLISTA_WORKER_CMD", &worker);
-    }
-
-    let spec = serde_json::to_vec(&CampaignSpec {
-        cap: cold_cap,
-        workers: args.workers,
-        process: true,
-        ..CampaignSpec::new(args.os)
-    })
-    .expect("spec serializes");
-
-    let mut client = Client::connect(addr);
-    let t0 = Instant::now();
-    let (status, body) = client.request("POST", "/campaign", &spec);
-    let cold_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(status, 200, "supervised cold request");
-    let report: ballista::campaign::CampaignReport =
-        serde_json::from_slice(&body).expect("supervised report parses");
-    let deaths = report
-        .warnings
-        .iter()
-        .filter(|w| w.starts_with("fleet worker"))
-        .count() as u64;
-    eprintln!(
-        "supervised cold: {} cases on {} workers in {:.0}ms{}",
-        report.total_cases,
-        args.workers,
-        cold_wall_ms,
-        if report.fleet_degraded { " (DEGRADED)" } else { "" }
-    );
-
-    let per_client = args.identical.div_ceil(args.clients.max(1));
-    let fired = per_client * args.clients;
-    let t1 = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..args.clients {
-            let spec = &spec;
-            let expected = &body;
-            s.spawn(move || {
-                let mut client = Client::connect(addr);
-                for _ in 0..per_client {
-                    let (status, served) = client.request("POST", "/campaign", spec);
-                    assert_eq!(status, 200, "supervised hit request");
-                    assert_eq!(&served, expected, "hits must serve identical bytes");
-                }
-            });
-        }
-    });
-    let hit_rps = fired as f64 / t1.elapsed().as_secs_f64().max(1e-9);
-    eprintln!("supervised hit: {fired} requests — {hit_rps:.0} req/s");
-
-    bench::SupervisedFleetBench {
-        workers: args.workers,
-        shards: 0,
-        cap: cold_cap,
-        cold_wall_ms,
-        cold_cases_per_sec: report.total_cases as f64 / (cold_wall_ms / 1e3).max(1e-9),
-        hit_requests_per_sec: hit_rps,
-        worker_deaths: deaths,
-        degraded: report.fleet_degraded,
-    }
+/// The stdout line: what the two phases did and how fast.
+#[derive(Serialize)]
+struct ServeRow {
+    identical_requests: usize,
+    distinct_specs: usize,
+    clients: usize,
+    cap: usize,
+    hit_requests_per_sec: f64,
+    cold_wall_ms: f64,
+    campaigns_executed: u64,
+    requests_coalesced: u64,
+    hit_rate: f64,
 }
 
 fn main() {
@@ -340,14 +264,7 @@ fn main() {
         eprintln!("wrote served report to {}", path.display());
     }
 
-    // Supervised-fleet phase at a cap no earlier phase has cached.
-    let fleet = args
-        .supervised
-        .then(|| run_supervised(&args, &addr, args.cap + args.distinct));
-
-    // Record the serving row, preserving the other artifact sections.
-    let previous = bench::load();
-    let serve = bench::ServeBench {
+    let row = ServeRow {
         identical_requests: fired,
         distinct_specs: args.distinct,
         clients: args.clients,
@@ -358,26 +275,7 @@ fn main() {
         requests_coalesced: coalesced,
         hit_rate,
     };
-    match previous {
-        Some(mut artifact) => {
-            artifact.serve = Some(serve);
-            if let Some(fleet) = fleet.clone() {
-                artifact.fleet = Some(fleet);
-            }
-            bench::store(&artifact);
-        }
-        None => bench::store(&bench::CampaignBench {
-            total_wall_ms: cold_wall_ms,
-            total_cases: 0,
-            cases_per_sec: 0.0,
-            variant_fan_out: 1,
-            per_campaign_parallelism: 0,
-            variants: Vec::new(),
-            calibration: None,
-            serve: Some(serve),
-            fleet,
-        }),
-    }
+    println!("{}", serde_json::to_string(&row).expect("serializable"));
 
     assert_eq!(
         executed, args.distinct as u64,

@@ -17,8 +17,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod bench;
-
 use ballista::campaign::{run_campaign, CampaignConfig, CampaignReport};
 use ballista::telemetry::{chrome_trace_bytes, Hub, TelemetryConfig};
 use report::MultiOsResults;
@@ -57,38 +55,6 @@ fn split_parallelism(variants: usize) -> (usize, usize) {
     (fan_out, (cores / fan_out).max(1))
 }
 
-/// Runs one campaign in legacy provisioning mode and once with the
-/// current engine, and reports the measured speedup. Runs strictly after
-/// the main campaigns (the legacy switch is process-wide).
-fn calibrate_speedup(cap: usize) -> bench::Calibration {
-    let os = OsVariant::Linux;
-    let cfg = CampaignConfig {
-        cap,
-        record_raw: false,
-        isolation_probe: true,
-        perfect_cleanup: false,
-        parallelism: 1,
-        fuel_budget: 0,
-    };
-    ballista::exec::LEGACY_PROVISIONING.store(true, Ordering::SeqCst);
-    let t0 = Instant::now();
-    let legacy = run_campaign(os, &cfg);
-    let legacy_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    ballista::exec::LEGACY_PROVISIONING.store(false, Ordering::SeqCst);
-    let t1 = Instant::now();
-    let engine = run_campaign(os, &CampaignConfig { parallelism: 0, ..cfg });
-    let engine_wall_ms = t1.elapsed().as_secs_f64() * 1e3;
-    bench::Calibration {
-        os: os.short_name().to_owned(),
-        cap,
-        legacy_wall_ms,
-        engine_wall_ms,
-        speedup: legacy_wall_ms / engine_wall_ms.max(1e-9),
-        tallies_identical: serde_json::to_string(&legacy.muts).expect("serializable")
-            == serde_json::to_string(&engine.muts).expect("serializable"),
-    }
-}
-
 /// A placeholder report for a variant whose campaign died even after the
 /// engine's own containment: no tallies, explicitly `degraded` so every
 /// renderer flags the hole instead of silently presenting six variants
@@ -108,8 +74,8 @@ fn degraded_placeholder(os: OsVariant) -> CampaignReport {
     }
 }
 
-/// Runs the full seven-OS campaign at `cap`, printing progress and
-/// writing the `BENCH_campaign.json` timing artifact.
+/// Runs the full seven-OS campaign at `cap`, printing one progress line
+/// per variant and a total line.
 ///
 /// Variants fan out across worker threads (campaign order and results
 /// are position-stable, so the output is identical to the sequential
@@ -134,10 +100,10 @@ pub fn run_all_oses(cap: usize) -> MultiOsResults {
     let slots: Vec<Mutex<Option<CampaignReport>>> =
         oses.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = (0..fan_out)
             .map(|_| {
-                s.spawn(|_| loop {
+                s.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(&os) = oses.get(i) else { break };
                     let cfg = CampaignConfig {
@@ -173,8 +139,7 @@ pub fn run_all_oses(cap: usize) -> MultiOsResults {
                 eprintln!("  campaign worker thread died; degraded placeholders fill its slots");
             }
         }
-    })
-    .expect("campaign scope panicked");
+    });
     let reports: Vec<CampaignReport> = slots
         .into_iter()
         .zip(oses.iter())
@@ -184,32 +149,15 @@ pub fn run_all_oses(cap: usize) -> MultiOsResults {
                 .unwrap_or_else(|| degraded_placeholder(os))
         })
         .collect();
-    // Flush observability artifacts before the calibration reruns below
-    // so `metrics.json` describes exactly the seven-variant fleet.
     telemetry.finish();
-    let total_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let total_wall_s = t0.elapsed().as_secs_f64();
     let total_cases: usize = reports.iter().map(|r| r.total_cases).sum();
-    let calibration = calibrate_speedup(cap.min(100));
     eprintln!(
-        "  total: {} cases in {:.1}s; provisioning speedup vs legacy {:.1}x",
+        "  total: {} cases in {:.1}s ({:.0} cases/s)",
         total_cases,
-        total_wall_ms / 1e3,
-        calibration.speedup
+        total_wall_s,
+        total_cases as f64 / total_wall_s.max(1e-9)
     );
-    let artifact = bench::CampaignBench {
-        total_wall_ms,
-        total_cases,
-        cases_per_sec: total_cases as f64 / (total_wall_ms / 1e3).max(1e-9),
-        variant_fan_out: fan_out,
-        per_campaign_parallelism: per_campaign,
-        variants: reports.iter().map(bench::VariantBench::from_report).collect(),
-        calibration: Some(calibration),
-        // A prior fleet_bench's serving and supervised-fleet sections
-        // survive the rewrite.
-        serve: bench::load().and_then(|b| b.serve),
-        fleet: bench::load().and_then(|b| b.fleet),
-    };
-    bench::store(&artifact);
     let warnings: Vec<String> = reports
         .iter()
         .flat_map(|r| {

@@ -74,7 +74,6 @@ fn fleet(shards: usize, workers: usize) -> FleetConfig {
         shards,
         workers,
         process: true,
-        ..FleetConfig::default()
     }
 }
 
