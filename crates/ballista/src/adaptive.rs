@@ -63,8 +63,9 @@
 //! runs its cases on up to `cfg.workers()` threads without changing a
 //! draw. One coordinator draws, folds and steps the generator in the
 //! serial order. Fixed MuTs (exhaustive, or taking no parameters) do not
-//! depend on feedback, so the pool runs each to its first crash before
-//! round 0 and the coordinator reads their outcomes in cursor order.
+//! depend on feedback, so [`campaign::claim_each`] runs each to its first
+//! crash before round 0 and the coordinator reads their outcomes in
+//! cursor order.
 //! Steerable cases run speculatively: the coordinator draws a window
 //! ahead, applying at draw time what does not depend on an outcome
 //! (touch counts, weights, the taken set), and commits outcomes in draw
@@ -77,16 +78,14 @@
 //! outcome. The pinned plan, the ledger and the explore coverage are
 //! bit-identical at every parallelism, which is why `adaptive/1` stands.
 
-use crate::campaign::{self, prepare, CampaignConfig, CampaignFingerprint, CampaignReport, Mode};
-use crate::catalog;
+use crate::campaign::{self, CampaignConfig, CampaignFingerprint, CampaignReport, Mode};
+use crate::catalog::{self, ResolvedMut};
 use crate::coverage::{class_index, Coverage, CLASS_LABELS};
 use crate::crash::FailureClass;
 use crate::exec::{CaseRunner, Session, MAX_ARITY};
 use crate::journal::PlanHasher;
-use crate::muts::Mut;
 use crate::sampling::{self, Plan};
 use crate::telemetry::{self, Counter};
-use crate::value::TestValue;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -95,7 +94,7 @@ use sim_kernel::SubsystemFuel;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::Thread;
 
@@ -377,17 +376,11 @@ const CATASTROPHIC: usize = 0;
 /// Catastrophic.
 const RARE_CLASS: [bool; CLASS_LABELS.len()] = [true, true, false, true, false, false];
 
-/// What a pool thread needs to run a MuT's cases.
-struct MutRun<'a> {
-    mut_: &'a Mut,
-    pools: Vec<Vec<TestValue>>,
-}
-
 /// Per-MuT explorer state, owned by the coordinator.
 struct MutState {
     /// Index into the explorer's [`TypeFeedback`] tables, per parameter.
     type_ids: Vec<usize>,
-    dims: Vec<usize>,
+    dims: &'static [usize],
     /// The fixed plan (budget source; pinned verbatim for `fixed` MuTs).
     fixed_plan: Plan,
     /// `true` when the fixed plan is exhaustive (or the MuT takes no
@@ -395,7 +388,7 @@ struct MutState {
     fixed: bool,
     /// For a `fixed` MuT, the class index of every case explore runs:
     /// its plan in order, up to and including the first Catastrophic
-    /// one. Filled on the pool before round 0.
+    /// one. Filled by `claim_each` before round 0.
     fixed_classes: Vec<u8>,
     /// Linear indices pinned so far, and the deferred crash case.
     pinned: Vec<u64>,
@@ -464,53 +457,54 @@ impl MutState {
 ///
 /// One coordinator draws, folds and steps the generator in exactly the
 /// serial order; case execution runs on up to `cfg.workers()` threads,
-/// the coordinator included, and never more than two. Fixed
-/// MuTs run to their first crash before round 0; steerable cases run
-/// speculatively in a window drawn ahead of the commit point and are
-/// committed in draw order, and a commit that changes what a later draw
-/// reads rolls the later draws back (DESIGN.md §15).
+/// the coordinator included, and never more than two. Fixed MuTs run to
+/// their first crash on [`campaign::claim_each`] before round 0;
+/// steerable cases run speculatively in a window drawn ahead of the
+/// commit point and are committed in draw order, and a commit that
+/// changes what a later draw reads rolls the later draws back
+/// (DESIGN.md §15).
 ///
 /// Prefer [`pinned_plan_shared`], which memoizes per process.
 #[must_use]
 pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> PinnedPlan {
-    let registry = catalog::registry_for(os);
-    let muts = catalog::catalog_for(os);
+    let muts = &catalog::prepared(os).muts;
     let rounds_n = acfg.effective_rounds();
     let rare_bonus = acfg.effective_rare_bonus();
+    let fuel_budget = cfg.effective_fuel_budget();
 
     // One feedback table per parameter type, numbered in order of first
     // appearance in the catalog.
     let mut feedback: Vec<TypeFeedback> = Vec::new();
-    let mut runs = Vec::with_capacity(muts.len());
     let mut states = Vec::with_capacity(muts.len());
     for (mi, m) in muts.iter().enumerate() {
-        let prep = prepare(&registry, m, cfg);
-        let fixed = prep.plan.exhaustive();
-        let dims: Vec<usize> = prep.pools.iter().map(Vec::len).collect();
+        let fixed_plan = m.plan(cfg.cap);
+        let fixed = fixed_plan.exhaustive();
+        let dims = &m.dims[..];
         assert!(
             mi <= usize::from(u16::MAX)
                 && dims.len() <= MAX_ARITY
                 && dims.iter().all(|&d| d <= 1 << 16),
             "{}: a case must pack into 16-bit pool indices",
-            m.name
+            m.mut_.name
         );
-        let total = sampling::combination_count(&dims);
+        let total = sampling::combination_count(dims);
         assert!(
             total <= TAKEN_BITMAP_MAX,
             "{}: {total} combinations overflow the taken bitmap",
-            m.name
+            m.mut_.name
         );
         let type_ids = m
+            .mut_
             .params
             .iter()
-            .zip(&dims)
+            .zip(dims)
             .map(|(&ty, &len)| TypeFeedback::id_of(&mut feedback, ty, len, rare_bonus))
             .collect();
         states.push(MutState {
             type_ids,
             total,
             dims,
-            fixed_plan: prep.plan,
+            fixed_plan,
             fixed,
             fixed_classes: Vec::new(),
             pinned: Vec::new(),
@@ -522,20 +516,18 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
             new_class_this_round: false,
             new_class_last_round: false,
         });
-        runs.push(MutRun {
-            mut_: m,
-            pools: prep.pools,
-        });
     }
 
     let threads = cfg.workers().clamp(1, MAX_EXPLORE_THREADS);
-    let pool = Pool::new(
-        &runs,
-        os,
-        cfg.effective_fuel_budget(),
-        1 + (threads - 1) * WINDOW_PER_HELPER,
-    );
-    let fixed = FixedRuns::new(&states);
+    let fixed: Vec<usize> = (0..states.len()).filter(|&mi| states[mi].fixed).collect();
+    let classes = campaign::claim_each(fixed.len(), threads, Executor::default, |exec, j| {
+        let mi = fixed[j];
+        exec.run_fixed(os, &muts[mi], &states[mi].fixed_plan, fuel_budget)
+    });
+    for (mi, classes) in fixed.into_iter().zip(classes) {
+        states[mi].fixed_classes = classes;
+    }
+    let pool = Pool::new(muts, os, fuel_budget, 1 + (threads - 1) * WINDOW_PER_HELPER);
     // One RNG stream for the whole explore: the draw sequence depends
     // only on (tag, variant, seed) and the deterministic outcomes that
     // shape the weights.
@@ -559,18 +551,14 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
         exec: Executor::default(),
     };
     let rounds = std::thread::scope(|s| {
-        let (pool, fixed) = (&pool, &fixed);
+        let pool = &pool;
         let helpers: Vec<Thread> = (1..threads)
-            .map(|_| s.spawn(move || pool.help(fixed)).thread().clone())
+            .map(|_| s.spawn(move || pool.help()).thread().clone())
             .collect();
         let _stop = StopOnDrop {
             pool,
             helpers: &helpers,
         };
-        fixed.run(pool, &mut ex.exec);
-        for (mi, classes) in fixed.wait(pool) {
-            ex.states[mi].fixed_classes = classes;
-        }
         (0..rounds_n)
             .map(|round| {
                 pool.wake(&helpers);
@@ -588,18 +576,18 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
     let muts_pinned: Vec<PinnedMut> = ex
         .states
         .into_iter()
-        .zip(&runs)
-        .map(|(st, run)| {
+        .zip(muts)
+        .map(|(st, m)| {
             let plan = if st.fixed {
                 st.fixed_plan
             } else {
                 let mut pins = st.pinned;
                 pins.extend(st.deferred);
                 debug_assert_eq!(pins.len(), st.fixed_plan.len());
-                Plan::pinned(&st.dims, &pins)
+                Plan::pinned(st.dims, &pins)
             };
             PinnedMut {
-                name: run.mut_.name.to_owned(),
+                name: m.mut_.name.to_owned(),
                 plan,
             }
         })
@@ -726,7 +714,7 @@ impl Explorer {
     /// Runs one round: draws ahead up to the window, commits in draw
     /// order, and drains the window before returning, because the next
     /// round's quotas read what this round's commits observed.
-    fn round(&mut self, pool: &Pool<'_>, round: usize, remaining_rounds: usize) -> RoundStats {
+    fn round(&mut self, pool: &Pool, round: usize, remaining_rounds: usize) -> RoundStats {
         let snapshot = self.cov.clone();
         let explored_before = self.explore_cases;
         // Draws per MuT this round: its quota, plus one per crash it
@@ -803,14 +791,14 @@ impl Explorer {
     /// depend on its outcome (touch counts, weights, `taken`, a fixed
     /// MuT's cursor) and posts a steerable case to the pool. Returns the
     /// cursor after it.
-    fn draw(&mut self, pool: &Pool<'_>, at: Cursor, blocks: &[usize]) -> Cursor {
+    fn draw(&mut self, pool: &Pool, at: Cursor, blocks: &[usize]) -> Cursor {
         let st = &mut self.states[at.mi];
         let k = st.dims.len();
         let mut combo = [0; MAX_ARITY];
         let (linear, taken, outcome) = if st.fixed {
             // A fixed MuT's plan is the lexicographic range: case
             // `cursor` is the combination with that linear index.
-            sampling::decode_into(st.cursor as u64, &st.dims, &mut combo[..k]);
+            sampling::decode_into(st.cursor as u64, st.dims, &mut combo[..k]);
             let class = st.fixed_classes[st.cursor];
             st.cursor += 1;
             (0, 0, Outcome::Fixed(class))
@@ -854,7 +842,7 @@ impl Explorer {
     /// class counts, and the pin or deferred crash, or a discard, which
     /// grows the MuT's block in `blocks`. Returns what that changed for
     /// the draws after it.
-    fn commit(&mut self, pool: &Pool<'_>, d: &Drawn, blocks: &mut [usize]) -> Commit {
+    fn commit(&mut self, pool: &Pool, d: &Drawn, blocks: &mut [usize]) -> Commit {
         let (class, ran) = match d.outcome {
             Outcome::Fixed(class) => (usize::from(class), None),
             Outcome::Ran(ref ran) => (ran.class, Some(**ran)),
@@ -925,7 +913,7 @@ impl Explorer {
     /// the pool already produced are kept for a redraw of the same case.
     /// The withdrawn cases' tickets are posted again, so the tickets of
     /// the cases in the window stay one run no longer than the ring.
-    fn rollback(&mut self, pool: &Pool<'_>, keep: usize) {
+    fn rollback(&mut self, pool: &Pool, keep: usize) {
         if self.window.len() == keep {
             return;
         }
@@ -975,7 +963,7 @@ fn draw_combo(
             let fb = &feedback[id];
             *slot = sampling::weighted_index_in(rng, &fb.weights, fb.total);
         }
-        linear = sampling::encode(combo, &st.dims);
+        linear = sampling::encode(combo, st.dims);
         if !st.taken.contains(linear) {
             return linear;
         }
@@ -988,7 +976,7 @@ fn draw_combo(
             linear = 0;
         }
         if !st.taken.contains(linear) {
-            sampling::decode_into(linear, &st.dims, combo);
+            sampling::decode_into(linear, st.dims, combo);
             return linear;
         }
     }
@@ -1044,77 +1032,35 @@ struct Executor {
     session: Session,
 }
 
-/// The fixed MuTs' runs before round 0: claimed one MuT at a time by
-/// every pool thread, each run in plan order up to and including its
-/// first Catastrophic case.
-struct FixedRuns {
-    /// `(MuT index, plan)` of every fixed MuT, in catalog order.
-    jobs: Vec<(usize, Plan)>,
-    next: AtomicUsize,
-    done: AtomicUsize,
-    classes: Vec<Mutex<Vec<u8>>>,
-}
-
-impl FixedRuns {
-    fn new(states: &[MutState]) -> FixedRuns {
-        let jobs: Vec<(usize, Plan)> = states
-            .iter()
-            .enumerate()
-            .filter(|(_, st)| st.fixed)
-            .map(|(mi, st)| (mi, st.fixed_plan.clone()))
-            .collect();
-        FixedRuns {
-            classes: jobs.iter().map(|_| Mutex::default()).collect(),
-            jobs,
-            next: AtomicUsize::new(0),
-            done: AtomicUsize::new(0),
-        }
-    }
-
-    /// Claims and runs fixed MuTs until none is left. Every case here
-    /// is kept, so it is profiled as it runs.
-    fn run(&self, pool: &Pool<'_>, exec: &mut Executor) {
-        loop {
-            let j = self.next.fetch_add(1, Ordering::Relaxed);
-            let Some((mi, plan)) = self.jobs.get(j) else {
-                return;
-            };
-            let run = &pool.runs[*mi];
-            let mut classes = Vec::with_capacity(plan.len());
-            let mut cases = plan.cases();
-            for i in 0..plan.len() {
-                exec.session.residue = 0;
-                let r = exec.runner.execute(
-                    pool.os,
-                    run.mut_,
-                    &run.pools,
-                    cases.get(i),
-                    &mut exec.session,
-                    pool.fuel_budget,
-                );
-                classes.push(class_index(r.class, r.raw) as u8);
-                if r.class == FailureClass::Catastrophic {
-                    break;
-                }
+impl Executor {
+    /// Runs a fixed MuT's `plan` in order up to and including its first
+    /// Catastrophic case, and returns each case's class index. Every
+    /// case here is kept, so it is profiled as it runs.
+    fn run_fixed(
+        &mut self,
+        os: OsVariant,
+        m: &ResolvedMut,
+        plan: &Plan,
+        fuel_budget: u64,
+    ) -> Vec<u8> {
+        let mut classes = Vec::with_capacity(plan.len());
+        let mut cases = plan.cases();
+        for i in 0..plan.len() {
+            self.session.residue = 0;
+            let r = self.runner.execute(
+                os,
+                &m.mut_,
+                &m.pools,
+                cases.get(i),
+                &mut self.session,
+                fuel_budget,
+            );
+            classes.push(class_index(r.class, r.raw) as u8);
+            if r.class == FailureClass::Catastrophic {
+                break;
             }
-            *self.classes[j].lock().expect("fixed run slot poisoned") = classes;
-            self.done.fetch_add(1, Ordering::Release);
         }
-    }
-
-    /// Waits until every fixed MuT has run, then hands out the class
-    /// lists by MuT index.
-    fn wait(&self, pool: &Pool<'_>) -> impl Iterator<Item = (usize, Vec<u8>)> + '_ {
-        let mut spins = 0;
-        while self.done.load(Ordering::Acquire) < self.jobs.len() {
-            pool.backoff(&mut spins);
-        }
-        self.jobs.iter().zip(&self.classes).map(|((mi, _), slot)| {
-            (
-                *mi,
-                std::mem::take(&mut *slot.lock().expect("fixed run slot poisoned")),
-            )
-        })
+        classes
     }
 }
 
@@ -1149,17 +1095,17 @@ struct Slot {
 
 /// The explore pool: a ring of case slots the coordinator posts drawn
 /// cases into, one ticket per case, and pool threads claim in ticket
-/// order, run and mark done. Its threads live for the whole explore,
-/// serving the fixed runs and then the ring, which the engines' one-shot
-/// `campaign::claim_each` cannot. A claim is a compare-exchange on the slot's
+/// order, run and mark done. Its threads serve the ring for every round
+/// of the explore; the fixed runs before round 0 go through
+/// [`campaign::claim_each`]. A claim is a compare-exchange on the slot's
 /// state word, which carries the ticket and the state, so no one runs a
 /// withdrawn case or the wrong one. A rollback posts the withdrawn
 /// tickets again for the redrawn cases; a pool thread that has passed
 /// them leaves them to the coordinator, which runs any case it finds
 /// unclaimed. Pool threads spin on the ring while a round runs, because
 /// a blocking hand-off costs about forty cases, and park between rounds.
-struct Pool<'a> {
-    runs: &'a [MutRun<'a>],
+struct Pool {
+    runs: &'static [ResolvedMut],
     os: OsVariant,
     fuel_budget: u64,
     /// Whether telemetry was on when explore began; outcomes then carry
@@ -1177,8 +1123,8 @@ struct Pool<'a> {
     poisoned: AtomicBool,
 }
 
-impl<'a> Pool<'a> {
-    fn new(runs: &'a [MutRun<'a>], os: OsVariant, fuel_budget: u64, window: usize) -> Pool<'a> {
+impl Pool {
+    fn new(runs: &'static [ResolvedMut], os: OsVariant, fuel_budget: u64, window: usize) -> Pool {
         Pool {
             runs,
             os,
@@ -1250,7 +1196,7 @@ impl<'a> Pool<'a> {
         exec.session.residue = 0;
         let r = exec.runner.execute_as::<false>(
             self.os,
-            run.mut_,
+            &run.mut_,
             &run.pools,
             &combo[..run.pools.len()],
             &mut exec.session,
@@ -1357,12 +1303,10 @@ impl<'a> Pool<'a> {
         }
     }
 
-    /// A pool thread's life: the fixed runs, then posted cases until
-    /// explore ends.
-    fn help(&self, fixed: &FixedRuns) {
+    /// A pool thread's life: posted cases until explore ends.
+    fn help(&self) {
         let served = catch_unwind(AssertUnwindSafe(|| {
             let mut exec = Executor::default();
-            fixed.run(self, &mut exec);
             let mut spins = 0;
             while !self.stop.load(Ordering::Acquire) {
                 // Wait on the slot of the next ticket: it is posted once
@@ -1398,12 +1342,12 @@ impl<'a> Pool<'a> {
 
 /// Ends the pool threads when the coordinator leaves the scope, also by
 /// a panic, so the scope's join never waits on a spinning thread.
-struct StopOnDrop<'p, 'a> {
-    pool: &'p Pool<'a>,
+struct StopOnDrop<'p> {
+    pool: &'p Pool,
     helpers: &'p [Thread],
 }
 
-impl Drop for StopOnDrop<'_, '_> {
+impl Drop for StopOnDrop<'_> {
     fn drop(&mut self) {
         self.pool.stop.store(true, Ordering::Release);
         for h in self.helpers {
@@ -1551,10 +1495,10 @@ mod tests {
         let muts = catalog::catalog_for(OsVariant::Win95);
         for (m, pm) in muts.iter().zip(&a.muts) {
             assert_eq!(m.name, pm.name, "catalog order preserved");
-            let fixed = prepare(&registry, m, &c);
+            let fixed = campaign::plan_of(m, &campaign::resolve_pools(&registry, m), c.cap);
             assert_eq!(
                 pm.plan.len(),
-                fixed.plan.len(),
+                fixed.len(),
                 "{}: adaptive budget must equal the fixed plan's",
                 m.name
             );

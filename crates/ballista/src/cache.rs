@@ -37,6 +37,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use crate::campaign::{CampaignFingerprint, CampaignReport};
+use crate::journal::PlanHasher;
 use crate::persist;
 use crate::telemetry::{self, Counter};
 
@@ -46,26 +47,22 @@ const MAGIC: &[u8; 8] = b"BLSTCCH1";
 /// Fixed header length: magic + fingerprint + payload length + checksum.
 const HEADER_LEN: usize = 8 + 8 + 8 + 8;
 
-/// FNV-1a over a byte slice — the same 64-bit flavor the plan
-/// fingerprint uses, applied here to the serialized payload so entry
-/// corruption anywhere (header or body) is detected.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// FNV-1a over the serialized payload, by the plan fingerprint's
+/// hasher, so entry corruption anywhere (header or body) is detected.
+fn checksum(payload: &[u8]) -> u64 {
+    let mut h = PlanHasher::new();
+    h.write(payload);
+    h.finish()
 }
 
 /// Serializes a report entry: `BLSTCCH1 | fingerprint LE | len LE |
-/// fnv1a64(payload) LE | payload`.
+/// checksum(payload) LE | payload`.
 fn encode_entry(fp: CampaignFingerprint, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&fp.as_u64().to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    out.extend_from_slice(&checksum(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -83,7 +80,7 @@ fn decode_entry(fp: CampaignFingerprint, bytes: &[u8]) -> Option<&[u8]> {
     }
     let len = usize::try_from(le_u64(16)?).ok()?;
     let payload = bytes.get(HEADER_LEN..HEADER_LEN + len)?;
-    if bytes.len() != HEADER_LEN + len || le_u64(24)? != fnv1a64(payload) {
+    if bytes.len() != HEADER_LEN + len || le_u64(24)? != checksum(payload) {
         return None;
     }
     Some(payload)

@@ -48,7 +48,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// How many times a contained worker panic earns the MuT a rerun on
@@ -252,9 +252,9 @@ impl Deserialize for CampaignFingerprint {
 
 /// Computes the [`CampaignFingerprint`] of `(os, cfg)` — the exact hash
 /// the journaled engine stamps into its header and the result cache
-/// keys on. Reads each MuT's planned case count off the variant's
-/// signature table (built once per process), so it draws no plan and
-/// resolves no pool.
+/// keys on. Reads each MuT's name and pool sizes off the variant's
+/// prepared catalog (built once per process), so it draws no plan,
+/// resolves no pool and allocates nothing.
 #[must_use]
 pub fn fingerprint(os: OsVariant, cfg: &CampaignConfig) -> CampaignFingerprint {
     Mode::Classic.fingerprint(os, cfg)
@@ -266,57 +266,7 @@ pub fn fingerprint(os: OsVariant, cfg: &CampaignConfig) -> CampaignFingerprint {
 /// fingerprint.
 #[must_use]
 pub fn exhaustive_cap(os: OsVariant) -> usize {
-    signatures(os).exhaustive_cap
-}
-
-/// A variant's catalog signatures in catalog order, and the largest
-/// number of cases any of them plans.
-struct Signatures {
-    muts: Vec<Signature>,
-    exhaustive_cap: usize,
-}
-
-/// One catalog MuT's sampling signature: its name and pool sizes, which
-/// decide its plan at every cap.
-struct Signature {
-    name: &'static str,
-    dims: Vec<usize>,
-}
-
-impl Signature {
-    /// Cases the MuT plans at `cap`: the whole product when the cap
-    /// covers it, else `cap` (a zero-parameter MuT plans its one case).
-    fn planned(&self, cap: usize) -> usize {
-        if self.dims.is_empty() {
-            return 1;
-        }
-        usize::try_from(sampling::combination_count(&self.dims)).map_or(cap, |n| n.min(cap))
-    }
-}
-
-/// `os`'s signature table, resolved once per process.
-fn signatures(os: OsVariant) -> &'static Signatures {
-    static TABLES: [OnceLock<Signatures>; OsVariant::ALL.len()] =
-        [const { OnceLock::new() }; OsVariant::ALL.len()];
-    let slot = OsVariant::ALL
-        .iter()
-        .position(|&v| v == os)
-        .expect("every variant is in ALL");
-    TABLES[slot].get_or_init(|| {
-        let registry = catalog::registry_for(os);
-        let muts: Vec<Signature> = catalog::catalog_for(os)
-            .iter()
-            .map(|m| Signature {
-                name: m.name,
-                dims: resolve_pools(&registry, m).iter().map(Vec::len).collect(),
-            })
-            .collect();
-        let exhaustive_cap = muts.iter().map(|sig| sig.planned(usize::MAX)).max();
-        Signatures {
-            exhaustive_cap: exhaustive_cap.unwrap_or(1),
-            muts,
-        }
-    })
+    catalog::prepared(os).exhaustive_cap
 }
 
 /// Timing and machine-provisioning counters for one campaign run.
@@ -537,8 +487,8 @@ pub fn resolve_pools(registry: &TypeRegistry, mut_: &Mut) -> Vec<Vec<TestValue>>
 /// Runs the campaign for a single MuT.
 #[must_use]
 pub fn run_mut_campaign(os: OsVariant, mut_: &Mut, cfg: &CampaignConfig) -> MutTally {
-    let registry = catalog::registry_for(os);
-    run_mut_campaign_with(os, mut_, &registry, cfg, &mut Session::new())
+    let registry = &catalog::prepared(os).registry;
+    run_mut_campaign_with(os, mut_, registry, cfg, &mut Session::new())
 }
 
 /// Campaign for one MuT with caller-provided registry and session (the
@@ -552,7 +502,13 @@ pub fn run_mut_campaign_with(
     cfg: &CampaignConfig,
     session: &mut Session,
 ) -> MutTally {
-    sequential_mut(os, cfg, &prepare(registry, mut_, cfg), session, &mut None)
+    let pools = resolve_pools(registry, mut_);
+    let prep = PreparedMut {
+        mut_,
+        plan: plan_of(mut_, &pools, cfg.cap),
+        pools: &pools,
+    };
+    sequential_mut(os, cfg, &prep, session, &mut None)
 }
 
 /// A MuT with its resolved pools and its plan — a view of the sample
@@ -560,7 +516,7 @@ pub fn run_mut_campaign_with(
 /// ([`sampling::plan`]), reused by both engine phases.
 pub(crate) struct PreparedMut<'a> {
     pub(crate) mut_: &'a Mut,
-    pub(crate) pools: Vec<Vec<TestValue>>,
+    pub(crate) pools: &'a [Vec<TestValue>],
     pub(crate) plan: Plan,
 }
 
@@ -572,16 +528,6 @@ pub(crate) fn plan_of(mut_: &Mut, pools: &[Vec<TestValue>], cap: usize) -> Plan 
         let dims: Vec<usize> = pools.iter().map(Vec::len).collect();
         sampling::plan(&dims, cap, mut_.name)
     }
-}
-
-pub(crate) fn prepare<'a>(
-    registry: &TypeRegistry,
-    mut_: &'a Mut,
-    cfg: &CampaignConfig,
-) -> PreparedMut<'a> {
-    let pools = resolve_pools(registry, mut_);
-    let plan = plan_of(mut_, &pools, cfg.cap);
-    PreparedMut { mut_, pools, plan }
 }
 
 pub(crate) fn empty_tally(mut_: &Mut, planned: usize) -> MutTally {
@@ -620,29 +566,31 @@ pub(crate) enum Mode {
 }
 
 impl Mode {
-    /// Each MuT's plan for catalog positions `range` of `muts`: the fixed
-    /// sample, or the adaptive pin (explored on first use, then memoized
-    /// per process — engines derive preps before opening their stats
-    /// [`Epoch`], so explore cases never reach the campaign's counters).
-    pub(crate) fn preps<'a>(
+    /// Each MuT's plan for catalog positions `range` of `os`'s catalog,
+    /// clamped to its length (`0..usize::MAX` is the whole catalog): the
+    /// fixed sample, or the adaptive pin (explored on first use, then
+    /// memoized per process — engines derive preps before opening their
+    /// stats [`Epoch`], so explore cases never reach the campaign's
+    /// counters). MuTs and pools borrow from the prepared catalog.
+    pub(crate) fn preps(
         self,
         os: OsVariant,
         cfg: &CampaignConfig,
-        muts: &'a [Mut],
         range: Range<usize>,
-    ) -> Vec<PreparedMut<'a>> {
-        let registry = catalog::registry_for(os);
+    ) -> Vec<PreparedMut<'static>> {
+        let muts = &catalog::prepared(os).muts;
         let pin = match self {
             Mode::Adaptive(acfg) => Some(adaptive::pinned_plan_shared(os, cfg, &acfg)),
             Mode::Classic | Mode::Crashcon => None,
         };
-        range
-            .map(|i| {
-                let mut prep = prepare(&registry, &muts[i], cfg);
-                if let Some(pin) = &pin {
-                    prep.plan = pin.muts[i].plan.clone();
-                }
-                prep
+        let end = range.end.min(muts.len());
+        (range.start.min(end)..end)
+            .map(|i| PreparedMut {
+                mut_: &muts[i].mut_,
+                pools: &muts[i].pools,
+                plan: pin
+                    .as_ref()
+                    .map_or_else(|| muts[i].plan(cfg.cap), |pin| pin.muts[i].plan.clone()),
             })
             .collect()
     }
@@ -651,9 +599,10 @@ impl Mode {
     /// in first (`crashcon/1`, or `adaptive/1` plus the explore knobs) so
     /// no two modes share a journal or a cache entry. Each MuT's name and
     /// fixed planned count are hashed in every mode, read off the
-    /// variant's signature table: a pinned plan is a pure function of the
+    /// variant's prepared catalog: a pinned plan is a pure function of the
     /// knobs the tag folds, so addressing a campaign never explores, and
-    /// a planned count is `min(cap, product)`, so it never plans.
+    /// a planned count is `min(cap, product)` of the stored pool sizes, so
+    /// it never plans.
     pub(crate) fn fingerprint(self, os: OsVariant, cfg: &CampaignConfig) -> CampaignFingerprint {
         let mut h = PlanHasher::new();
         match self {
@@ -677,9 +626,9 @@ impl Mode {
         // so auto fingerprints identically on every host.
         h.write_u64(u64::from(cfg.isolation_probe));
         h.write_u64(cfg.parallelism as u64);
-        for sig in &signatures(os).muts {
-            h.write_str(sig.name);
-            h.write_u64(sig.planned(cfg.cap) as u64);
+        for m in &catalog::prepared(os).muts {
+            h.write_str(m.mut_.name);
+            h.write_u64(m.planned(cfg.cap) as u64);
         }
         CampaignFingerprint(h.finish())
     }
@@ -769,37 +718,58 @@ impl Epoch {
     }
 }
 
-/// The engines' one worker pool: runs `job(i)` for every `i < n` on up
-/// to `workers` threads, each claiming the next unclaimed index, and
-/// returns the outputs in index order. Pool threads count into `epoch`'s
-/// counters; a single worker runs inline on the caller.
-pub(crate) fn claim_each<T: Send>(
+/// The one worker pool: runs `job(state, i)` for every `i < n` on up to
+/// `workers` threads, the calling thread included, each claiming the
+/// next unclaimed index, and returns the outputs in index order.
+///
+/// A thread that claims a job first builds its `state` with `init`, once,
+/// and hands it to every job it runs: a per-thread case runner, or a
+/// guard that makes the thread count into a campaign's counters. Only
+/// `workers - 1` threads are spawned, and none when there is at most one
+/// job. A panic in a job re-raises here once every thread has stopped.
+///
+/// # Example
+///
+/// ```
+/// use ballista::campaign::claim_each;
+///
+/// let squares = claim_each(5, 2, || 0u32, |runs, i| {
+///     *runs += 1;
+///     i * i
+/// });
+/// assert_eq!(squares, [0, 1, 4, 9, 16]);
+/// ```
+pub fn claim_each<S, T: Send>(
     n: usize,
     workers: usize,
-    epoch: &Epoch,
-    job: impl Fn(usize) -> T + Sync,
+    init: impl Fn() -> S + Sync,
+    job: impl Fn(&mut S, usize) -> T + Sync,
 ) -> Vec<T> {
-    if workers <= 1 {
-        return (0..n).map(job).collect();
-    }
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers.min(n) {
-            s.spawn(|_| {
-                let _counting = CountingFor::new(&epoch.counters);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let out = job(i);
-                    *slots[i].lock().expect("pool slot poisoned") = Some(out);
-                }
-            });
+    let claim = || {
+        let mut state = None;
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let out = job(state.get_or_insert_with(&init), i);
+            *slots[i].lock().expect("pool slot poisoned") = Some(out);
         }
-    })
-    .expect("pool worker panicked");
+    };
+    let ran = crossbeam::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers.min(n)).map(|_| s.spawn(|_| claim())).collect();
+        claim();
+        for helper in helpers {
+            if let Err(panic) = helper.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+    if let Err(panic) = ran {
+        std::panic::resume_unwind(panic);
+    }
     slots
         .into_iter()
         .map(|slot| {
@@ -869,7 +839,7 @@ fn run_clean_mut(
     for c_idx in 0..planned {
         clean.residue = 0;
         let combo = cases.get(c_idx);
-        let r = runner.execute(os, prep.mut_, &prep.pools, combo, &mut clean, fuel_budget);
+        let r = runner.execute(os, prep.mut_, prep.pools, combo, &mut clean, fuel_budget);
         records.push(crash::pack_case(r.raw, r.any_exceptional, r.residue_probed));
         if let Some(fuel) = fuel.as_mut() {
             fuel.push(r.fuel_used);
@@ -930,7 +900,8 @@ pub(crate) fn clean_pass(
     capture_fuel: bool,
     epoch: &Epoch,
 ) -> ShardResult {
-    ShardResult::concat(claim_each(preps.len(), workers, epoch, |i| {
+    let counting = || CountingFor::new(&epoch.counters);
+    ShardResult::concat(claim_each(preps.len(), workers, counting, |_, i| {
         clean_range(mode, os, cfg, &preps[i..=i], i, capture_fuel, &mut |_| {})
     }))
 }
@@ -1013,7 +984,7 @@ fn fold_mut<E>(
                 if cfg.isolation_probe {
                     let combo = prep.plan.combo(c_idx);
                     tally.crash_reproducible_in_isolation =
-                        Some(reproduce_in_isolation(os, prep.mut_, &prep.pools, &combo));
+                        Some(reproduce_in_isolation(os, prep.mut_, prep.pools, &combo));
                 }
                 break;
             }
@@ -1048,7 +1019,7 @@ fn sequential_mut(
     let mut cases = prep.plan.cases();
     let Ok(tally) = fold_mut::<Infallible>(os, cfg, prep, prep.plan.len(), session, tc, |c, s| {
         let combo = cases.get(c);
-        Ok(runner.execute(os, prep.mut_, &prep.pools, combo, s, fuel_budget))
+        Ok(runner.execute(os, prep.mut_, prep.pools, combo, s, fuel_budget))
     });
     tally
 }
@@ -1078,27 +1049,26 @@ fn replay_pass(
         };
         let reached = recs.records.len();
         let mut cases = prep.plan.cases();
-        let Ok(tally) =
-            fold_mut::<Infallible>(os, cfg, prep, reached, &mut session, tc, |c, s| {
-                Ok(match crash::unpack_case(recs.records[c]) {
-                    // Reused, not re-executed: its fuel comes from the
-                    // clean-pass side channel. Sound because a reused case
-                    // either never probed residue (control flow — and fuel —
-                    // cannot depend on it) or ran at residue 0 both times.
-                    Some(rec @ (_, _, probed)) if !(probed && s.residue != 0) => recorded(
-                        s,
-                        rec,
-                        recs.fuel
-                            .as_ref()
-                            .and_then(|f| f.get(c).copied())
-                            .unwrap_or(0),
-                    ),
-                    _ => {
-                        replayed += 1;
-                        runner.execute(os, prep.mut_, &prep.pools, cases.get(c), s, fuel_budget)
-                    }
-                })
-            });
+        let Ok(tally) = fold_mut::<Infallible>(os, cfg, prep, reached, &mut session, tc, |c, s| {
+            Ok(match crash::unpack_case(recs.records[c]) {
+                // Reused, not re-executed: its fuel comes from the
+                // clean-pass side channel. Sound because a reused case
+                // either never probed residue (control flow — and fuel —
+                // cannot depend on it) or ran at residue 0 both times.
+                Some(rec @ (_, _, probed)) if !(probed && s.residue != 0) => recorded(
+                    s,
+                    rec,
+                    recs.fuel
+                        .as_ref()
+                        .and_then(|f| f.get(c).copied())
+                        .unwrap_or(0),
+                ),
+                _ => {
+                    replayed += 1;
+                    runner.execute(os, prep.mut_, prep.pools, cases.get(c), s, fuel_budget)
+                }
+            })
+        });
         tallies.push(tally);
     }
     (tallies, replayed)
@@ -1161,8 +1131,7 @@ pub fn run_campaign(os: OsVariant, cfg: &CampaignConfig) -> CampaignReport {
 /// [`crate::adaptive::run_adaptive`]: the sequential walk at one worker,
 /// else the clean pass on the pool and the replay pass.
 pub(crate) fn run_mode(mode: Mode, os: OsVariant, cfg: &CampaignConfig) -> CampaignReport {
-    let muts = catalog::catalog_for(os);
-    let preps = mode.preps(os, cfg, &muts, 0..muts.len());
+    let preps = mode.preps(os, cfg, 0..usize::MAX);
     let epoch = Epoch::open(None);
     let mut tc = TraceCollector::begin(os, cfg.cap as u64);
     let workers = cfg.workers().min(preps.len().max(1));
@@ -1269,8 +1238,7 @@ pub(crate) fn run_journaled(
     journal_path: &Path,
     resume: bool,
 ) -> std::io::Result<CampaignReport> {
-    let muts = catalog::catalog_for(os);
-    let preps = mode.preps(os, cfg, &muts, 0..muts.len());
+    let preps = mode.preps(os, cfg, 0..usize::MAX);
     let hash = mode.fingerprint(os, cfg).as_u64();
     let epoch = Epoch::open(None);
     let mut tc = TraceCollector::begin(os, cfg.cap as u64);
@@ -1300,7 +1268,7 @@ pub(crate) fn run_journaled(
                     return Ok(recorded(s, rec, fuel));
                 }
                 let combo = cases.get(c_idx);
-                let r = runner.execute(os, prep.mut_, &prep.pools, combo, s, fuel_budget);
+                let r = runner.execute(os, prep.mut_, prep.pools, combo, s, fuel_budget);
                 let packed = crash::pack_case(r.raw, r.any_exceptional, r.residue_probed);
                 cursor.append(m_idx, c_idx, packed, r.fuel_used)?;
                 Ok(r)
@@ -1326,6 +1294,54 @@ mod tests {
             perfect_cleanup: false,
             parallelism: 1,
             fuel_budget: 0,
+        }
+    }
+
+    /// The pool's contract: outputs in index order at every width, a
+    /// thread's state built at most once and only by that thread, and a
+    /// job's panic raised again from the pool.
+    #[test]
+    fn claim_each_orders_outputs_inits_once_per_thread_and_reraises() {
+        use std::collections::HashSet;
+        use std::thread::{self, ThreadId};
+        for n in [0usize, 1, 5, 64] {
+            for workers in [1usize, 2, 3, 8] {
+                let inits: Mutex<Vec<ThreadId>> = Mutex::default();
+                let init = || {
+                    let id = thread::current().id();
+                    inits.lock().unwrap().push(id);
+                    id
+                };
+                let out = claim_each(n, workers, init, |owner: &mut ThreadId, i| {
+                    assert_eq!(*owner, thread::current().id(), "state crossed threads");
+                    i * 3
+                });
+                let expect: Vec<usize> = (0..n).map(|i| i * 3).collect();
+                assert_eq!(out, expect, "n {n}, workers {workers}");
+                let inits = inits.into_inner().unwrap();
+                let threads: HashSet<&ThreadId> = inits.iter().collect();
+                assert_eq!(
+                    threads.len(),
+                    inits.len(),
+                    "n {n}, workers {workers}: init ran twice"
+                );
+                assert!(
+                    inits.len() <= workers.min(n),
+                    "n {n}, workers {workers}: {inits:?}"
+                );
+            }
+        }
+        let failing = |_: &mut (), i: usize| {
+            assert_ne!(i, 5, "job 5 fails");
+            i
+        };
+        for workers in [1, 2, 3] {
+            let raised = catch_unwind(|| claim_each(8, workers, || (), failing))
+                .expect_err("a job's panic reaches the caller");
+            let message = raised
+                .downcast_ref::<String>()
+                .expect("an assert's message");
+            assert!(message.contains("job 5 fails"), "{message}");
         }
     }
 

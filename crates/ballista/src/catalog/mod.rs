@@ -11,10 +11,14 @@ mod clib;
 mod posix;
 mod win32;
 
+use crate::campaign;
 use crate::datatype::TypeRegistry;
 use crate::muts::Mut;
 use crate::pools;
+use crate::sampling::{self, Plan};
+use crate::value::TestValue;
 use sim_kernel::variant::OsVariant;
+use std::sync::OnceLock;
 
 /// The data-type registry for an OS (POSIX vs Windows pools).
 #[must_use]
@@ -39,6 +43,69 @@ pub fn catalog_for(os: OsVariant) -> Vec<Mut> {
     }
     out.extend(clib::c_library(os));
     out
+}
+
+/// A variant's catalog resolved once per process: its registry, every
+/// MuT in catalog order with its pools, and the largest number of cases
+/// any MuT plans. Test values attach to data types, not to functions, so
+/// this is fixed data; every engine, shard, explore, coverage pass and
+/// fingerprint reads it instead of rebuilding it.
+pub(crate) struct Prepared {
+    pub(crate) registry: TypeRegistry,
+    pub(crate) muts: Vec<ResolvedMut>,
+    /// The smallest cap at which every plan is exhaustive.
+    pub(crate) exhaustive_cap: usize,
+}
+
+/// One catalog MuT with its parameter pools resolved against the
+/// variant's registry, and their sizes.
+pub(crate) struct ResolvedMut {
+    pub(crate) mut_: Mut,
+    pub(crate) pools: Vec<Vec<TestValue>>,
+    pub(crate) dims: Vec<usize>,
+}
+
+impl ResolvedMut {
+    /// Cases the MuT plans at `cap`: the whole product when the cap
+    /// covers it, else `cap` (a zero-parameter MuT plans its one case).
+    pub(crate) fn planned(&self, cap: usize) -> usize {
+        if self.dims.is_empty() {
+            return 1;
+        }
+        usize::try_from(sampling::combination_count(&self.dims)).map_or(cap, |n| n.min(cap))
+    }
+
+    /// The MuT's fixed plan at `cap`.
+    pub(crate) fn plan(&self, cap: usize) -> Plan {
+        campaign::plan_of(&self.mut_, &self.pools, cap)
+    }
+}
+
+/// `os`'s [`Prepared`] table, built on first use.
+pub(crate) fn prepared(os: OsVariant) -> &'static Prepared {
+    static TABLES: [OnceLock<Prepared>; OsVariant::ALL.len()] =
+        [const { OnceLock::new() }; OsVariant::ALL.len()];
+    let slot = OsVariant::ALL
+        .iter()
+        .position(|&v| v == os)
+        .expect("every variant is in ALL");
+    TABLES[slot].get_or_init(|| {
+        let registry = registry_for(os);
+        let muts: Vec<ResolvedMut> = catalog_for(os)
+            .into_iter()
+            .map(|mut_| {
+                let pools = campaign::resolve_pools(&registry, &mut_);
+                let dims = pools.iter().map(Vec::len).collect();
+                ResolvedMut { mut_, pools, dims }
+            })
+            .collect();
+        let exhaustive_cap = muts.iter().map(|m| m.planned(usize::MAX)).max();
+        Prepared {
+            registry,
+            exhaustive_cap: exhaustive_cap.unwrap_or(1),
+            muts,
+        }
+    })
 }
 
 /// Convenience: only the system-call MuTs.

@@ -138,19 +138,17 @@ impl Coverage {
         cfg: &CampaignConfig,
         plans: Option<&BTreeMap<String, Plan>>,
     ) -> Self {
-        let registry = catalog::registry_for(report.os);
-        let muts = catalog::catalog_for(report.os);
+        let muts = &catalog::prepared(report.os).muts;
         let mut cov = Coverage::default();
         let variant = report.os.short_name().to_owned();
         cov.variants.insert(variant.clone());
         for tally in &report.muts {
-            let Some(mut_) = muts.iter().find(|m| m.name == tally.name) else {
+            let Some(m) = muts.iter().find(|m| m.mut_.name == tally.name) else {
                 continue; // foreign tally (not in this variant's catalog)
             };
-            let pools = crate::campaign::resolve_pools(&registry, mut_);
             let plan = match plans.and_then(|p| p.get(&tally.name)) {
                 Some(plan) => plan.clone(),
-                None => crate::campaign::plan_of(mut_, &pools, cfg.cap),
+                None => m.plan(cfg.cap),
             };
             let entry = cov.muts.entry(tally.name.clone()).or_default();
             entry.planned += tally.planned as u64;
@@ -158,14 +156,14 @@ impl Coverage {
             entry.variants.insert(variant.clone());
             cov.planned_cases += tally.planned as u64;
             cov.executed_cases += tally.cases as u64;
-            for (ty, pool) in mut_.params.iter().zip(&pools) {
+            for (ty, pool) in m.mut_.params.iter().zip(&m.pools) {
                 let slot = cov.pools.entry((*ty).to_owned()).or_default();
                 slot.size = slot.size.max(pool.len() as u64);
             }
             let mut cases = plan.cases();
             for c_idx in 0..tally.cases.min(plan.len()) {
                 let combo = cases.get(c_idx);
-                for ((ty, pool), &idx) in mut_.params.iter().zip(&pools).zip(combo) {
+                for ((ty, pool), &idx) in m.mut_.params.iter().zip(&m.pools).zip(combo) {
                     let slot = cov.pools.entry((*ty).to_owned()).or_default();
                     slot.touched.insert(pool[idx].name.to_owned());
                 }

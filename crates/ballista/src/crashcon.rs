@@ -56,7 +56,6 @@
 //! `crash_points` by the points its memo answered.
 
 use crate::campaign::{self, CampaignConfig, CampaignStats, Epoch, Mode, PreparedMut};
-use crate::catalog;
 use crate::exec::{fault, CaseRunner, Session};
 use crate::fleet::{ShardResult, WireCleanMut};
 use crate::journal::Resume;
@@ -579,7 +578,7 @@ impl Judge {
         let (_result, ops, truncated) = self.runner.execute_recorded(
             os,
             prep.mut_,
-            &prep.pools,
+            prep.pools,
             combo,
             &mut self.session,
             fuel_budget,
@@ -688,8 +687,7 @@ pub(crate) fn pass_report(
 /// ```
 #[must_use]
 pub fn run_crashcon(os: OsVariant, cfg: &CampaignConfig) -> CrashconReport {
-    let muts = catalog::catalog_for(os);
-    let preps = Mode::Crashcon.preps(os, cfg, &muts, 0..muts.len());
+    let preps = Mode::Crashcon.preps(os, cfg, 0..usize::MAX);
     let epoch = Epoch::open(None);
     let workers = cfg.workers().min(preps.len().max(1));
     let pass = campaign::clean_pass(Mode::Crashcon, os, cfg, &preps, workers, true, &epoch);
@@ -713,8 +711,7 @@ pub fn run_crashcon_journaled(
     journal_path: &std::path::Path,
     resume: bool,
 ) -> std::io::Result<CrashconReport> {
-    let muts = catalog::catalog_for(os);
-    let preps = Mode::Crashcon.preps(os, cfg, &muts, 0..muts.len());
+    let preps = Mode::Crashcon.preps(os, cfg, 0..usize::MAX);
     let hash = Mode::Crashcon.fingerprint(os, cfg).as_u64();
     let epoch = Epoch::open(None);
     let mut cursor = Resume::open(journal_path, hash, resume)?;

@@ -69,7 +69,6 @@ use crate::campaign::{
     claim_each, clean_range, replay_report, CampaignConfig, CampaignReport, Epoch, Mode,
     PreparedMut,
 };
-use crate::catalog;
 use crate::crash::{self, RawOutcome};
 use crate::crashcon::{self, CrashconReport};
 use crate::telemetry::{self, Counter, Counters, CountingFor, TraceCollector};
@@ -437,14 +436,11 @@ pub fn execute_shard_observed(
     if let Some(delay) = env_ms("BALLISTA_FLEET_SHARD_DELAY_MS") {
         std::thread::sleep(delay);
     }
-    let muts = catalog::catalog_for(spec.os);
-    let end = spec.mut_end.min(muts.len());
-    let start = spec.mut_start.min(end);
     // Adaptive shards execute the pinned plan: the worker re-derives it
     // from the spec's knobs (one explore per process, memoized), so the
     // wire stays small and every worker pins the identical plan.
     let mode = spec.mode();
-    let preps = mode.preps(spec.os, &spec.cfg, &muts, start..end);
+    let preps = mode.preps(spec.os, &spec.cfg, spec.mut_start..spec.mut_end);
     let result = clean_range(
         mode,
         spec.os,
@@ -1025,8 +1021,7 @@ pub fn run_crashcon_fleet(
     cfg: &CampaignConfig,
     fleet: &FleetConfig,
 ) -> CrashconReport {
-    let muts = catalog::catalog_for(os);
-    let preps = Mode::Crashcon.preps(os, cfg, &muts, 0..muts.len());
+    let preps = Mode::Crashcon.preps(os, cfg, 0..usize::MAX);
     let epoch = Epoch::open(None);
     let template = ShardSpec::template(Mode::Crashcon, os, *cfg, true);
     let (pass, workers) = fleet_pass(&template, fleet, &preps, &epoch);
@@ -1061,8 +1056,7 @@ pub(crate) fn run_fleet_engine(
     fleet: &FleetConfig,
     counters: Option<&Arc<Counters>>,
 ) -> CampaignReport {
-    let muts = catalog::catalog_for(os);
-    let preps = mode.preps(os, cfg, &muts, 0..muts.len());
+    let preps = mode.preps(os, cfg, 0..usize::MAX);
     let epoch = Epoch::open(counters);
     let tc = TraceCollector::begin(os, cfg.cap as u64);
     let template = ShardSpec::template(mode, os, *cfg, tc.is_some());
@@ -1149,7 +1143,8 @@ fn fleet_pass(
             telemetry::count_once(Counter::FleetDegradations);
         }
     }
-    let ran = claim_each(todo.len(), workers, epoch, |t| {
+    let counting = || CountingFor::new(&epoch.counters);
+    let ran = claim_each(todo.len(), workers, counting, |_, t| {
         let result = execute_shard(&specs[todo[t]]);
         telemetry::count_each(&[
             (Counter::CasesDone, result.case_count()),

@@ -42,6 +42,11 @@
 //! `Content-Length` over 1 MiB a `413` and a malformed one a `400`. Each
 //! answers without reading the rest of the request and closes the
 //! connection, so no client can make the server buffer more than that.
+//! Every read and write on a connection times out after 5 s: a client
+//! that stalls inside a request head or body gets a `408` and the
+//! connection closes, and a write that times out ends the connection.
+//! An idle keep-alive connection waits on for its next request. Each of
+//! these refusals counts once in [`ServerMetrics::refused_requests`].
 //!
 //! # Spec validation
 //!
@@ -79,6 +84,11 @@ const MAX_HEAD_LINE: u64 = 8 << 10;
 
 /// Most header lines a request may carry.
 const MAX_HEADERS: usize = 64;
+
+/// How long one read or write on a connection may block. A read that
+/// times out inside a request is a 408; before a request's first byte,
+/// the connection is idle and waits on.
+const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A campaign request as posted to `POST /campaign`.
 ///
@@ -259,6 +269,13 @@ pub struct ServerMetrics {
     /// full product (absent in metrics written before the cap bound).
     #[serde(default)]
     pub rejected_specs: u64,
+    /// Requests refused before they were read whole, each answered and
+    /// its connection closed: a malformed `Content-Length` (`400`), a
+    /// body over the limit (`413`), a head over its bounds (`431`), or a
+    /// client that stalled mid-request (`408`). Absent in metrics written
+    /// before refusals were counted.
+    #[serde(default)]
+    pub refused_requests: u64,
 }
 
 /// One in-flight campaign: the leader publishes the serialized report
@@ -304,6 +321,7 @@ struct State {
     inflight_depth: AtomicUsize,
     last_ucases_per_sec: AtomicU64,
     rejected_specs: AtomicU64,
+    refused_requests: AtomicU64,
 }
 
 impl State {
@@ -319,6 +337,7 @@ impl State {
             inflight: self.inflight_depth.load(Ordering::Relaxed) as u64,
             last_campaign_ucases_per_sec: self.last_ucases_per_sec.load(Ordering::Relaxed),
             rejected_specs: self.rejected_specs.load(Ordering::Relaxed),
+            refused_requests: self.refused_requests.load(Ordering::Relaxed),
         }
     }
 
@@ -382,6 +401,7 @@ impl Server {
                 inflight_depth: AtomicUsize::new(0),
                 last_ucases_per_sec: AtomicU64::new(0),
                 rejected_specs: AtomicU64::new(0),
+                refused_requests: AtomicU64::new(0),
             }),
         })
     }
@@ -407,6 +427,8 @@ impl Server {
             // Responses are written whole; never trade latency for
             // coalescing on this socket.
             let _ = stream.set_nodelay(true);
+            let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+            let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
             let state = Arc::clone(&self.state);
             std::thread::spawn(move || handle_connection(stream, &state));
         }
@@ -466,9 +488,26 @@ fn read_head_line(reader: &mut BufReader<TcpStream>) -> io::Result<Option<String
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
+/// Whether a socket read or write failed on [`IO_TIMEOUT`].
+fn timed_out(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
 /// Reads one request off the connection. `Ok(None)` = clean EOF
-/// (client closed an idle keep-alive connection).
+/// (client closed an idle keep-alive connection). Waits as long as the
+/// connection stays idle; once the request's first byte has arrived, a
+/// read that times out is an error [`timed_out`] recognizes.
 fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Incoming>> {
+    loop {
+        match reader.fill_buf() {
+            Ok(_) => break,
+            Err(e) if timed_out(&e) || e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     let Some(line) = read_head_line(reader)? else {
         return Ok(Some(Incoming::HeadTooLarge));
     };
@@ -555,8 +594,8 @@ fn respond(
 }
 
 /// Serves one connection until EOF, error, or `Connection: close`. A
-/// request the server refuses unread answers its error and closes the
-/// connection.
+/// request the server refuses unread, or one that stalls mid-way,
+/// answers its error and closes the connection.
 fn handle_connection(stream: TcpStream, state: &State) {
     let Ok(reader_stream) = stream.try_clone() else {
         return;
@@ -591,9 +630,20 @@ fn handle_connection(stream: TcpStream, state: &State) {
                     ),
                 )
             }
+            Err(e) if timed_out(&e) => {
+                break (
+                    408,
+                    "Request Timeout",
+                    format!(
+                        "request not received whole: no data for {} s",
+                        IO_TIMEOUT.as_secs()
+                    ),
+                )
+            }
             Ok(None) | Err(_) => return,
         }
     };
+    state.refused_requests.fetch_add(1, Ordering::Relaxed);
     let body = error_body(&message);
     let _ = respond(&mut stream, status, reason, &[], &body, false);
     linger_close(&stream, reader);

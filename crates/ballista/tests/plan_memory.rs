@@ -1,7 +1,7 @@
 //! The memory bound of plans by prefix. A capped plan is a prefix of its
 //! signature's sample stream, so planning a cap below the largest one
 //! asked stores nothing new, and a fingerprint reads planned counts off
-//! the signature table without planning at all. This binary counts live
+//! the variant's prepared catalog without planning at all. This binary counts live
 //! heap bytes with its own global allocator; every test in a binary
 //! shares that allocator, so the binary holds a single test.
 
@@ -111,7 +111,7 @@ fn distinct_caps_and_fingerprints_leave_the_live_heap_bounded() {
         "60 distinct caps grew the live heap by {grown} bytes"
     );
 
-    // Once the signature table exists, a fingerprint at a cap never
+    // Once the prepared catalog exists, a fingerprint at a cap never
     // planned stores nothing.
     for os in OsVariant::ALL {
         black_box(fingerprint(os, &cfg(1000)));

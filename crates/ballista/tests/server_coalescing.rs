@@ -1,14 +1,19 @@
 //! Serving-layer contract tests against a real listening server: the
 //! coalescing guarantee (K concurrent identical requests → exactly one
 //! campaign executed, all K responses bit-identical), the cache-hit
-//! path, fingerprint addressing, and spec validation — all through
-//! plain `std::net` sockets, the same wire a remote client uses.
+//! path, fingerprint addressing, spec validation, and the refusals of
+//! requests too large or too slow — all through plain `std::net`
+//! sockets, the same wire a remote client uses.
 
 use ballista::server::{CampaignSpec, Server, ServerConfig, ServerMetrics};
 use sim_kernel::variant::OsVariant;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
+
+/// The server's per-read and per-write timeout.
+const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -333,6 +338,7 @@ fn a_malformed_content_length_is_a_400_that_closes_the_connection() {
     let m = metrics(addr);
     assert_eq!(m.campaign_posts, 0);
     assert_eq!(m.rejected_specs, 0);
+    assert_eq!(m.refused_requests, 1);
 }
 
 #[test]
@@ -368,6 +374,7 @@ fn an_oversized_body_is_a_413_that_closes_the_connection() {
     let m = metrics(addr);
     assert_eq!(m.campaign_posts, 0);
     assert_eq!(m.rejected_specs, 0);
+    assert_eq!(m.refused_requests, 1);
 }
 
 /// Sends `head`, and checks that the server answers 431 with a JSON
@@ -412,6 +419,7 @@ fn a_header_line_over_the_bound_is_a_431_that_closes_the_connection() {
 
     // The server keeps serving.
     assert_eq!(metrics(addr).campaign_posts, 0);
+    assert_eq!(metrics(addr).refused_requests, 1);
 }
 
 #[test]
@@ -435,4 +443,96 @@ fn more_header_lines_than_the_bound_is_a_431_that_closes_the_connection() {
     let mut response = Vec::new();
     stream.read_to_end(&mut response).expect("read response");
     assert!(response.starts_with(b"HTTP/1.1 200 "));
+    assert_eq!(metrics(addr).refused_requests, 1);
+}
+
+#[test]
+fn a_stalled_request_head_is_a_408_that_closes_the_connection() {
+    let addr = start("stalled-head");
+    // A request line and nothing more: without a read timeout the
+    // server waits for the rest forever, holding the thread.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(b"GET /metrics HTTP/1.1\r\n")
+        .expect("send partial head");
+    let started = Instant::now();
+    let deadline = IO_TIMEOUT + Duration::from_secs(2);
+    stream
+        .set_read_timeout(Some(deadline))
+        .expect("set read timeout");
+    let mut response = Vec::new();
+    let eof = stream.read_to_end(&mut response);
+    let text = String::from_utf8_lossy(&response);
+    assert!(text.starts_with("HTTP/1.1 408 "), "{text}");
+    assert!(text.contains("Connection: close"), "{text}");
+    eof.expect("the server closes the connection after the 408");
+    assert!(
+        started.elapsed() < deadline,
+        "the 408 took {:?}",
+        started.elapsed()
+    );
+    let split = text.find("\r\n\r\n").expect("header terminator");
+    let body: serde_json::Value =
+        serde_json::from_str(&text[split + 4..]).expect("the 408 body is JSON");
+    let serde_json::Value::Map(fields) = body else {
+        panic!("408 body is not an object: {body:?}");
+    };
+    assert!(
+        matches!(
+            serde::content_get(&fields, "error"),
+            Some(serde_json::Value::Str(_))
+        ),
+        "{fields:?}"
+    );
+
+    // A new connection is served, and the refusal is counted.
+    let m = metrics(addr);
+    assert_eq!(m.refused_requests, 1);
+    assert_eq!(m.campaign_gets, 0);
+}
+
+/// Reads one keep-alive response off `reader`: its status and body.
+fn read_response(reader: &mut BufReader<TcpStream>) -> (u16, Vec<u8>) {
+    let mut status_line = String::new();
+    reader.read_line(&mut status_line).expect("status line");
+    let status = status_line
+        .split_whitespace()
+        .nth(1)
+        .expect("status code")
+        .parse()
+        .expect("numeric status");
+    let mut length = 0;
+    loop {
+        let mut header = String::new();
+        reader.read_line(&mut header).expect("header line");
+        let header = header.trim_end();
+        if header.is_empty() {
+            break;
+        }
+        if let Some(value) = header.strip_prefix("Content-Length: ") {
+            length = value.parse().expect("numeric length");
+        }
+    }
+    let mut body = vec![0; length];
+    reader.read_exact(&mut body).expect("body");
+    (status, body)
+}
+
+#[test]
+fn an_idle_keep_alive_connection_outlives_the_timeout() {
+    let addr = start("idle-keep-alive");
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let request = b"GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n";
+    stream.write_all(request).expect("send request");
+    assert_eq!(read_response(&mut reader).0, 200);
+
+    // Idle past the timeout between requests: the connection stays
+    // open and serves the next request.
+    std::thread::sleep(IO_TIMEOUT + Duration::from_secs(1));
+    stream.write_all(request).expect("send request");
+    let (status, body) = read_response(&mut reader);
+    assert_eq!(status, 200);
+    let m: ServerMetrics = serde_json::from_slice(&body).expect("metrics parse");
+    assert_eq!(m.refused_requests, 0);
 }

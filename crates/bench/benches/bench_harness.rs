@@ -37,7 +37,7 @@ fn bench_harness(c: &mut Criterion) {
 
     // Plans by prefix: every win98 MuT planned at cap 200 once cap 1000
     // has drawn its sample streams (each plan a slice), and the cap-200
-    // fingerprint (a fold over the signature table, no plan drawn).
+    // fingerprint (a fold over the prepared catalog, no plan drawn).
     let registry = ballista::catalog::registry_for(OsVariant::Win98);
     let muts = ballista::catalog::catalog_for(OsVariant::Win98);
     let signatures: Vec<(&str, Vec<usize>)> = muts

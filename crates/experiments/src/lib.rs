@@ -17,15 +17,13 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use ballista::campaign::{run_campaign, CampaignConfig, CampaignReport};
+use ballista::campaign::{claim_each, run_campaign, CampaignConfig, CampaignReport};
 use ballista::telemetry::{chrome_trace_bytes, Hub, TelemetryConfig};
 use report::MultiOsResults;
 use sim_kernel::variant::OsVariant;
 use std::fs;
 use std::io::IsTerminal;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Reads the per-MuT cap from `BALLISTA_CAP` (default 5000).
@@ -77,8 +75,8 @@ fn degraded_placeholder(os: OsVariant) -> CampaignReport {
 /// Runs the full seven-OS campaign at `cap`, printing one progress line
 /// per variant and a total line.
 ///
-/// Variants fan out across worker threads (campaign order and results
-/// are position-stable, so the output is identical to the sequential
+/// Variants fan out on `claim_each` (campaign order and results are
+/// position-stable, so the output is identical to the sequential
 /// driver); remaining cores go to each campaign's clean pass. Raw
 /// per-case outcomes are recorded for the desktop Windows variants (the
 /// Figure 2 voting set).
@@ -86,69 +84,41 @@ fn degraded_placeholder(os: OsVariant) -> CampaignReport {
 /// A variant whose campaign panics past the engine's own containment no
 /// longer aborts the fleet: it yields an empty `degraded` report with an
 /// explicit warning, and the remaining variants complete normally.
-///
-/// # Panics
-///
-/// Panics when a report slot mutex is poisoned — only possible if the
-/// degradation path itself panicked.
 #[must_use]
 pub fn run_all_oses(cap: usize) -> MultiOsResults {
     let t0 = Instant::now();
     let telemetry = Telemetry::from_env();
     let oses = OsVariant::ALL;
     let (fan_out, per_campaign) = split_parallelism(oses.len());
-    let slots: Vec<Mutex<Option<CampaignReport>>> =
-        oses.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..fan_out)
-            .map(|_| {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&os) = oses.get(i) else { break };
-                    let cfg = CampaignConfig {
-                        cap,
-                        record_raw: OsVariant::DESKTOP_WINDOWS.contains(&os),
-                        isolation_probe: true,
-                        perfect_cleanup: false,
-                        parallelism: per_campaign,
-                        fuel_budget: 0,
-                    };
-                    let report = std::panic::catch_unwind(|| run_campaign(os, &cfg))
-                        .unwrap_or_else(|_| degraded_placeholder(os));
-                    let stats = report.stats.unwrap_or_default();
-                    eprintln!(
-                        "  [{}] {} MuTs, {} cases, {} catastrophic, {:.1}s ({:.0} cases/s, {} restores, {} boots, {} replayed){}",
-                        os.short_name(),
-                        report.muts.len(),
-                        report.total_cases,
-                        report.catastrophic_muts().len(),
-                        stats.wall_ms / 1e3,
-                        stats.cases_per_sec,
-                        stats.restores,
-                        stats.boots,
-                        stats.replayed_cases,
-                        if report.degraded { " [DEGRADED]" } else { "" },
-                    );
-                    *slots[i].lock().expect("report slot poisoned") = Some(report);
-                })
-            })
-            .collect();
-        for h in handles {
-            if h.join().is_err() {
-                eprintln!("  campaign worker thread died; degraded placeholders fill its slots");
-            }
-        }
-    });
-    let reports: Vec<CampaignReport> = slots
-        .into_iter()
-        .zip(oses.iter())
-        .map(|(slot, &os)| {
-            slot.into_inner()
-                .expect("report slot poisoned")
-                .unwrap_or_else(|| degraded_placeholder(os))
-        })
-        .collect();
+    let run_variant = |_: &mut (), i: usize| {
+        let os = oses[i];
+        let cfg = CampaignConfig {
+            cap,
+            record_raw: OsVariant::DESKTOP_WINDOWS.contains(&os),
+            isolation_probe: true,
+            perfect_cleanup: false,
+            parallelism: per_campaign,
+            fuel_budget: 0,
+        };
+        let report = std::panic::catch_unwind(|| run_campaign(os, &cfg))
+            .unwrap_or_else(|_| degraded_placeholder(os));
+        let stats = report.stats.unwrap_or_default();
+        eprintln!(
+            "  [{}] {} MuTs, {} cases, {} catastrophic, {:.1}s ({:.0} cases/s, {} restores, {} boots, {} replayed){}",
+            os.short_name(),
+            report.muts.len(),
+            report.total_cases,
+            report.catastrophic_muts().len(),
+            stats.wall_ms / 1e3,
+            stats.cases_per_sec,
+            stats.restores,
+            stats.boots,
+            stats.replayed_cases,
+            if report.degraded { " [DEGRADED]" } else { "" },
+        );
+        report
+    };
+    let reports = claim_each(oses.len(), fan_out, || (), run_variant);
     telemetry.finish();
     let total_wall_s = t0.elapsed().as_secs_f64();
     let total_cases: usize = reports.iter().map(|r| r.total_cases).sum();
