@@ -39,7 +39,7 @@ use crate::muts::Mut;
 use crate::sampling::{self, Plan, PAPER_CAP};
 use crate::telemetry::{self, CaseTrace, Counter, Counters, CountingFor, TraceCollector};
 use crate::value::TestValue;
-use serde::{Content, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 use sim_kernel::variant::OsVariant;
 use std::convert::Infallible;
 use std::fmt;
@@ -235,17 +235,15 @@ impl FromStr for CampaignFingerprint {
 }
 
 impl Serialize for CampaignFingerprint {
-    fn to_content(&self) -> Content {
-        Content::Str(self.to_string())
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.str(&self.to_string());
     }
 }
 
 impl Deserialize for CampaignFingerprint {
-    fn from_content(c: &Content) -> Result<Self, serde::Error> {
-        let s = c
-            .as_str()
-            .ok_or_else(|| serde::Error::custom("expected fingerprint string"))?;
-        s.parse()
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        r.string("expected fingerprint string")?
+            .parse()
             .map_err(|e: FingerprintParseError| serde::Error::custom(e))
     }
 }

@@ -33,8 +33,10 @@
 //! Computing a fingerprint hashes every catalog MuT's name and planned
 //! count off a per-variant table — microseconds, about as long as the
 //! rest of a cache hit. The server memoizes spec → fingerprint in a hash
-//! map, so the steady-state cost of a hit is two hash probes and a
-//! socket write (`perfbench --workload serve` times it as `hit_p50_us`).
+//! map, so the steady-state cost of a hit is a one-pass read of the spec
+//! body, two hash probes and one vectored socket write that sends the
+//! cached body from where it lies (`perfbench --workload serve` times it
+//! as `hit_p50_us`).
 //!
 //! # Request limits
 //!
@@ -58,7 +60,7 @@
 //! under another fingerprint.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -264,9 +266,10 @@ pub struct ServerMetrics {
     /// Cases/second of the most recently completed campaign
     /// (micro-cases — `cases_per_sec × 1e6` stored integrally).
     pub last_campaign_ucases_per_sec: u64,
-    /// `POST /campaign` bodies answered `400`: malformed JSON, an
-    /// adaptive knob out of bounds, or a cap above the variant's largest
-    /// full product (absent in metrics written before the cap bound).
+    /// `POST /campaign` bodies answered `400`: malformed JSON, a field of
+    /// the wrong type or given twice, an adaptive knob out of bounds, or a
+    /// cap above the variant's largest full product (absent in metrics
+    /// written before the cap bound).
     #[serde(default)]
     pub rejected_specs: u64,
     /// Requests refused before they were read whole, each answered and
@@ -585,12 +588,27 @@ fn respond(
     }
     head.push_str("\r\n");
     // One write for head + body: a split write interacts with Nagle +
-    // delayed ACK into ~40ms per response on loopback.
-    let mut frame = Vec::with_capacity(head.len() + body.len());
-    frame.extend_from_slice(head.as_bytes());
-    frame.extend_from_slice(body);
-    stream.write_all(&frame)?;
+    // delayed ACK into ~40ms per response on loopback. A vectored write
+    // sends both from where they lie, so a cached body is never copied.
+    write_all_vectored(stream, [head.as_bytes(), body])?;
     stream.flush()
+}
+
+/// Writes `head` then `body` with one `write_vectored` call, and after a
+/// partial write, further calls for what is left.
+fn write_all_vectored(w: &mut impl Write, [head, body]: [&[u8]; 2]) -> io::Result<()> {
+    let mut slices = [IoSlice::new(head), IoSlice::new(body)];
+    let mut left = &mut slices[..];
+    IoSlice::advance_slices(&mut left, 0);
+    while !left.is_empty() {
+        match w.write_vectored(left) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Serves one connection until EOF, error, or `Connection: close`. A
@@ -917,5 +935,54 @@ fn post_campaign(stream: &mut TcpStream, state: &State, request: &Request) -> io
                 request.keep_alive,
             )
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Accepts at most 7 bytes per call, of the first non-empty slice
+    /// only, like a socket whose send buffer is nearly full.
+    struct Trickle(Vec<u8>);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(7);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_vectored_response_survives_partial_writes() {
+        let head = b"HTTP/1.1 200 OK\r\nContent-Length: 23\r\n\r\n";
+        let body = br#"{"os":"Win95","cap":20}"#;
+        for (head, body) in [(&head[..], &body[..]), (b"", body), (head, b"")] {
+            let mut out = Trickle(Vec::new());
+            write_all_vectored(&mut out, [head, body]).expect("writes");
+            assert_eq!(out.0, [head, body].concat());
+        }
+    }
+
+    /// A writer that takes nothing ends the response with an error
+    /// instead of spinning.
+    #[test]
+    fn a_zero_write_is_an_error() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = write_all_vectored(&mut Full, [b"head", b"body"]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 }

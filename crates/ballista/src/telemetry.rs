@@ -49,7 +49,7 @@
 //! the count stays flat across a full campaign with telemetry off.
 
 use crate::crash::{FailureClass, RawOutcome};
-use serde::{Content, Serialize};
+use serde::Serialize;
 use sim_kernel::subsystem::{Subsystem, SubsystemFuel};
 use sim_kernel::variant::OsVariant;
 use std::cell::RefCell;
@@ -601,20 +601,22 @@ impl Index<Counter> for HostMetrics {
 }
 
 impl Serialize for HostMetrics {
-    fn to_content(&self) -> Content {
-        let mut map: Vec<(String, Content)> = Counter::ALL
-            .iter()
-            .map(|&c| (c.key().to_owned(), Content::U64(self[c])))
-            .collect();
+    fn serialize(&self, w: &mut serde::Writer) {
+        let mut c = w.begin_object();
+        for &counter in Counter::ALL {
+            w.key(&mut c, counter.key());
+            w.u64(self[counter]);
+        }
         for (key, h) in [
             ("boot_ns", &self.boot_ns),
             ("restore_ns", &self.restore_ns),
             ("fsync_ns", &self.fsync_ns),
             ("backoff_ms", &self.backoff_ms),
         ] {
-            map.push((key.to_owned(), h.to_content()));
+            w.key(&mut c, key);
+            h.serialize(w);
         }
-        Content::Map(map)
+        w.end_object(c);
     }
 }
 
