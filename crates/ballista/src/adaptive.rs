@@ -133,7 +133,7 @@ const DRAW_RETRIES: usize = 8;
 /// behaviour: `rounds: 0` resolves to [`DEFAULT_ROUNDS`] and
 /// `rare_bonus: 0` to [`DEFAULT_RARE_BONUS`]. The `seed` is taken
 /// literally (0 is a fine seed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub struct AdaptiveConfig {
     /// Explore rounds; `0` resolves to [`DEFAULT_ROUNDS`]. More rounds
     /// mean more feedback foldings at the same total case budget.

@@ -76,7 +76,7 @@ const MAX_MUT_RETRIES: u32 = 1;
 /// assert_eq!(cfg.workers(), 1);
 /// assert_eq!(cfg.effective_fuel_budget(), ballista::exec::DEFAULT_FUEL_BUDGET);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CampaignConfig {
     /// Per-MuT test-case cap (the paper used 5000).
     pub cap: usize,
@@ -447,13 +447,12 @@ pub struct CampaignReport {
     /// partial. Downstream tables must flag such data.
     #[serde(default, skip_serializing_if = "is_false")]
     pub degraded: bool,
-    /// `true` when the fleet supervisor fell below full process-worker
-    /// execution (worker spawn failure, quarantined slots, or a shard's
-    /// retry budget exhausting) and some shards ran on the in-process
-    /// pool instead. Unlike [`degraded`](Self::degraded), the tallies
-    /// are still **complete and bit-identical to serial** — this marker
-    /// plus the warnings only record that the process isolation was
-    /// lost.
+    /// `true` when a fleet campaign asked for process workers ran some
+    /// shards in-process instead (no worker binary found, or a slot
+    /// quarantined after consecutive worker failures). Unlike
+    /// [`degraded`](Self::degraded), the tallies are still **complete
+    /// and bit-identical to serial** — this marker plus the warnings
+    /// only record that the process isolation was lost.
     #[serde(default, skip_serializing_if = "is_false")]
     pub fleet_degraded: bool,
 }
@@ -551,7 +550,7 @@ pub(crate) fn empty_tally(mut_: &Mut, planned: usize) -> MutTally {
 /// differ in: each MuT's plan, the `(u8, u64)` record its residue-zero
 /// pass writes per case, and the fingerprint tag. The tally type and its
 /// fold stay per mode (DESIGN.md §16).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum Mode {
     /// The paper's protocol over the fixed per-MuT samples.
     Classic,
@@ -659,10 +658,11 @@ impl Mode {
 }
 
 /// One campaign's stats epoch: the campaign's [`Counters`], counted into
-/// by the thread that opens it until it drops (the worker pool and the
-/// fleet supervisor count into them on their threads too). Opening it
-/// counts the campaign begun; [`Epoch::close`] counts it finished and
-/// reads the counters into the campaign's [`CampaignStats`].
+/// by the thread that opens it until it drops (the worker pool, the
+/// fleet's slots included, counts into them on its threads too).
+/// Opening it counts the campaign begun; [`Epoch::close`] counts it
+/// finished and reads the counters into the campaign's
+/// [`CampaignStats`].
 pub(crate) struct Epoch {
     t0: Instant,
     pub(crate) counters: Arc<Counters>,

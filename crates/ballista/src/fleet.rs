@@ -31,15 +31,16 @@
 //! `BALLISTA_WORKER_CMD` names) speaking a length-prefixed frame
 //! protocol over stdin/stdout: the supervisor sends [`ShardSpec`] wire
 //! bytes, the worker streams per-MuT heartbeat frames while it works
-//! and finishes with [`ShardResult`] wire bytes. The supervisor tracks
-//! every worker with a **deterministic heartbeat deadline** derived
-//! from the campaign's fuel budget (host wall-clock is consulted only
-//! at this supervision boundary, never inside the engine), and on
-//! worker death, hang, or malformed reply it requeues the shard with
-//! bounded exponential backoff onto a healthy worker, quarantining a
-//! slot after K consecutive failures. When no worker survives — or no
-//! worker binary can be found at all — the campaign **degrades
-//! gracefully to the in-process thread pool** and completes with a
+//! and finishes with [`ShardResult`] wire bytes. Each thread of the
+//! fleet's pool is a **slot** that keeps one worker alive across the
+//! shards it claims and tracks it with a **deterministic heartbeat
+//! deadline** derived from the campaign's fuel budget (host wall-clock
+//! is consulted only at this supervision boundary, never inside the
+//! engine). On worker death, hang, or malformed reply the slot retries
+//! the shard on a new worker of its own; after two consecutive
+//! failures it is quarantined and executes this shard and every later
+//! one in-process. When no worker binary can be found at all, the whole
+//! campaign runs in-process. Either way the campaign completes with a
 //! `fleet_degraded` marker and PARTIAL-DATA-style warnings instead of
 //! aborting. None of this can change a tally bit: supervision is pure
 //! control plane, and the merge consumes the same records no matter
@@ -59,8 +60,8 @@
 use std::io::{BufReader, Read, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use sim_kernel::variant::OsVariant;
 
@@ -587,13 +588,6 @@ fn heartbeat_deadline(cfg: &CampaignConfig) -> Duration {
         + env_ms("BALLISTA_FLEET_SHARD_DELAY_MS").unwrap_or(Duration::ZERO)
 }
 
-/// Bounded exponential backoff before a failed shard's next attempt:
-/// 10ms doubling per attempt, capped at 640ms.
-fn backoff_delay(attempt: u32) -> Duration {
-    let ms = 10u64.saturating_mul(1 << attempt.saturating_sub(1).min(6));
-    Duration::from_millis(ms.min(640))
-}
-
 /// Resolves the worker command line: `BALLISTA_WORKER_CMD` wins, else a
 /// `fleet_worker` binary next to (or one directory above) the current
 /// executable. `None` means process workers are unavailable and the
@@ -668,6 +662,52 @@ impl WorkerHandle {
         })
     }
 
+    /// Sends the worker one shard's spec bytes and waits for its result
+    /// payload, crediting heartbeats against `deadline`; `hb_cases` holds
+    /// the heartbeat case count already counted as done. A failure comes
+    /// back described for its warning.
+    fn exchange(
+        &mut self,
+        spec: &[u8],
+        deadline: Duration,
+        hb_cases: &mut u64,
+    ) -> Result<Vec<u8>, String> {
+        let sent = self
+            .stdin
+            .as_mut()
+            .is_some_and(|stdin| write_frame(stdin, FRAME_SPEC, spec).is_ok());
+        if !sent {
+            return Err("died (worker stdin closed)".to_owned());
+        }
+        loop {
+            match self.frames.recv_timeout(deadline) {
+                Ok(Ok((FRAME_HEARTBEAT, payload))) => {
+                    if let Ok(hb) = serde_json::from_slice::<Heartbeat>(&payload) {
+                        let delta = hb.cases_done.saturating_sub(*hb_cases);
+                        *hb_cases = hb.cases_done;
+                        telemetry::count(Counter::CasesDone, delta);
+                    }
+                }
+                Ok(Ok((FRAME_RESULT, payload))) => return Ok(payload),
+                Ok(Ok((tag, _))) => {
+                    return Err(format!(
+                        "returned a malformed reply (unexpected frame tag {tag:#x})"
+                    ))
+                }
+                Ok(Err(e)) => return Err(format!("returned a malformed reply ({e})")),
+                Err(RecvTimeoutError::Timeout) => {
+                    return Err(format!(
+                        "missed its {}ms heartbeat deadline",
+                        deadline.as_millis()
+                    ))
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err("died (worker pipe closed)".to_owned())
+                }
+            }
+        }
+    }
+
     /// Reaps the process: graceful (close stdin, wait for the EOF exit)
     /// or forced (SIGKILL).
     fn reap(mut self, graceful: bool) {
@@ -683,296 +723,158 @@ impl WorkerHandle {
     }
 }
 
-/// One queued shard attempt.
-struct ShardJob {
-    idx: usize,
-    attempts: u32,
-    ready_at: Instant,
-}
-
-struct QueueInner {
-    pending: Vec<ShardJob>,
-    completed: usize,
-    total: usize,
-}
-
-/// The supervisor's work queue: shards waiting for a worker, including
-/// failed shards serving out their backoff.
-struct ShardQueue {
-    inner: Mutex<QueueInner>,
-    cv: Condvar,
-}
-
-impl ShardQueue {
-    fn new(total: usize) -> ShardQueue {
-        ShardQueue {
-            inner: Mutex::new(QueueInner {
-                pending: (0..total)
-                    .map(|idx| ShardJob {
-                        idx,
-                        attempts: 0,
-                        ready_at: Instant::now(),
-                    })
-                    .collect(),
-                completed: 0,
-                total,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Blocks until a job is ready (its backoff has elapsed) or the
-    /// campaign is complete (`None`). Lowest shard index wins ties so
-    /// execution order stays as close to catalog order as failures
-    /// allow.
-    fn pop(&self) -> Option<ShardJob> {
-        let mut g = self.inner.lock().expect("shard queue poisoned");
-        loop {
-            if g.completed >= g.total {
-                return None;
-            }
-            let now = Instant::now();
-            let ready = g
-                .pending
-                .iter()
-                .enumerate()
-                .filter(|(_, j)| j.ready_at <= now)
-                .min_by_key(|(_, j)| j.idx)
-                .map(|(pos, _)| pos);
-            if let Some(pos) = ready {
-                return Some(g.pending.swap_remove(pos));
-            }
-            let wait = g
-                .pending
-                .iter()
-                .map(|j| j.ready_at.saturating_duration_since(now))
-                .min()
-                .unwrap_or(Duration::from_millis(50))
-                .clamp(Duration::from_millis(1), Duration::from_millis(50));
-            g = self
-                .cv
-                .wait_timeout(g, wait)
-                .expect("shard queue poisoned")
-                .0;
-        }
-    }
-
-    fn push(&self, job: ShardJob) {
-        self.inner
-            .lock()
-            .expect("shard queue poisoned")
-            .pending
-            .push(job);
-        self.cv.notify_all();
-    }
-
-    fn complete(&self) {
-        self.inner.lock().expect("shard queue poisoned").completed += 1;
-        self.cv.notify_all();
-    }
-
-    /// Drains whatever is still pending (used after all slots retire).
-    fn drain_pending(&self) -> Vec<ShardJob> {
-        std::mem::take(&mut self.inner.lock().expect("shard queue poisoned").pending)
-    }
-}
-
-/// Why a worker attempt on a shard failed.
-enum WorkerFailure {
-    Died(String),
-    Hung,
-    Malformed(String),
-}
-
-/// Worker failures a shard survives before the supervisor executes it
-/// in-process.
-const MAX_SHARD_RETRIES: u32 = 3;
-
-/// Consecutive failures after which a worker slot is quarantined (no
-/// further respawns into it).
+/// Consecutive failures after which a slot is quarantined: it spawns no
+/// further worker and executes its shards in-process.
 const QUARANTINE_AFTER: u32 = 2;
 
-/// Shared context for the supervisor's slot threads.
+/// The pause before a slot retries a failed shard on a new worker.
+const RETRY_DELAY: Duration = Duration::from_millis(10);
+
+/// What every slot of one fleet pass reads.
 struct Supervisor<'a> {
     specs: &'a [ShardSpec],
-    wire: &'a [Vec<u8>],
     /// Planned cases per catalog MuT, from the coordinator's preps.
-    planned: &'a [usize],
-    slots: &'a [Mutex<Option<ShardResult>>],
-    queue: ShardQueue,
-    warnings: &'a Mutex<Vec<String>>,
-    cmd: Vec<String>,
+    planned: Vec<usize>,
+    /// The worker command line; `None` executes every shard in-process.
+    cmd: Option<Vec<String>>,
     deadline: Duration,
 }
 
-impl Supervisor<'_> {
-    fn warn(&self, text: String) {
-        self.warnings
-            .lock()
-            .expect("fleet warnings poisoned")
-            .push(text);
-    }
+/// One thread of the fleet's pool. It keeps one worker process alive
+/// across the shards it claims, retries a failed shard on a new worker
+/// of its own, and once quarantined (`QUARANTINE_AFTER` consecutive
+/// failures) executes its shards in-process. Dropping the slot reaps its
+/// worker gracefully.
+struct Slot<'a> {
+    sup: &'a Supervisor<'a>,
+    worker: Option<WorkerHandle>,
+    /// Consecutive failed attempts.
+    failures: u32,
+    spawned_before: bool,
+    _counting: CountingFor,
+}
 
-    /// Stores a completed shard and advances the campaign.
-    fn store(&self, idx: usize, result: ShardResult, hb_cases_seen: u64) {
-        let cases = result.case_count().saturating_sub(hb_cases_seen);
-        telemetry::count_each(&[(Counter::CasesDone, cases), (Counter::ShardsDone, 1)]);
-        *self.slots[idx].lock().expect("shard slot poisoned") = Some(result);
-        self.queue.complete();
-    }
-
-    /// Waits for the current shard's result, crediting heartbeats
-    /// against the deadline. Returns the raw result payload; `hb_cases`
-    /// holds the heartbeat case count already counted as done.
-    fn await_result(
-        &self,
-        worker: &WorkerHandle,
-        hb_cases: &mut u64,
-    ) -> Result<Vec<u8>, WorkerFailure> {
-        loop {
-            match worker.frames.recv_timeout(self.deadline) {
-                Ok(Ok((FRAME_HEARTBEAT, payload))) => {
-                    if let Ok(hb) = serde_json::from_slice::<Heartbeat>(&payload) {
-                        let delta = hb.cases_done.saturating_sub(*hb_cases);
-                        *hb_cases = hb.cases_done;
-                        telemetry::count(Counter::CasesDone, delta);
-                    }
-                }
-                Ok(Ok((FRAME_RESULT, payload))) => return Ok(payload),
-                Ok(Ok((tag, _))) => {
-                    return Err(WorkerFailure::Malformed(format!(
-                        "unexpected frame tag {tag:#x}"
-                    )))
-                }
-                Ok(Err(e)) => return Err(WorkerFailure::Malformed(e.to_string())),
-                Err(RecvTimeoutError::Timeout) => return Err(WorkerFailure::Hung),
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(WorkerFailure::Died("worker pipe closed".to_owned()))
-                }
-            }
+impl<'a> Slot<'a> {
+    fn new(sup: &'a Supervisor<'a>, counters: &Arc<Counters>) -> Self {
+        Slot {
+            sup,
+            worker: None,
+            failures: 0,
+            spawned_before: false,
+            _counting: CountingFor::new(counters),
         }
     }
 
-    /// One slot's lifecycle: keep a worker process alive, feed it
-    /// shards, and handle its failures until the campaign completes or
-    /// the slot quarantines itself.
-    fn slot_loop(&self) {
-        let mut worker: Option<WorkerHandle> = None;
-        let mut consecutive = 0u32;
-        let mut spawned_before = false;
-        while let Some(mut job) = self.queue.pop() {
-            // Ensure a live worker in this slot.
-            if worker.is_none() {
-                match WorkerHandle::spawn(&self.cmd) {
-                    Ok(h) => {
-                        telemetry::count_each(&[
-                            (Counter::WorkersLive, 1),
-                            (Counter::WorkerRespawns, u64::from(spawned_before)),
-                        ]);
-                        spawned_before = true;
-                        worker = Some(h);
-                    }
-                    Err(e) => {
-                        consecutive += 1;
-                        self.warn(format!("fleet supervisor could not spawn a worker: {e}"));
-                        telemetry::count(Counter::ShardRequeues, 1);
-                        self.queue.push(job);
-                        if consecutive >= QUARANTINE_AFTER {
-                            telemetry::count(Counter::WorkersQuarantined, 1);
-                            return;
-                        }
-                        std::thread::sleep(backoff_delay(consecutive));
-                        continue;
+    /// Executes shard `idx`: on the slot's worker while the slot has a
+    /// command and is not quarantined, else in-process. The shard's
+    /// supervision warnings ride on its result, ahead of its own.
+    fn shard(&mut self, idx: usize) -> ShardResult {
+        let mut warnings = Vec::new();
+        let mut result = loop {
+            if self.sup.cmd.is_none() || self.failures >= QUARANTINE_AFTER {
+                let result = execute_shard(&self.sup.specs[idx]);
+                telemetry::count_each(&[
+                    (Counter::CasesDone, result.case_count()),
+                    (Counter::ShardsDone, 1),
+                ]);
+                break result;
+            }
+            match self.attempt(idx) {
+                Ok(result) => {
+                    self.failures = 0;
+                    break result;
+                }
+                Err(warning) => {
+                    self.failures += 1;
+                    if self.failures < QUARANTINE_AFTER {
+                        telemetry::count(Counter::ShardRetries, 1);
+                        warnings.push(format!("{warning}; requeued on a new worker"));
+                        std::thread::sleep(RETRY_DELAY);
+                    } else {
+                        telemetry::count(Counter::WorkersQuarantined, 1);
+                        telemetry::count_once(Counter::FleetDegradations);
+                        warnings.push(warning);
+                        warnings.push(format!(
+                            "fleet degraded: a worker slot failed {QUARANTINE_AFTER} consecutive \
+                             times; executing shard {idx} and the slot's later shards in-process"
+                        ));
                     }
                 }
             }
-            let h = worker.as_ref().expect("worker just ensured");
-            let pid = h.pid;
-            let mut hb_cases = 0u64;
-            let sent = worker
-                .as_mut()
-                .and_then(|h| h.stdin.as_mut())
-                .is_some_and(|stdin| write_frame(stdin, FRAME_SPEC, &self.wire[job.idx]).is_ok());
-            let outcome = if sent {
-                self.await_result(worker.as_ref().expect("worker alive"), &mut hb_cases)
-            } else {
-                Err(WorkerFailure::Died("worker stdin closed".to_owned()))
-            };
-            let failure = match outcome {
-                Ok(payload) => match ShardResult::from_wire(&payload).and_then(|result| {
-                    result.check(&self.specs[job.idx], self.planned)?;
-                    Ok(result)
-                }) {
-                    Ok(result) => {
-                        telemetry::count(Counter::ShardsExecuted, 1);
-                        self.store(job.idx, result, hb_cases);
-                        consecutive = 0;
-                        continue;
-                    }
-                    Err(e) => {
+        };
+        result.warnings.splice(0..0, warnings);
+        result
+    }
+
+    /// One attempt at shard `idx` on the slot's worker, spawning one if
+    /// the slot has none. A failed attempt reaps the worker, takes back
+    /// its heartbeat-credited cases and returns the failure's warning.
+    fn attempt(&mut self, idx: usize) -> Result<ShardResult, String> {
+        let sup = self.sup;
+        if self.worker.is_none() {
+            let cmd = sup
+                .cmd
+                .as_deref()
+                .expect("only a slot with a command attempts");
+            let worker = WorkerHandle::spawn(cmd).map_err(|e| {
+                format!("fleet supervisor could not spawn a worker for shard {idx}: {e}")
+            })?;
+            telemetry::count_each(&[
+                (Counter::WorkersLive, 1),
+                (Counter::WorkerRespawns, u64::from(self.spawned_before)),
+            ]);
+            self.spawned_before = true;
+            self.worker = Some(worker);
+        }
+        let worker = self.worker.as_mut().expect("worker just ensured");
+        let (spec, mut hb_cases) = (&sup.specs[idx], 0);
+        let reply = worker
+            .exchange(&spec.to_wire(), sup.deadline, &mut hb_cases)
+            .and_then(|payload| {
+                ShardResult::from_wire(&payload)
+                    .and_then(|result| result.check(spec, &sup.planned).map(|()| result))
+                    .map_err(|e| {
                         telemetry::count(Counter::WireProtocolFaults, 1);
-                        WorkerFailure::Malformed(e)
-                    }
-                },
-                Err(f) => f,
-            };
-            // The worker failed this shard: count the death, roll back
-            // its partial progress, and decide the shard's future.
-            telemetry::uncount(Counter::CasesDone, hb_cases);
-            if let Some(h) = worker.take() {
-                h.reap(false);
-                telemetry::uncount(Counter::WorkersLive, 1);
+                        format!("returned a malformed reply ({e})")
+                    })
+            });
+        let pid = worker.pid;
+        match reply {
+            Ok(result) => {
+                telemetry::count_each(&[
+                    (Counter::ShardsExecuted, 1),
+                    (
+                        Counter::CasesDone,
+                        result.case_count().saturating_sub(hb_cases),
+                    ),
+                    (Counter::ShardsDone, 1),
+                ]);
+                Ok(result)
             }
-            telemetry::count(Counter::WorkerDeaths, 1);
-            consecutive += 1;
-            job.attempts += 1;
-            let what = match &failure {
-                WorkerFailure::Died(e) => format!("died ({e})"),
-                WorkerFailure::Hung => format!(
-                    "missed its {}ms heartbeat deadline",
-                    self.deadline.as_millis()
-                ),
-                WorkerFailure::Malformed(e) => format!("returned a malformed reply ({e})"),
-            };
-            if job.attempts > MAX_SHARD_RETRIES {
-                // Retry budget exhausted: last resort is the supervisor
-                // executing the shard in-process — degraded, never
-                // aborted.
-                self.warn(format!(
-                    "fleet worker pid {pid} {what} on shard {}; retry budget exhausted, \
-                     executing in-process",
-                    job.idx
-                ));
-                telemetry::count_once(Counter::FleetDegradations);
-                let result = execute_shard(&self.specs[job.idx]);
-                self.store(job.idx, result, 0);
-            } else {
-                let backoff = backoff_delay(job.attempts);
-                self.warn(format!(
-                    "fleet worker pid {pid} {what} on shard {}; requeued with {}ms backoff \
-                     (attempt {} of {})",
-                    job.idx,
-                    backoff.as_millis(),
-                    job.attempts,
-                    MAX_SHARD_RETRIES,
-                ));
-                telemetry::on_shard_retry(backoff.as_millis() as u64);
-                job.ready_at = Instant::now() + backoff;
-                self.queue.push(job);
-            }
-            if consecutive >= QUARANTINE_AFTER {
-                self.warn(format!(
-                    "fleet supervisor quarantined a worker slot after {consecutive} \
-                     consecutive failures"
-                ));
-                telemetry::count(Counter::WorkersQuarantined, 1);
-                return;
+            Err(what) => {
+                telemetry::uncount(Counter::CasesDone, hb_cases);
+                self.retire(false);
+                telemetry::count(Counter::WorkerDeaths, 1);
+                Err(format!("fleet worker pid {pid} {what} on shard {idx}"))
             }
         }
-        if let Some(h) = worker.take() {
-            h.reap(true);
+    }
+
+    /// Reaps the slot's worker, if it has one: gracefully (closing its
+    /// input, which it exits at) or by SIGKILL.
+    fn retire(&mut self, graceful: bool) {
+        if let Some(worker) = self.worker.take() {
+            worker.reap(graceful);
             telemetry::uncount(Counter::WorkersLive, 1);
         }
+    }
+}
+
+impl Drop for Slot<'_> {
+    /// Runs before the fields drop, so the `workers_live` gauge comes
+    /// back down in the campaign's set.
+    fn drop(&mut self) {
+        self.retire(true);
     }
 }
 
@@ -1068,11 +970,10 @@ pub(crate) fn run_fleet_engine(
 }
 
 /// The fleet pass every mode shares: cuts the catalog into the fleet's
-/// shards of `template`, runs them — on supervised worker processes
-/// when `fleet.process` is set, degrading to the in-process pool for
-/// whatever they leave, else on the pool directly — and merges the
-/// shard results at their catalog indices. Returns the merged pass and
-/// the worker count.
+/// shards of `template`, runs them on the pool's slots — on supervised
+/// worker processes when `fleet.process` is set and a worker binary is
+/// found, else in-process — and merges the shard results at their
+/// catalog indices. Returns the merged pass and the worker count.
 fn fleet_pass(
     template: &ShardSpec,
     fleet: &FleetConfig,
@@ -1090,82 +991,23 @@ fn fleet_pass(
             ..template.clone()
         })
         .collect();
-    let slots: Vec<Mutex<Option<ShardResult>>> = specs.iter().map(|_| Mutex::new(None)).collect();
-    let warnings = Mutex::new(Vec::new());
-    let mut todo: Vec<usize> = (0..shard_count).collect();
-    if fleet.process {
-        let degraded = match worker_command() {
-            Some(cmd) => {
-                let wire: Vec<Vec<u8>> = specs.iter().map(ShardSpec::to_wire).collect();
-                let planned: Vec<usize> = preps.iter().map(|p| p.plan.len()).collect();
-                let sup = Supervisor {
-                    specs: &specs,
-                    wire: &wire,
-                    planned: &planned,
-                    slots: &slots,
-                    queue: ShardQueue::new(shard_count),
-                    warnings: &warnings,
-                    cmd,
-                    deadline: heartbeat_deadline(&template.cfg),
-                };
-                std::thread::scope(|s| {
-                    for _ in 0..workers {
-                        s.spawn(|| {
-                            let _counting = CountingFor::new(&epoch.counters);
-                            sup.slot_loop();
-                        });
-                    }
-                });
-                // Every slot retired (quarantine or spawn failure) with
-                // shards still pending: finish on the pool rather than
-                // abort.
-                todo = sup.queue.drain_pending().iter().map(|j| j.idx).collect();
-                (!todo.is_empty()).then(|| {
-                    format!(
-                        "fleet degraded: no worker process survived; executing {} remaining \
-                         shard(s) on the in-process pool",
-                        todo.len()
-                    )
-                })
-            }
-            None => Some(
-                "fleet degraded: no worker binary found (set BALLISTA_WORKER_CMD or \
-                 install fleet_worker next to this executable); executing on the \
-                 in-process pool"
-                    .to_owned(),
-            ),
-        };
-        if let Some(warning) = degraded {
-            warnings
-                .lock()
-                .expect("fleet warnings poisoned")
-                .push(warning);
-            telemetry::count_once(Counter::FleetDegradations);
-        }
-    }
-    let counting = || CountingFor::new(&epoch.counters);
-    let ran = claim_each(todo.len(), workers, counting, |_, t| {
-        let result = execute_shard(&specs[todo[t]]);
-        telemetry::count_each(&[
-            (Counter::CasesDone, result.case_count()),
-            (Counter::ShardsDone, 1),
-        ]);
-        result
+    let cmd = fleet.process.then(worker_command).flatten();
+    let missing = (fleet.process && cmd.is_none()).then(|| {
+        telemetry::count_once(Counter::FleetDegradations);
+        "fleet degraded: no worker binary found (set BALLISTA_WORKER_CMD or \
+         install fleet_worker next to this executable); executing on the \
+         in-process pool"
+            .to_owned()
     });
-    let mut results: Vec<Option<ShardResult>> = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("shard slot poisoned"))
-        .collect();
-    for (&i, result) in todo.iter().zip(ran) {
-        results[i] = Some(result);
-    }
-    let mut pass = ShardResult::concat(
-        results
-            .into_iter()
-            .map(|r| r.expect("every shard executed or degraded to the pool")),
-    );
-    pass.warnings
-        .extend(warnings.into_inner().expect("fleet warnings poisoned"));
+    let sup = Supervisor {
+        specs: &specs,
+        planned: preps.iter().map(|p| p.plan.len()).collect(),
+        cmd,
+        deadline: heartbeat_deadline(&template.cfg),
+    };
+    let slot = || Slot::new(&sup, &epoch.counters);
+    let mut pass = ShardResult::concat(claim_each(shard_count, workers, slot, Slot::shard));
+    pass.warnings.extend(missing);
     (pass, workers)
 }
 

@@ -261,7 +261,7 @@ pub struct ServerMetrics {
     pub requests_coalesced: u64,
     /// Campaigns actually executed by this server.
     pub campaigns_executed: u64,
-    /// Campaigns currently in flight (shard queue depth proxy).
+    /// Campaigns currently in flight.
     pub inflight: u64,
     /// Cases/second of the most recently completed campaign
     /// (micro-cases — `cases_per_sec × 1e6` stored integrally).
@@ -312,7 +312,9 @@ impl InFlight {
 /// counters.
 struct State {
     cache: ResultCache,
-    fingerprints: Mutex<HashMap<CampaignSpec, CampaignFingerprint>>,
+    /// Keyed by what the fingerprint reads, so it grows only with
+    /// distinct campaigns, not with specs that differ in fleet sizing.
+    fingerprints: Mutex<HashMap<(OsVariant, Mode, CampaignConfig), CampaignFingerprint>>,
     inflight: Mutex<HashMap<u64, Arc<InFlight>>>,
     started: Instant,
     campaign_posts: AtomicU64,
@@ -344,22 +346,23 @@ impl State {
         }
     }
 
-    /// Spec → fingerprint, memoized (a fingerprint hashes every catalog
-    /// MuT — as long as the rest of a hit).
+    /// Spec → fingerprint, memoized by campaign (a fingerprint hashes
+    /// every catalog MuT — as long as the rest of a hit).
     fn fingerprint_of(&self, spec: &CampaignSpec) -> CampaignFingerprint {
+        let key = (spec.os, spec.mode(), spec.config());
         if let Some(fp) = self
             .fingerprints
             .lock()
             .expect("fingerprint memo poisoned")
-            .get(spec)
+            .get(&key)
         {
             return *fp;
         }
-        let fp = spec.mode().fingerprint(spec.os, &spec.config());
+        let fp = key.1.fingerprint(key.0, &key.2);
         self.fingerprints
             .lock()
             .expect("fingerprint memo poisoned")
-            .insert(*spec, fp);
+            .insert(key, fp);
         fp
     }
 }
@@ -744,8 +747,8 @@ fn get_campaign(stream: &mut TcpStream, state: &State, request: &Request) -> io:
         .get(&fp.as_u64())
         .map(|flight| Arc::clone(&flight.counters));
     if let Some(counters) = running {
-        // Live progress for the in-flight campaign, counted by the fleet
-        // supervisor (or the thread pool) as shards complete.
+        // Live progress for the in-flight campaign, counted by the
+        // fleet's slots as shards complete.
         let p = FleetProgressSnapshot::of(&counters);
         let body = format!(
             r#"{{"status":"running","shards_done":{},"shards_total":{},"cases_done":{},"worker_deaths":{},"shard_retries":{},"workers_live":{},"degraded":{}}}"#,
@@ -984,5 +987,40 @@ mod tests {
         }
         let err = write_all_vectored(&mut Full, [b"head", b"body"]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+    }
+
+    /// The fingerprint memo grows only with distinct campaigns: specs
+    /// that differ in fleet sizing, or in the adaptive knobs of a classic
+    /// campaign, share one entry.
+    #[test]
+    fn the_fingerprint_memo_grows_only_with_distinct_campaigns() {
+        let dir = std::env::temp_dir().join(format!("ballista-memo-{}", std::process::id()));
+        let server = Server::bind(&ServerConfig {
+            cache_dir: dir.clone(),
+            ..ServerConfig::default()
+        })
+        .expect("bind");
+        let state = &server.state;
+        let entries = || state.fingerprints.lock().expect("memo").len();
+        let base = CampaignSpec {
+            cap: 20,
+            ..CampaignSpec::new(OsVariant::Win95)
+        };
+        let fp = state.fingerprint_of(&base);
+        for i in 0..1_000 {
+            let spec = CampaignSpec {
+                shards: i,
+                workers: i % 7,
+                process: i % 2 == 1,
+                adaptive_seed: i as u64,
+                adaptive_rare_bonus: (i % 5) as u64,
+                ..base
+            };
+            assert_eq!(state.fingerprint_of(&spec), fp);
+        }
+        assert_eq!(entries(), 1);
+        assert_ne!(state.fingerprint_of(&CampaignSpec { cap: 21, ..base }), fp);
+        assert_eq!(entries(), 2);
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

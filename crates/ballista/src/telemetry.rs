@@ -17,8 +17,8 @@
 //!    counted once per event by [`count`] into the set of the campaign
 //!    the thread works for and into the hub's, beside deterministic
 //!    counters (cases applied, CRASH-class counts) and log₂
-//!    [`Histogram`]s (boot/restore latency, journal fsync latency,
-//!    retry backoff), snapshotted by [`Hub::metrics_snapshot`] into
+//!    [`Histogram`]s (boot/restore latency, journal fsync latency),
+//!    snapshotted by [`Hub::metrics_snapshot`] into
 //!    `results/metrics.json`. A campaign's `CampaignStats`, a fleet
 //!    campaign's in-flight progress and the live ticker read the same
 //!    counter sets.
@@ -245,17 +245,16 @@ counters! {
     /// Worker processes alive now (a gauge: a reaped worker takes its
     /// count back).
     WorkersLive => "workers_live",
-    /// Worker slots quarantined after consecutive failures.
+    /// Fleet slots quarantined after consecutive failures; a
+    /// quarantined slot executes its shards in-process.
     WorkersQuarantined => "workers_quarantined",
-    /// Shards re-executed after a worker failure.
+    /// Shard attempts retried on a new worker after a failed one (a
+    /// failed spawn included).
     ShardRetries => "shard_retries",
-    /// Shards pushed back onto the supervisor queue to wait for a
-    /// healthy worker.
-    ShardRequeues => "shard_requeues",
     /// Malformed wire buffers (spec or result) rejected by the engine.
     WireProtocolFaults => "wire_protocol_faults",
-    /// Fleet campaigns that degraded from process workers to the
-    /// in-process thread pool (at most one per campaign).
+    /// Fleet campaigns asked for process workers that executed a shard
+    /// in-process (at most one per campaign).
     FleetDegradations => "fleet_degradations",
     /// Crashcon filesystem crash images materialized (one pristine-tree
     /// clone per judged crash point; never counted under `restores`).
@@ -522,8 +521,6 @@ pub struct Metrics {
     pub restore_ns: Histogram,
     /// Journal `fsync` latency, nanoseconds.
     pub fsync_ns: Histogram,
-    /// Shard-retry backoff delays, milliseconds.
-    pub backoff_ms: Histogram,
 }
 
 /// The slot in [`Metrics::classes`] for a CRASH class, in severity
@@ -575,7 +572,7 @@ pub struct DeterministicMetrics {
 }
 
 /// The host-dependent half of a [`MetricsSnapshot`]: every host
-/// [`Counter`] plus the four latency histograms, never part of any
+/// [`Counter`] plus the three latency histograms, never part of any
 /// bit-identity contract. Index it by [`Counter`]; it serializes as one
 /// flat object, the counters' keys first.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -588,8 +585,6 @@ pub struct HostMetrics {
     pub restore_ns: HistogramSnapshot,
     /// Journal `fsync` latency histogram, nanoseconds.
     pub fsync_ns: HistogramSnapshot,
-    /// Shard-retry backoff histogram, milliseconds.
-    pub backoff_ms: HistogramSnapshot,
 }
 
 impl Index<Counter> for HostMetrics {
@@ -611,7 +606,6 @@ impl Serialize for HostMetrics {
             ("boot_ns", &self.boot_ns),
             ("restore_ns", &self.restore_ns),
             ("fsync_ns", &self.fsync_ns),
-            ("backoff_ms", &self.backoff_ms),
         ] {
             w.key(&mut c, key);
             h.serialize(w);
@@ -791,7 +785,6 @@ impl Hub {
                 boot_ns: m.boot_ns.snapshot(),
                 restore_ns: m.restore_ns.snapshot(),
                 fsync_ns: m.fsync_ns.snapshot(),
-                backoff_ms: m.backoff_ms.snapshot(),
             },
         }
     }
@@ -839,16 +832,6 @@ pub fn on_restore(nanos: u64, fast: bool) {
 /// One journal `fsync` completed in `nanos` of host time.
 pub fn on_journal_fsync(nanos: u64) {
     count_with(&[(Counter::JournalFsyncs, 1)], |m| m.fsync_ns.record(nanos));
-}
-
-/// A shard goes back on the supervisor queue for another attempt after
-/// a worker failure, `backoff_ms` milliseconds of exponential backoff
-/// after it.
-pub fn on_shard_retry(backoff_ms: u64) {
-    count_with(
-        &[(Counter::ShardRetries, 1), (Counter::ShardRequeues, 1)],
-        |m| m.backoff_ms.record(backoff_ms),
-    );
 }
 
 /// One case was executed on this host (replays don't count). Hub only,

@@ -278,6 +278,50 @@ fn unspawnable_workers_degrade_to_the_thread_pool() {
     );
 }
 
+/// The quarantine rung: every worker dies on its first shard, so a slot
+/// that claims a shard loses two workers in a row, is quarantined, and
+/// finishes its shards in-process. The campaign completes degraded, with
+/// the serial engine's tallies and one warning per death.
+#[test]
+fn quarantined_slots_finish_in_process() {
+    let _guard = ENV_GUARD
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let latch = EnvLatch::set(&[
+        ("BALLISTA_WORKER_CMD", WORKER),
+        ("BALLISTA_FLEET_FAULT", "die:1"),
+    ]);
+    let os = OsVariant::Win95;
+    let serial = run_campaign(os, &cfg(100));
+    let progress = Arc::new(Counters::default());
+    let report = run_campaign_fleet_observed(os, &cfg(100), &fleet(8, 2), Some(&progress));
+    drop(latch);
+
+    assert_eq!(tally_json(&serial), tally_json(&report));
+    assert!(
+        report.fleet_degraded && !report.degraded,
+        "a quarantined slot loses isolation, not data: {:?}",
+        report.warnings
+    );
+    let quarantined = progress.get(Counter::WorkersQuarantined);
+    assert!(
+        (1..=2).contains(&quarantined),
+        "{quarantined} slots quarantined"
+    );
+    let deaths = progress.get(Counter::WorkerDeaths);
+    assert_eq!(deaths, 2 * quarantined, "two deaths quarantine a slot");
+    let warned = report
+        .warnings
+        .iter()
+        .filter(|w| w.starts_with("fleet worker pid"))
+        .count();
+    assert_eq!(
+        warned as u64, deaths,
+        "one warning per death: {:?}",
+        report.warnings
+    );
+}
+
 /// Real SIGKILLs, not latches: an external killer shoots live worker
 /// PIDs mid-campaign and the supervisor recovers to the identical
 /// tallies.
